@@ -97,13 +97,12 @@ from .planner import (
     held_karp,
     heuristic_tsp,
     make_episodes,
-    nearest_neighbor,
+    ranked_route,
     route_length,
     run_benchmark,
     run_coverage,
     run_vsg_planner,
     solve_tsp,
-    two_opt,
     write_benchmark_csv,
 )
 from .training import (

@@ -10,6 +10,7 @@ that configuration. Exit codes: 0 success, 1 domain error (single-line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -42,10 +43,11 @@ from .planner import (
     VSG_PLANNER,
     Episode,
     make_episodes,
+    ranked_route,
+    route_length,
     run_benchmark,
     run_coverage,
     run_vsg_planner,
-    solve_tsp,
     write_benchmark_csv,
 )
 from .training import (
@@ -86,6 +88,14 @@ def _parse_tau(text: str) -> float | str:
         return float(text)
     except ValueError:
         return text
+
+
+def _check_taxonomy(tax, name, source: str) -> None:
+    """The checkpoint's taxonomy must be the one `source` was written in."""
+    if name != tax.name:
+        raise CheckpointError(
+            f"{source} taxonomy {name!r} does not match checkpoint taxonomy {tax.name!r}"
+        )
 
 
 def _split_samples(bundle, split: str, label_cfg: LabelConfig):
@@ -188,8 +198,6 @@ def cmd_train(args) -> int:
     try:
         if "tau" in model_kwargs and isinstance(model_kwargs["tau"], str):
             model_kwargs["tau"] = _parse_tau(model_kwargs["tau"])
-        if "split_fractions" in train_kwargs:
-            train_kwargs["split_fractions"] = tuple(train_kwargs["split_fractions"])
         if "class_weights" in loss_kwargs:
             loss_kwargs["class_weights"] = tuple(
                 tuple(r) for r in loss_kwargs["class_weights"]
@@ -203,29 +211,12 @@ def cmd_train(args) -> int:
     resolved = {
         "data": args.data,
         "out": args.out,
-        "model": {
-            "kind": model_cfg.kind,
-            "d_v": model_cfg.d_v,
-            "hidden_dim": model_cfg.hidden_dim,
-            "scalar_gate": model_cfg.scalar_gate,
-            "tau": model_cfg.tau,
-            "include_semantic_edges": model_cfg.include_semantic_edges,
-        },
-        "train": {
-            "epochs": train_cfg.epochs,
-            "batch_size": train_cfg.batch_size,
-            "learning_rate": train_cfg.learning_rate,
-            "dropout_rate": train_cfg.dropout_rate,
-            "seed": train_cfg.seed,
-            "patience": train_cfg.patience,
-        },
-        "loss": {"gamma": loss_cfg.gamma, "class_weights": [list(r) for r in loss_cfg.class_weights]}
+        "model": dataclasses.asdict(model_cfg),
+        "train": dataclasses.asdict(train_cfg),
+        "loss": dataclasses.asdict(loss_cfg)
         if loss_cfg
         else {"gamma": LossConfig().gamma, "class_weights": "from-train-split"},
-        "label": {
-            "epsilon": label_cfg.epsilon,
-            "require_state_attributes": label_cfg.require_state_attributes,
-        },
+        "label": dataclasses.asdict(label_cfg),
     }
     _echo_config("train", resolved)
     model, report = train(bundle, model_cfg, train_cfg, loss_cfg, label_cfg)
@@ -245,11 +236,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     bundle = load_dataset(_require_dir(args.data, "data"))
-    if bundle.taxonomy.name != tax.name:
-        raise CheckpointError(
-            f"checkpoint taxonomy {tax.name!r} does not match dataset "
-            f"taxonomy {bundle.taxonomy.name!r}"
-        )
+    _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     label_cfg = LabelConfig(epsilon=args.epsilon) if args.epsilon is not None else LabelConfig()
     _echo_config(
         "eval",
@@ -278,12 +265,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
-    raw = _load_json(args.scene, "scene")
-    scene_tax = raw.get("taxonomy")
-    if scene_tax != tax.name:
-        raise CheckpointError(
-            f"scene taxonomy {scene_tax!r} does not match checkpoint taxonomy {tax.name!r}"
-        )
+    _check_taxonomy(tax, _load_json(args.scene, "scene").get("taxonomy"), "scene")
     scene = load_scene_graph(args.scene, tax)
     _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     probabilities = model.predict_probabilities(scene, tax)
@@ -304,12 +286,7 @@ def cmd_predict(args) -> int:
 
 def cmd_plan(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
-    raw = _load_json(args.scene, "scene")
-    if raw.get("taxonomy") != tax.name:
-        raise CheckpointError(
-            f"scene taxonomy {raw.get('taxonomy')!r} does not match checkpoint "
-            f"taxonomy {tax.name!r}"
-        )
+    _check_taxonomy(tax, _load_json(args.scene, "scene").get("taxonomy"), "scene")
     scene = load_scene_graph(args.scene, tax)
     start = None
     if args.start:
@@ -323,22 +300,11 @@ def cmd_plan(args) -> int:
          "realized": args.realized},
     )
 
-    probabilities = model.predict_probabilities(scene, tax)
-    scores = {oid: max(p) for oid, p in probabilities.items()}
-    ranked = sorted(scores, key=lambda oid: (-scores[oid], oid))
-    top = ranked[: args.n + 3]
     start_vec = (
         np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
     )
-    points = np.array([scene.node(oid).position for oid in top], dtype=np.float64)
-    order = solve_tsp(points, start_vec)
-    route = [top[k] for k in order]
-    pos = start_vec
-    total = 0.0
-    for oid in route:
-        nxt = np.asarray(scene.node(oid).position)
-        total += float(np.linalg.norm(nxt - pos))
-        pos = nxt
+    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec)
+    total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
 
@@ -376,11 +342,7 @@ def _parse_n_range(text: str) -> list[int]:
 def cmd_compare_planners(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     bundle = load_dataset(_require_dir(args.data, "data"))
-    if bundle.taxonomy.name != tax.name:
-        raise CheckpointError(
-            f"checkpoint taxonomy {tax.name!r} does not match dataset "
-            f"taxonomy {bundle.taxonomy.name!r}"
-        )
+    _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     n_values = _parse_n_range(args.n_range)
     _echo_config(
         "compare-planners",

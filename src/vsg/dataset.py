@@ -924,13 +924,12 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
     with a warning. The taxonomy is built from the union of observed labels,
     attributes, and relationship names.
     """
+    # Returned, with an empty report, when nothing usable is found.
+    placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
+    empty = LabelStats((0, 0, 0), (0, 0, 0))
     index_path = os.path.join(root, "3RScan.json")
     if not os.path.isfile(index_path):
         logger.warning("%s: no 3RScan.json index; returning empty dataset", root)
-        empty = LabelStats((0, 0, 0), (0, 0, 0))
-        placeholder = Taxonomy(
-            "3rscan", ("object",), (("present", "state"),), ("near",)
-        )
         return [], placeholder, IngestReport(0, 0, 0, (), empty)
     with open(index_path, "r", encoding="utf-8") as f:
         index = json.load(f)
@@ -981,8 +980,6 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
                 relations.add(str(rel[2]))
 
     if not usable:
-        empty = LabelStats((0, 0, 0), (0, 0, 0))
-        placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
         return [], placeholder, IngestReport(0, 0, 0, tuple(skipped), empty)
 
     if not any(kind == "state" for kind in attributes.values()):

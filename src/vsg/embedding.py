@@ -80,7 +80,7 @@ def fit_pca(vectors: Sequence[np.ndarray] | np.ndarray, d_v: int) -> PcaModel:
     mean = data.mean(axis=0)
     centered = data - mean
     # Rows of vt are the principal directions; s**2 / n are the variances.
-    _, s, vt = np.linalg.svd(centered, full_matrices=True)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
     variances = np.zeros(dim)
     variances[: s.shape[0]] = s**2
     total = variances.sum()

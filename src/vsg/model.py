@@ -387,21 +387,26 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
             tau=float(data["edge_config"]["tau"]),
             include_semantic_edges=bool(data["edge_config"]["include_semantic_edges"]),
         )
-        common = dict(
-            taxonomy_name=data["taxonomy_name"],
-            num_relationships=int(hp["num_relationships"]),
-            pca=pca,
-            edge_config=edge_config,
+        cfg = ModelConfig(
+            kind=kind,
             hidden_dim=int(hp["hidden_dim"]),
-            dropout_rate=float(hp["dropout_rate"]),
-            seed=int(hp["rng_seed"]),
+            scalar_gate=bool(hp.get("scalar_gate", False)),
         )
-        if kind == KIND_DELTAVSG:
-            model = DeltaVsgModel(scalar_gate=bool(hp["scalar_gate"]), **common)
-        elif kind == KIND_MLP_BASELINE:
-            model = MlpBaseline(**common)
-        else:
-            raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+        try:
+            model = build_model(
+                cfg,
+                data["taxonomy_name"],
+                int(hp["num_relationships"]),
+                pca,
+                edge_config,
+                dropout_rate=float(hp["dropout_rate"]),
+                seed=int(hp["rng_seed"]),
+            )
+        except CheckpointError as e:
+            raise CheckpointError(f"{path}: {e}") from e
+        missing = sorted(set(model.hyperparameters()) - set(hp))
+        if missing:
+            raise CheckpointError(f"{path}: checkpoint is missing hyperparameters {missing}")
         params = data["parameters"]
         for name in model.store.names():
             if name not in params:

@@ -64,9 +64,6 @@ class ParamStore:
             if not np.all(np.isfinite(self._params[name].grad)):
                 raise TrainingError(f"non-finite gradient in parameter {name!r}")
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {n: self._params[n].value for n in self.names()}
-
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)

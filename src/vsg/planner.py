@@ -35,14 +35,15 @@ EXACT_TSP_LIMIT = 15
 
 
 def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> float:
-    """Total length of the open path start -> points[order[0]] -> ..."""
-    pos = np.asarray(start, dtype=np.float64)
-    total = 0.0
-    for k in order:
-        nxt = points[k]
-        total += float(np.linalg.norm(nxt - pos))
-        pos = nxt
-    return total
+    """Total length of the open path start -> points[order[0]] -> ...
+
+    The legs are summed left to right in Python, so the total is the same
+    float as a running sum over a precomputed distance matrix.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    path = np.vstack([np.asarray(start, dtype=np.float64), pts[list(order)]])
+    legs = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    return float(sum(legs.tolist()))
 
 
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
@@ -88,36 +89,11 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     return order
 
 
-def nearest_neighbor(points: np.ndarray, start: np.ndarray) -> list[int]:
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    remaining = list(range(n))
-    pos = np.asarray(start, dtype=np.float64)
-    order: list[int] = []
-    while remaining:
-        d = np.linalg.norm(pts[remaining] - pos, axis=1)
-        pick = remaining[int(np.argmin(d))]
-        order.append(pick)
-        remaining.remove(pick)
-        pos = pts[pick]
-    return order
-
-
 def _extended_distances(pts: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Pairwise distance matrix with the start appended as virtual index n."""
     stacked = np.vstack([pts, start[None, :]])
     diff = stacked[:, None, :] - stacked[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _matrix_route_length(dist: np.ndarray, order: list[int]) -> float:
-    if not order:
-        return 0.0
-    s = dist.shape[0] - 1
-    total = dist[s, order[0]]
-    for a, b in zip(order, order[1:]):
-        total += dist[a, b]
-    return float(total)
 
 
 def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
@@ -196,17 +172,6 @@ def _double_bridge(order: list[int], rng: np.random.Generator) -> list[int]:
     return order[:a] + order[b:c] + order[a:b] + order[c:]
 
 
-def two_opt(points: np.ndarray, start: np.ndarray, order: list[int]) -> list[int]:
-    """First-improvement 2-opt on an open path; every accepted reversal
-    strictly shortens the route, so termination is guaranteed."""
-    pts = np.asarray(points, dtype=np.float64)
-    order = list(order)
-    if len(order) < 2:
-        return order
-    dist = _extended_distances(pts, np.asarray(start, dtype=np.float64))
-    return _two_opt(dist, order)
-
-
 _DOUBLE_BRIDGE_KICKS = 10
 
 
@@ -224,12 +189,13 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     n = len(pts)
     if n <= 1:
         return list(range(n))
-    dist = _extended_distances(pts, np.asarray(start, dtype=np.float64))
+    start = np.asarray(start, dtype=np.float64)
+    dist = _extended_distances(pts, start)
     best: list[int] = []
     best_len = np.inf
     for first in range(n):
         order = _local_search(dist, _forced_nearest_neighbor(dist, first))
-        length = _matrix_route_length(dist, order)
+        length = route_length(pts, start, order)
         if length < best_len - 1e-12:
             best, best_len = order, length
     if n >= 4:  # a double bridge needs three distinct interior cuts
@@ -237,7 +203,7 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
         current, current_len = list(best), best_len
         for _ in range(_DOUBLE_BRIDGE_KICKS):
             cand = _local_search(dist, _double_bridge(current, rng))
-            length = _matrix_route_length(dist, cand)
+            length = route_length(pts, start, cand)
             if length < current_len - 1e-12:
                 current, current_len = list(cand), length
             if length < best_len - 1e-12:
@@ -245,12 +211,16 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     return best
 
 
-def solve_tsp(points: np.ndarray, start, exact_threshold: int = EXACT_TSP_LIMIT) -> list[int]:
-    """Visit order over all points, starting from `start` (not a point)."""
+def solve_tsp(points: np.ndarray, start) -> list[int]:
+    """Visit order over all points, starting from `start` (not a point).
+
+    Up to EXACT_TSP_LIMIT points the route is optimal (Held-Karp); beyond
+    that it comes from the multi-start local search.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         return []
-    if len(pts) <= exact_threshold:
+    if len(pts) <= EXACT_TSP_LIMIT:
         return held_karp(pts, start)
     return heuristic_tsp(pts, start)
 
@@ -343,36 +313,46 @@ def run_coverage(ep: Episode, tax: Taxonomy) -> EpisodeResult:
     )
 
 
+def ranked_route(
+    graph: SceneGraph,
+    probabilities: dict[str, tuple[float, float, float]],
+    n: int,
+    start: np.ndarray,
+) -> list[str]:
+    """Phase-1 route of the guided planner: a TSP tour over the n+3 objects
+    most likely to have changed.
+
+    An object's score is the max of its three probabilities, ties broken
+    toward the lower object id; the chosen objects keep node order before
+    the tour is solved.
+    """
+    ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
+    top = set(ranked[: n + 3])
+    ids = [oid for oid in graph.node_ids if oid in top]
+    points = np.array([graph.node(oid).position for oid in ids], dtype=np.float64)
+    return [ids[k] for k in solve_tsp(points, start)]
+
+
 def run_vsg_planner(ep: Episode, model, tax: Taxonomy) -> EpisodeResult:
     """Tour the n+3 most change-prone objects first, Coverage as fallback.
 
-    `model` is anything with predict_probabilities(graph, taxonomy); scores
-    are the max of the three returned probabilities, ties broken toward the
-    lower object id.
+    `model` is anything with predict_probabilities(graph, taxonomy); the
+    first tour is `ranked_route` of its probabilities.
     """
+    graph = ep.previous_map
     changed = changed_object_ids(ep, tax)
-    probabilities = model.predict_probabilities(ep.previous_map, tax)
-    scores = {oid: max(p) for oid, p in probabilities.items()}
-    ranked = sorted(scores, key=lambda oid: (-scores[oid], oid))
-    top = set(ranked[: ep.n + 3])
-
-    ids = list(ep.previous_map.node_ids)
-    positions = ep.previous_map.positions()
-    index_of = {oid: k for k, oid in enumerate(ids)}
+    probabilities = model.predict_probabilities(graph, tax)
     start = ep.start()
-
-    phase1_ids = [oid for oid in ids if oid in top]
-    phase1_points = positions[[index_of[oid] for oid in phase1_ids]]
-    order = solve_tsp(phase1_points, start)
-    route1 = [phase1_ids[k] for k in order]
+    route1 = ranked_route(graph, probabilities, ep.n, start)
     visited, distance, found, pos = _walk(ep, route1, changed, start)
 
     fallback = False
     if found < ep.n:
-        remaining = [oid for oid in ids if oid not in set(visited)]
+        seen = set(visited)
+        remaining = [oid for oid in graph.node_ids if oid not in seen]
         if remaining:
             fallback = True
-            rem_points = positions[[index_of[oid] for oid in remaining]]
+            rem_points = graph.positions()[[graph.node_index(oid) for oid in remaining]]
             order2 = solve_tsp(rem_points, pos)
             route2 = [remaining[k] for k in order2]
             visited2, dist2, found, _ = _walk(ep, route2, changed, pos, already_found=found)

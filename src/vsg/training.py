@@ -119,7 +119,6 @@ class TrainConfig:
     dropout_rate: float = 0.2
     seed: int = 0
     patience: int | None = 20  # epochs without val pooled-F1 improvement; None disables
-    split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
@@ -128,8 +127,6 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
-            raise ConfigError("split fractions must be non-negative and sum to 1")
 
 
 @dataclass
@@ -198,13 +195,9 @@ def _restore(model, snap: dict[str, np.ndarray]) -> None:
         model.store[n].value[...] = v
 
 
-def _dataset_loss(model, prepared: list[_Prepared], loss_cfg: LossConfig) -> float:
-    total = 0.0
-    for p in prepared:
-        probs, _ = model.forward(p.graph, mode="eval")
-        loss, _ = focal_loss(probs, p.labels, p.masks, loss_cfg)
-        total += loss
-    return total / len(prepared) if prepared else 0.0
+def _eval_probabilities(model, prepared: list[_Prepared]) -> list[np.ndarray]:
+    """Eval-mode (N, 3) probabilities of each prepared sample, in order."""
+    return [model.forward(p.graph, mode="eval")[0] for p in prepared]
 
 
 def train(
@@ -295,9 +288,12 @@ def train(
             epoch_loss += batch_loss / steps_per_epoch
         report.train_loss.append(epoch_loss)
 
-        val_loss = _dataset_loss(model, prepared_val, loss_cfg)
-        val_eval = _evaluate_prepared(model, prepared_val)
-        f1 = val_eval.metrics["pooled"].f1
+        val_probs = _eval_probabilities(model, prepared_val)
+        val_loss = sum(
+            focal_loss(probs, p.labels, p.masks, loss_cfg)[0]
+            for probs, p in zip(val_probs, prepared_val)
+        ) / len(prepared_val)
+        f1 = _evaluate_at(val_probs, prepared_val, 0.5).metrics["pooled"].f1
         report.val_loss.append(val_loss)
         report.val_pooled_f1.append(f1)
         if val_loss < best_val:
@@ -377,8 +373,7 @@ def evaluate_probabilities(
     return EvalReport(metrics=metrics, threshold=threshold)
 
 
-def _evaluate_prepared(model, prepared: list[_Prepared], threshold: float = 0.5) -> EvalReport:
-    probs = [model.forward(p.graph, mode="eval")[0] for p in prepared]
+def _evaluate_at(probs: list[np.ndarray], prepared: list[_Prepared], threshold: float) -> EvalReport:
     return evaluate_probabilities(
         probs, [p.labels for p in prepared], [p.masks for p in prepared], threshold
     )
@@ -389,7 +384,7 @@ def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalR
     if not samples:
         raise EvaluationError("nothing to evaluate: empty sample set")
     prepared = _prepare(samples, tax, model.pca, model.edge_config)
-    return _evaluate_prepared(model, prepared, threshold)
+    return _evaluate_at(_eval_probabilities(model, prepared), prepared, threshold)
 
 
 def threshold_sweep(
@@ -399,9 +394,10 @@ def threshold_sweep(
     if thresholds is None:
         thresholds = [round(0.05 * k, 2) for k in range(1, 20)]
     prepared = _prepare(samples, tax, model.pca, model.edge_config)
+    probs = _eval_probabilities(model, prepared)
     rows = []
     for th in thresholds:
-        rep = _evaluate_prepared(model, prepared, th)
+        rep = _evaluate_at(probs, prepared, th)
         for name in VARIABILITY_NAMES:
             m = rep.metrics[name]
             rows.append(

@@ -13,7 +13,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from vsg import load_checkpoint, load_scene_graph, scene_graph_to_dict
+from vsg import load_checkpoint, load_scene_graph, ranked_route, route_length, scene_graph_to_dict
 from vsg.cli import dispatch
 
 GEN_SPEC = {
@@ -236,12 +236,17 @@ class TestPlan:
         out = capsys.readouterr().out
         route_line = next(l for l in out.splitlines() if l.startswith("phase1-route: "))
         dist_line = next(l for l in out.splitlines() if l.startswith("phase1-distance: "))
-        _, tax = load_checkpoint(pipeline["ckpt"])
+        model, tax = load_checkpoint(pipeline["ckpt"])
         scene = load_scene_graph(pipeline["scene"], tax)
         route = route_line.split(": ", 1)[1].split()
         assert len(route) == min(1 + 3, scene.num_nodes)
         assert len(set(route)) == len(route)
-        assert float(dist_line.split(": ", 1)[1]) > 0.0
+        # The printed route is the guided planner's phase 1 from the centroid.
+        start = scene.positions().mean(axis=0)
+        assert route == ranked_route(scene, model.predict_probabilities(scene, tax), 1, start)
+        length = route_length(scene.positions(), start, [scene.node_index(o) for o in route])
+        assert float(dist_line.split(": ", 1)[1]) == pytest.approx(length, abs=1e-6)
+        assert length > 0.0
 
     def test_realized_scene_simulates_both_planners(self, pipeline, capsys):
         realized = pipeline["data"] / "env000" / "scan01.json"

@@ -1,5 +1,7 @@
 """Binary encoding, PCA against a dense eigendecomposition oracle, edges."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -129,6 +131,17 @@ class TestPca:
             transform_pca(model, np.zeros(5))
         with pytest.raises(DimensionError):
             inverse_transform_pca(model, np.zeros(3))
+
+    def test_memory_grows_linearly_with_rows(self):
+        # A full SVD would also build the 6,000 x 6,000 U factor: 288 MB.
+        data = np.random.default_rng(6).normal(size=(6000, 26))
+        tracemalloc.start()
+        try:
+            fit_pca(data, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_constant_data_zero_variance(self):
         data = np.ones((10, 4))

@@ -406,6 +406,27 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="head.W0"):
             load_checkpoint(path)
 
+    def test_unknown_model_kind_rejected(self, tiny_tax, tmp_path):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        data["model_kind"] = "transformer"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="transformer") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_hyperparameter_rejected(self, tiny_tax, tmp_path):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        del data["hyperparameters"]["scalar_gate"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="scalar_gate"):
+            load_checkpoint(path)
+
     def test_wrong_taxonomy_rejected_at_predict(self, tiny_tax, small_graph, tmp_path):
         model = self._fitted_model(tiny_tax)
         other = make_other_taxonomy()

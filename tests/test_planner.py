@@ -15,16 +15,19 @@ from vsg import (
     held_karp,
     heuristic_tsp,
     make_episodes,
-    nearest_neighbor,
     route_length,
     run_benchmark,
     run_coverage,
     run_vsg_planner,
     solve_tsp,
-    two_opt,
     write_benchmark_csv,
 )
-from vsg.planner import EXACT_TSP_LIMIT
+from vsg.planner import (
+    EXACT_TSP_LIMIT,
+    _extended_distances,
+    _forced_nearest_neighbor,
+    _two_opt,
+)
 
 from conftest import make_graph, make_node
 
@@ -49,6 +52,20 @@ class TestTsp:
         order = solve_tsp(points, np.zeros(3))
         assert order == [0, 1, 2]
         assert route_length(points, np.zeros(3), order) == pytest.approx(3.0)
+
+    def test_route_length_is_running_sum_of_matrix_legs(self):
+        # heuristic_tsp compares candidate routes by route_length, so it must
+        # equal, float for float, the left-to-right sum of distance-matrix legs.
+        rng = np.random.default_rng(7)
+        for n in range(12):
+            points = rng.uniform(-10, 10, size=(n, 3))
+            start = rng.uniform(-10, 10, size=3)
+            order = [int(k) for k in rng.permutation(n)]
+            dist = _extended_distances(points, start)
+            expected, prev = 0.0, n
+            for k in order:
+                expected, prev = expected + dist[prev, k], k
+            assert route_length(points, start, order) == expected, n
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -95,8 +112,9 @@ class TestTsp:
         for trial in range(10):
             points = rng.uniform(0, 10, size=(12, 2))
             start = rng.uniform(0, 10, size=2)
-            before = nearest_neighbor(points, start)
-            after = two_opt(points, start, before)
+            dist = _extended_distances(points, start)
+            before = _forced_nearest_neighbor(dist, trial)
+            after = _two_opt(dist, list(before))
             assert sorted(after) == list(range(12))
             assert route_length(points, start, after) <= route_length(
                 points, start, before

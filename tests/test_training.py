@@ -364,6 +364,10 @@ class TestTrain:
         assert report.threshold == 0.5
         rows = threshold_sweep(model, samples, bundle.taxonomy, thresholds=[0.25, 0.5, 0.75])
         assert len(rows) == 9
+        for row in rows:
+            m = evaluate(model, samples, bundle.taxonomy, threshold=row["threshold"])
+            m = m.metrics[row["variability"]]
+            assert (row["precision"], row["recall"], row["f1"]) == (m.precision, m.recall, m.f1)
         by_type = [r for r in rows if r["variability"] == "position"]
         recalls = [r["recall"] for r in by_type]
         assert recalls == sorted(recalls, reverse=True)
@@ -378,5 +382,3 @@ class TestTrain:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(split_fractions=(1.0, 1.0, 1.0))
