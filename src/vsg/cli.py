@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core_graph import load_scene_graph, scene_graph_to_dict
+from .core_graph import load_scene_graph, scene_graph_from_dict, scene_graph_to_dict
 from .dataset import (
     GeneratorConfig,
     LabelConfig,
@@ -31,8 +31,7 @@ from .dataset import (
 from .embedding import encode_nodes, fit_pca
 from .errors import CheckpointError, ConfigError, EvaluationError, UsageError, VsgError
 from .model import (
-    KIND_DELTAVSG,
-    KIND_MLP_BASELINE,
+    MODEL_KINDS,
     ModelConfig,
     _pca_to_dict,
     load_checkpoint,
@@ -96,6 +95,15 @@ def _check_taxonomy(tax, name, source: str) -> None:
         raise CheckpointError(
             f"{source} taxonomy {name!r} does not match checkpoint taxonomy {tax.name!r}"
         )
+
+
+def _load_scene(path, tax):
+    """Read a scene JSON once, check its taxonomy against the checkpoint's,
+    then build the graph."""
+    data = _load_json(path, "scene")
+    if isinstance(data, dict):
+        _check_taxonomy(tax, data.get("taxonomy"), "scene")
+    return scene_graph_from_dict(data, tax, source=str(path))
 
 
 def _split_samples(bundle, split: str, label_cfg: LabelConfig):
@@ -265,8 +273,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
-    _check_taxonomy(tax, _load_json(args.scene, "scene").get("taxonomy"), "scene")
-    scene = load_scene_graph(args.scene, tax)
+    scene = _load_scene(args.scene, tax)
     _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     probabilities = model.predict_probabilities(scene, tax)
     out = scene_graph_to_dict(scene, tax)
@@ -286,8 +293,7 @@ def cmd_predict(args) -> int:
 
 def cmd_plan(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
-    _check_taxonomy(tax, _load_json(args.scene, "scene").get("taxonomy"), "scene")
-    scene = load_scene_graph(args.scene, tax)
+    scene = _load_scene(args.scene, tax)
     start = None
     if args.start:
         parts = args.start.split(",")
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON with model/train/loss/label sections")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--report", help="write the per-epoch training report JSON here")
-    p.add_argument("--kind", choices=[KIND_DELTAVSG, KIND_MLP_BASELINE])
+    p.add_argument("--kind", choices=MODEL_KINDS)
     p.add_argument("--d-v", type=int, dest="d_v")
     p.add_argument("--hidden-dim", type=int)
     p.add_argument("--scalar-gate", action="store_const", const=True, default=None)

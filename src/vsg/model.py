@@ -24,13 +24,14 @@ import numpy as np
 
 from .core_graph import SceneGraph, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
 from .embedding import EdgeConfig, EmbeddedGraph, PcaModel, embed
-from .errors import CheckpointError, DimensionError, GraphError, ParseError, UsageError
+from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
 from .nn_core import Mlp, ParamStore, dropout, dropout_backward, relu, sigmoid
 
 CHECKPOINT_VERSION = 1
 
 KIND_DELTAVSG = "deltavsg"
 KIND_MLP_BASELINE = "mlp_baseline"
+MODEL_KINDS = (KIND_DELTAVSG, KIND_MLP_BASELINE)
 
 
 class MpConv:
@@ -104,6 +105,10 @@ class ModelConfig:
     scalar_gate: bool = False
     tau: float | str = "p75"
     include_semantic_edges: bool = True
+
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
 
 
 class _VariabilityModel:
@@ -297,17 +302,16 @@ def build_model(
             scalar_gate=cfg.scalar_gate,
             seed=seed,
         )
-    if cfg.kind == KIND_MLP_BASELINE:
-        return MlpBaseline(
-            taxonomy_name,
-            num_relationships,
-            pca,
-            edge_config,
-            hidden_dim=cfg.hidden_dim,
-            dropout_rate=dropout_rate,
-            seed=seed,
-        )
-    raise CheckpointError(f"unknown model kind {cfg.kind!r}")
+    # ModelConfig admits no kind but these two.
+    return MlpBaseline(
+        taxonomy_name,
+        num_relationships,
+        pca,
+        edge_config,
+        hidden_dim=cfg.hidden_dim,
+        dropout_rate=dropout_rate,
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +396,15 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
             hidden_dim=int(hp["hidden_dim"]),
             scalar_gate=bool(hp.get("scalar_gate", False)),
         )
-        try:
-            model = build_model(
-                cfg,
-                data["taxonomy_name"],
-                int(hp["num_relationships"]),
-                pca,
-                edge_config,
-                dropout_rate=float(hp["dropout_rate"]),
-                seed=int(hp["rng_seed"]),
-            )
-        except CheckpointError as e:
-            raise CheckpointError(f"{path}: {e}") from e
+        model = build_model(
+            cfg,
+            data["taxonomy_name"],
+            int(hp["num_relationships"]),
+            pca,
+            edge_config,
+            dropout_rate=float(hp["dropout_rate"]),
+            seed=int(hp["rng_seed"]),
+        )
         missing = sorted(set(model.hyperparameters()) - set(hp))
         if missing:
             raise CheckpointError(f"{path}: checkpoint is missing hyperparameters {missing}")
@@ -418,6 +419,6 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
                     f"expected {model.store[name].value.shape}"
                 )
             model.store[name].value[...] = stored
-    except (KeyError, TypeError, ValueError, ParseError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError, ParseError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e!r})") from e
     return model, taxonomy

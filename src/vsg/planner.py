@@ -49,6 +49,13 @@ def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> flo
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     """Exact open-path TSP from a fixed start, dynamic programming over subsets.
 
+    `cost[mask, j]` is the shortest path from the start through the points
+    in `mask` that ends at `j`. The table is filled one subset size at a
+    time: every mask of size k depends only on masks of size k - 1, so for
+    each endpoint j one vectorized step takes all size-k masks holding j
+    and computes `cost[mask ^ (1 << j), i] + dist[i, j]` for every
+    predecessor i at once.
+
     Ties are broken by taking the lowest point index at every argmin (each
     predecessor choice and the final endpoint), so the result is deterministic:
     between equal-length routes the one ending at the lower index wins.
@@ -60,23 +67,25 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     d_start = np.linalg.norm(pts - np.asarray(start, dtype=np.float64), axis=1)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     full = 1 << n
+    masks = np.arange(full)
+    # Subset sizes by shifting, not np.bitwise_count, which needs numpy 2.
+    sizes = sum((masks >> b) & 1 for b in range(n))
     cost = np.full((full, n), np.inf)
     parent = np.full((full, n), -1, dtype=np.int64)
-    for j in range(n):
-        cost[1 << j, j] = d_start[j]
-    for mask in range(1, full):
-        members = [j for j in range(n) if mask & (1 << j)]
-        if len(members) < 2:
-            continue
-        for j in members:
-            prev_mask = mask ^ (1 << j)
-            # cost[prev_mask, i] is inf unless i is in prev_mask, so no
-            # extra masking is needed beyond excluding j itself.
-            candidates = cost[prev_mask] + dist[:, j]
-            candidates[j] = np.inf
-            best = int(np.argmin(candidates))  # argmin takes the lowest index on ties
-            cost[mask, j] = candidates[best]
-            parent[mask, j] = best
+    points_idx = np.arange(n)
+    cost[1 << points_idx, points_idx] = d_start
+    for k in range(2, n + 1):
+        layer = masks[sizes == k]
+        for j in range(n):
+            ending = layer[(layer >> j) & 1 == 1]
+            # cost[prev, i] is inf unless i is in prev, so no extra masking
+            # is needed beyond excluding j itself.
+            candidates = cost[ending ^ (1 << j)]
+            candidates += dist[:, j]
+            candidates[:, j] = np.inf
+            best = np.argmin(candidates, axis=1)  # argmin takes the lowest index on ties
+            cost[ending, j] = candidates[np.arange(len(ending)), best]
+            parent[ending, j] = best
     mask = full - 1
     last = int(np.argmin(cost[mask]))
     order = [last]

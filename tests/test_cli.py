@@ -187,6 +187,20 @@ class TestTrainEval:
         assert rc == 1
         assert "unknown config sections" in capsys.readouterr().err
 
+    def test_unknown_model_kind_is_config_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"model": {"kind": "gnn"}}))
+        rc = dispatch(["train", "--data", str(pipeline["data"]),
+                       "--config", str(cfg), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error: ConfigError:") and "'gnn'" in err
+        assert len(err.splitlines()) == 1
+        # Rejected while resolving the config, before any training work.
+        assert "resolved-config:" not in captured.out
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPredict:
     def test_annotates_every_node(self, pipeline, tmp_path, capsys):
@@ -226,6 +240,28 @@ class TestPredict:
                        "--scene", str(other), "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: CheckpointError:")
+
+
+@pytest.mark.parametrize("command", ["predict", "plan"])
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (None, "error: ConfigError: scene file not found: {path}"),
+        ('{"format_version": 1, "nodes": [', "error: ConfigError: {path}: invalid JSON at line 1:"),
+        ("[]", "error: ParseError: {path}: expected a JSON object at top level"),
+    ],
+    ids=["missing", "truncated", "not-an-object"],
+)
+def test_malformed_scene_is_one_error_line(pipeline, tmp_path, capsys, command, content, expected):
+    scene = tmp_path / "scene.json"
+    if content is not None:
+        scene.write_text(content)
+    extra = ["--out", str(tmp_path / "o.json")] if command == "predict" else ["--n", "1"]
+    rc = dispatch([command, "--ckpt", str(pipeline["ckpt"]), "--scene", str(scene), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(expected.format(path=scene)), err
+    assert len(err.splitlines()) == 1
 
 
 class TestPlan:

@@ -2,6 +2,7 @@
 fixtures, the oracle scorer, and the benchmark summary."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -40,6 +41,63 @@ def brute_force(points, start):
         if length < best_len - 1e-12:
             best, best_len = list(perm), length
     return best, best_len
+
+
+def held_karp_loop(points, start):
+    """Reference Held-Karp: one Python step per (subset, endpoint) pair.
+
+    The same recurrence and argmin tie rule as `held_karp`, filled in mask
+    order, so the vectorized solver must return the identical route.
+    """
+    n = len(points)
+    if n == 0:
+        return []
+    pts = np.asarray(points, dtype=np.float64)
+    d_start = np.linalg.norm(pts - np.asarray(start, dtype=np.float64), axis=1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    full = 1 << n
+    cost = np.full((full, n), np.inf)
+    parent = np.full((full, n), -1, dtype=np.int64)
+    for j in range(n):
+        cost[1 << j, j] = d_start[j]
+    for mask in range(1, full):
+        members = [j for j in range(n) if mask & (1 << j)]
+        if len(members) < 2:
+            continue
+        for j in members:
+            candidates = cost[mask ^ (1 << j)] + dist[:, j]
+            candidates[j] = np.inf
+            best = int(np.argmin(candidates))
+            cost[mask, j] = candidates[best]
+            parent[mask, j] = best
+    mask = full - 1
+    last = int(np.argmin(cost[mask]))
+    order = [last]
+    while parent[mask, last] >= 0:
+        prev = int(parent[mask, last])
+        mask ^= 1 << last
+        order.append(prev)
+        last = prev
+    order.reverse()
+    return order
+
+
+def _uniform_3d(rng, n):
+    return rng.uniform(-5, 5, size=(n, 3)), rng.uniform(-5, 5, size=3)
+
+
+def _uniform_2d(rng, n):
+    return rng.uniform(-5, 5, size=(n, 2)), rng.uniform(-5, 5, size=2)
+
+
+def _duplicated(rng, n):
+    distinct = rng.uniform(-5, 5, size=(max(1, n // 2), 3))
+    return distinct[rng.integers(0, len(distinct), size=n)], rng.uniform(-5, 5, size=3)
+
+
+def _integer_grid(rng, n):
+    # Few distinct coordinates, so many routes tie exactly.
+    return rng.integers(0, 3, size=(n, 2)).astype(np.float64), rng.integers(0, 3, size=2).astype(np.float64)
 
 
 class TestTsp:
@@ -83,6 +141,25 @@ class TestTsp:
         points = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         assert held_karp(points, np.zeros(3)) == [1, 0]
         assert held_karp(points, np.zeros(3)) == held_karp(points, np.zeros(3))
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    def test_exact_matches_loop_reference(self, make_points):
+        rng = np.random.default_rng(11)
+        for n in range(13):
+            points, start = make_points(rng, n)
+            assert held_karp(points, start) == held_karp_loop(points, start), n
+
+    def test_exact_memory_at_limit(self):
+        # The two DP tables alone are 2 * 2**15 * 15 * 8 bytes = 7.5 MiB.
+        rng = np.random.default_rng(12)
+        points = rng.uniform(0, 10, size=(EXACT_TSP_LIMIT, 3))
+        tracemalloc.start()
+        try:
+            held_karp(points, np.zeros(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_routes_visit_each_point_once(self):
         rng = np.random.default_rng(1)
