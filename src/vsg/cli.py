@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core_graph import load_scene_graph, scene_graph_from_dict, scene_graph_to_dict
+from .core_graph import scene_graph_from_dict, scene_graph_to_dict
 from .dataset import (
     GeneratorConfig,
     LabelConfig,
@@ -294,6 +294,7 @@ def cmd_predict(args) -> int:
 def cmd_plan(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     scene = _load_scene(args.scene, tax)
+    realized = _load_scene(args.realized, tax) if args.realized else None
     start = None
     if args.start:
         parts = args.start.split(",")
@@ -314,8 +315,7 @@ def cmd_plan(args) -> int:
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
 
-    if args.realized:
-        realized = load_scene_graph(args.realized, tax)
+    if realized is not None:
         ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
         for name, result in (
             (COVERAGE, run_coverage(ep, tax)),

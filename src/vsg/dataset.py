@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -386,32 +386,7 @@ class GeneratorConfig:
 
 
 def generator_config_to_dict(cfg: GeneratorConfig) -> dict:
-    d = {
-        "num_environments": cfg.num_environments,
-        "scans_per_environment": cfg.scans_per_environment,
-        "room_size": list(cfg.room_size),
-        "objects_min": cfg.objects_min,
-        "objects_max": cfg.objects_max,
-        "support_radius": cfg.support_radius,
-        "next_to_radius": cfg.next_to_radius,
-        "min_spacing": cfg.min_spacing,
-        "move_distance": list(cfg.move_distance),
-        "jitter_fraction": cfg.jitter_fraction,
-        "appear_prob": cfg.appear_prob,
-        "epsilon": cfg.epsilon,
-        "seed": cfg.seed,
-        "split_fractions": list(cfg.split_fractions),
-        "propensity_overrides": {
-            c: {
-                "move_near": p.move_near,
-                "move_far": p.move_far,
-                "toggle": p.toggle,
-                "vanish": p.vanish,
-            }
-            for c, p in sorted(cfg.propensity_overrides.items())
-        },
-    }
-    return d
+    return asdict(cfg)
 
 
 def generator_config_from_dict(data: dict) -> GeneratorConfig:

@@ -175,42 +175,31 @@ def build_edges(
     """
     n = g.num_nodes
     num_rel = tax.num_relationships
-    relations: dict[tuple[int, int], set[int]] = {}
+    pos = g.positions()
+    delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = pos_j - pos_i
+    adjacent = np.linalg.norm(delta, axis=2) < cfg.tau
+    np.fill_diagonal(adjacent, False)
+    semantic = np.array(
+        [
+            (g.node_index(e.source_id), g.node_index(e.target_id), e.relation_index)
+            for e in (g.semantic_edges if cfg.include_semantic_edges else ())
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)  # rows of (source, target, relation)
+    adjacent[semantic[:, 0], semantic[:, 1]] = True
 
-    if g.num_nodes and cfg.tau > 0:
-        pos = g.positions()
-        delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = pos_j - pos_i
-        dist = np.linalg.norm(delta, axis=2)
-        close = dist < cfg.tau
-        np.fill_diagonal(close, False)
-        for i, j in zip(*np.nonzero(close)):
-            relations[(int(i), int(j))] = set()
-
-    if cfg.include_semantic_edges:
-        for edge in g.semantic_edges:
-            key = (g.node_index(edge.source_id), g.node_index(edge.target_id))
-            relations.setdefault(key, set()).add(edge.relation_index)
-
-    keys = sorted(relations)
-    edge_index = np.zeros((len(keys), 2), dtype=np.int64)
-    edge_features = np.zeros((len(keys), num_rel + 3), dtype=np.float64)
-    for row, (i, j) in enumerate(keys):
-        edge_index[row] = (i, j)
-        for r in relations[(i, j)]:
-            edge_features[row, r] = 1.0
-        pi = np.array(g.nodes[i].position)
-        pj = np.array(g.nodes[j].position)
-        edge_features[row, num_rel:] = pj - pi
+    src, tgt = np.nonzero(adjacent)  # row-major, so sorted by (source, target)
+    edge_index = np.stack([src, tgt], axis=1).astype(np.int64, copy=False)
+    edge_features = np.zeros((len(edge_index), num_rel + 3), dtype=np.float64)
+    rows = np.searchsorted(src * n + tgt, semantic[:, 0] * n + semantic[:, 1])
+    edge_features[rows, semantic[:, 2]] = 1.0
+    edge_features[:, num_rel:] = delta[src, tgt]
     return edge_index, edge_features
 
 
 def embed(g: SceneGraph, tax: Taxonomy, pca: PcaModel, cfg: EdgeConfig) -> EmbeddedGraph:
     """Assemble the full embedded graph for one scan. Pure and deterministic."""
-    raw = encode_nodes(g, tax)
-    if g.num_nodes:
-        node_features = transform_pca(pca, raw)
-    else:
-        node_features = np.zeros((0, pca.d_v))
+    node_features = transform_pca(pca, encode_nodes(g, tax))
     edge_index, edge_features = build_edges(g, tax, cfg)
     return EmbeddedGraph(
         node_features=node_features,

@@ -63,9 +63,10 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     n = len(points)
     if n == 0:
         return []
-    pts = np.asarray(points, dtype=np.float64)
-    d_start = np.linalg.norm(pts - np.asarray(start, dtype=np.float64), axis=1)
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    extended = _extended_distances(
+        np.asarray(points, dtype=np.float64), np.asarray(start, dtype=np.float64)
+    )
+    dist, d_start = extended[:n, :n], extended[:n, n]
     full = 1 << n
     masks = np.arange(full)
     # Subset sizes by shifting, not np.bitwise_count, which needs numpy 2.
@@ -304,22 +305,41 @@ def _walk(
     return visited, distance, found, pos
 
 
-def run_coverage(ep: Episode, tax: Taxonomy) -> EpisodeResult:
-    """TSP tour over every previous-map object, walked until n changes."""
+def _tour_and_walk(ep: Episode, tax: Taxonomy, planner: str, first: list[str]) -> EpisodeResult:
+    """Walk the route `first`, then, if fewer than n changes were found, a
+    TSP tour over the objects not yet visited, from where the first walk
+    stopped.
+
+    Coverage is this with an empty first route; for the guided planner the
+    tour is the Coverage fallback after its phase-1 route.
+    """
+    graph = ep.previous_map
     changed = changed_object_ids(ep, tax)
-    ids = list(ep.previous_map.node_ids)
-    start = ep.start()
-    order = solve_tsp(ep.previous_map.positions(), start)
-    route = [ids[k] for k in order]
-    visited, distance, found, _ = _walk(ep, route, changed, start)
+    visited, distance, found, pos = _walk(ep, first, changed, ep.start())
+    fallback = False
+    if found < ep.n:
+        seen = set(visited)
+        remaining = [oid for oid in graph.node_ids if oid not in seen]
+        if remaining:
+            fallback = bool(first)
+            points = graph.positions()[[graph.node_index(oid) for oid in remaining]]
+            tour = [remaining[k] for k in solve_tsp(points, pos)]
+            visited2, distance2, found, _ = _walk(ep, tour, changed, pos, already_found=found)
+            visited.extend(visited2)
+            distance += distance2
     return EpisodeResult(
-        planner=COVERAGE,
+        planner=planner,
         visit_order=tuple(visited),
         distance_traveled=distance,
         changes_found=found,
-        fallback_used=False,
+        fallback_used=fallback,
         infeasible=found < ep.n,
     )
+
+
+def run_coverage(ep: Episode, tax: Taxonomy) -> EpisodeResult:
+    """TSP tour over every previous-map object, walked until n changes."""
+    return _tour_and_walk(ep, tax, COVERAGE, [])
 
 
 def ranked_route(
@@ -348,33 +368,9 @@ def run_vsg_planner(ep: Episode, model, tax: Taxonomy) -> EpisodeResult:
     `model` is anything with predict_probabilities(graph, taxonomy); the
     first tour is `ranked_route` of its probabilities.
     """
-    graph = ep.previous_map
-    changed = changed_object_ids(ep, tax)
-    probabilities = model.predict_probabilities(graph, tax)
-    start = ep.start()
-    route1 = ranked_route(graph, probabilities, ep.n, start)
-    visited, distance, found, pos = _walk(ep, route1, changed, start)
-
-    fallback = False
-    if found < ep.n:
-        seen = set(visited)
-        remaining = [oid for oid in graph.node_ids if oid not in seen]
-        if remaining:
-            fallback = True
-            rem_points = graph.positions()[[graph.node_index(oid) for oid in remaining]]
-            order2 = solve_tsp(rem_points, pos)
-            route2 = [remaining[k] for k in order2]
-            visited2, dist2, found, _ = _walk(ep, route2, changed, pos, already_found=found)
-            visited.extend(visited2)
-            distance += dist2
-    return EpisodeResult(
-        planner=VSG_PLANNER,
-        visit_order=tuple(visited),
-        distance_traveled=distance,
-        changes_found=found,
-        fallback_used=fallback,
-        infeasible=found < ep.n,
-    )
+    probabilities = model.predict_probabilities(ep.previous_map, tax)
+    first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
+    return _tour_and_walk(ep, tax, VSG_PLANNER, first)
 
 
 class OracleScorer:
@@ -438,26 +434,20 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
         cov_d, vsg_d = pairs[:, 0], pairs[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(cov_d > 0, (cov_d - vsg_d) / cov_d, 0.0)
-        rows.append(
-            BenchmarkRow(
-                n=n,
-                planner=COVERAGE,
-                mean_distance=float(cov_d.mean()),
-                std_distance=float(cov_d.std()),
-                win_fraction=float((cov_d < vsg_d).mean()),
-                speedup=0.0,
+        for planner, mine, rival, speedup in (
+            (COVERAGE, cov_d, vsg_d, 0.0),
+            (VSG_PLANNER, vsg_d, cov_d, float(rel.mean())),
+        ):
+            rows.append(
+                BenchmarkRow(
+                    n=n,
+                    planner=planner,
+                    mean_distance=float(mine.mean()),
+                    std_distance=float(mine.std()),
+                    win_fraction=float((mine < rival).mean()),
+                    speedup=speedup,
+                )
             )
-        )
-        rows.append(
-            BenchmarkRow(
-                n=n,
-                planner=VSG_PLANNER,
-                mean_distance=float(vsg_d.mean()),
-                std_distance=float(vsg_d.std()),
-                win_fraction=float((vsg_d < cov_d).mean()),
-                speedup=float(rel.mean()),
-            )
-        )
     total = sum(len(v) for v in by_n.values())
     return BenchmarkSummary(tuple(rows), feasible_episodes=total, infeasible_episodes=infeasible)
 

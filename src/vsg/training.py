@@ -22,7 +22,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -147,20 +147,7 @@ class TrainingReport:
     num_val_samples: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_pooled_f1": self.val_pooled_f1,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "stopped_early": self.stopped_early,
-            "diverged": self.diverged,
-            "all_masked_steps": self.all_masked_steps,
-            "tau": self.tau,
-            "class_weights": [list(r) for r in self.class_weights],
-            "num_train_samples": self.num_train_samples,
-            "num_val_samples": self.num_val_samples,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict()) + "\n"
@@ -283,7 +270,6 @@ def train(
                 report.epochs_run = epoch
                 _restore(model, best_snap)
                 return model, report
-            model.store.require_finite_grads()
             optimizer.step()
             epoch_loss += batch_loss / steps_per_epoch
         report.train_loss.append(epoch_loss)

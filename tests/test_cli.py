@@ -242,7 +242,8 @@ class TestPredict:
         assert capsys.readouterr().err.startswith("error: CheckpointError:")
 
 
-@pytest.mark.parametrize("command", ["predict", "plan"])
+# plan-realized is `plan` with a good --scene and the malformed file as --realized.
+@pytest.mark.parametrize("command", ["predict", "plan", "plan-realized"])
 @pytest.mark.parametrize(
     "content, expected",
     [
@@ -253,15 +254,22 @@ class TestPredict:
     ids=["missing", "truncated", "not-an-object"],
 )
 def test_malformed_scene_is_one_error_line(pipeline, tmp_path, capsys, command, content, expected):
-    scene = tmp_path / "scene.json"
+    bad = tmp_path / "scene.json"
     if content is not None:
-        scene.write_text(content)
-    extra = ["--out", str(tmp_path / "o.json")] if command == "predict" else ["--n", "1"]
-    rc = dispatch([command, "--ckpt", str(pipeline["ckpt"]), "--scene", str(scene), *extra])
+        bad.write_text(content)
+    if command == "predict":
+        argv = ["predict", "--scene", str(bad), "--out", str(tmp_path / "o.json")]
+    elif command == "plan":
+        argv = ["plan", "--scene", str(bad), "--n", "1"]
+    else:
+        argv = ["plan", "--scene", str(pipeline["scene"]), "--realized", str(bad), "--n", "1"]
+    rc = dispatch([*argv, "--ckpt", str(pipeline["ckpt"])])
     assert rc == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith(expected.format(path=scene)), err
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith(expected.format(path=bad)), err
     assert len(err.splitlines()) == 1
+    assert "phase1-route:" not in captured.out
 
 
 class TestPlan:

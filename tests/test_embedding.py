@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vsg import (
@@ -24,7 +24,7 @@ from vsg import (
     transform_pca,
 )
 
-from conftest import identity_pca, make_graph, make_node
+from conftest import build_tiny_tax, finite_coord, identity_pca, make_graph, make_node
 
 
 def eig_pca_oracle(data: np.ndarray, d_v: int):
@@ -151,7 +151,83 @@ class TestPca:
         npt.assert_allclose(transform_pca(model, data), np.zeros((10, 2)))
 
 
+def build_edges_reference(g, tax, cfg):
+    """The edge rule one pair at a time: a dict of relation sets keyed by
+    (source, target), filled from the proximity pairs then the semantic
+    edges, emitted in sorted key order."""
+    num_rel = tax.num_relationships
+    relations: dict[tuple[int, int], set[int]] = {}
+    if g.num_nodes and cfg.tau > 0:
+        pos = g.positions()
+        delta = pos[None, :, :] - pos[:, None, :]
+        close = np.linalg.norm(delta, axis=2) < cfg.tau
+        np.fill_diagonal(close, False)
+        for i, j in zip(*np.nonzero(close)):
+            relations[(int(i), int(j))] = set()
+    if cfg.include_semantic_edges:
+        for edge in g.semantic_edges:
+            key = (g.node_index(edge.source_id), g.node_index(edge.target_id))
+            relations.setdefault(key, set()).add(edge.relation_index)
+    keys = sorted(relations)
+    edge_index = np.zeros((len(keys), 2), dtype=np.int64)
+    edge_features = np.zeros((len(keys), num_rel + 3), dtype=np.float64)
+    for row, (i, j) in enumerate(keys):
+        edge_index[row] = (i, j)
+        for r in relations[(i, j)]:
+            edge_features[row, r] = 1.0
+        pi = np.array(g.nodes[i].position)
+        pj = np.array(g.nodes[j].position)
+        edge_features[row, num_rel:] = pj - pi
+    return edge_index, edge_features
+
+
+# Grid coordinates put pairs exactly at a tau value; free floats do the rest.
+edge_coord = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | finite_coord
+
+
+@st.composite
+def edge_cases(draw):
+    """A graph of 0-6 nodes whose semantic edges may repeat a pair (with the
+    same or another relation) and may join pairs that are also close, plus
+    an edge config."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    nodes = [
+        make_node(f"obj{i:03d}", pos=draw(st.tuples(edge_coord, edge_coord, edge_coord)))
+        for i in range(n)
+    ]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = []
+    if pairs:
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=10)):
+            rel = draw(st.integers(min_value=0, max_value=1))
+            edges.append(SemanticEdge(nodes[i].id, nodes[j].id, rel))
+    tau = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 100.0]) | st.floats(0.0, 150.0))
+    cfg = EdgeConfig(tau=tau, include_semantic_edges=draw(st.booleans()))
+    return make_graph(nodes, edges), cfg
+
+
 class TestEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_cases())
+    @example(case=(make_graph([]), EdgeConfig(tau=1.0)))
+    @example(
+        case=(
+            make_graph(
+                [make_node("a", pos=(0.0, 0.0, 0.0)), make_node("b", pos=(0.5, 0.0, 0.0))],
+                edges=[SemanticEdge("a", "b", 1), SemanticEdge("a", "b", 1), SemanticEdge("b", "a", 0)],
+            ),
+            EdgeConfig(tau=1.0),
+        )
+    )
+    def test_matches_reference_byte_for_byte(self, case):
+        g, cfg = case
+        tax = build_tiny_tax()
+        got = build_edges(g, tax, cfg)
+        want = build_edges_reference(g, tax, cfg)
+        for ours, ref in zip(got, want):
+            assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape)
+            assert ours.tobytes() == ref.tobytes()
+
     def test_geometric_edges_strict_threshold(self, tiny_tax):
         g = make_graph(
             [
