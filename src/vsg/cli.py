@@ -291,16 +291,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _parse_start(text: str) -> tuple[float, ...]:
+    try:
+        start = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        start = ()
+    if len(start) != 3 or not np.isfinite(start).all():
+        raise UsageError(f"--start must be three finite numbers x,y,z; got {text!r}")
+    return start
+
+
 def cmd_plan(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     scene = _load_scene(args.scene, tax)
     realized = _load_scene(args.realized, tax) if args.realized else None
-    start = None
-    if args.start:
-        parts = args.start.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"--start must be x,y,z; got {args.start!r}")
-        start = tuple(float(x) for x in parts)
+    start = _parse_start(args.start) if args.start else None
     _echo_config(
         "plan",
         {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
@@ -335,11 +340,14 @@ def cmd_plan(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(x) for x in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
     if not values or min(values) < 1:
         raise UsageError(f"bad --n-range {text!r}; expected like 1..5 or 1,3,5")
     return values

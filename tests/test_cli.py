@@ -87,6 +87,15 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: UsageError:")
 
+    @pytest.mark.parametrize("n_range", ["x..3", "1..y", "1,,3", "a"])
+    def test_non_integer_n_range_is_one_error_line(self, pipeline, capsys, n_range):
+        rc = dispatch(["compare-planners", "--data", str(pipeline["data"]),
+                       "--ckpt", str(pipeline["ckpt"]), "--n-range", n_range,
+                       "--out", "/dev/null"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UsageError:")
+
 
 class TestGenerate:
     def test_writes_dataset_layout(self, pipeline):
@@ -308,6 +317,15 @@ class TestPlan:
                        "--start", "1,2"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: UsageError:")
+
+    @pytest.mark.parametrize("start", ["a,b,c", "1,2,x", "nan,0,0", "inf,0,0", "0,-inf,0"])
+    def test_non_finite_start_is_one_error_line(self, pipeline, capsys, start):
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
+                       "--scene", str(pipeline["scene"]), "--n", "1",
+                       "--start", start])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UsageError:")
 
 
 class TestComparePlanners:

@@ -23,10 +23,12 @@ from vsg import (
     solve_tsp,
     write_benchmark_csv,
 )
+from vsg import planner
 from vsg.planner import (
     EXACT_TSP_LIMIT,
     _extended_distances,
     _forced_nearest_neighbor,
+    _or_opt,
     _two_opt,
 )
 
@@ -80,6 +82,60 @@ def held_karp_loop(points, start):
         last = prev
     order.reverse()
     return order
+
+
+def two_opt_loop(dist, order):
+    """Reference 2-opt: one Python step per (i, j) candidate.
+
+    Scans i, then j, and applies every improving reversal as soon as it is
+    seen, passing over the route until a pass applies none; `_two_opt`
+    must apply the same moves in the same order.
+    """
+    n = len(order)
+    s = dist.shape[0] - 1
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n - 1):
+            prev = s if i == 0 else order[i - 1]
+            for j in range(i + 1, n):
+                delta = dist[prev, order[j]] - dist[prev, order[i]]
+                if j + 1 < n:
+                    nxt = order[j + 1]
+                    delta += dist[order[i], nxt] - dist[order[j], nxt]
+                if delta < -1e-12:
+                    order[i : j + 1] = order[i : j + 1][::-1]
+                    improved = True
+    return order
+
+
+def or_opt_loop(dist, order):
+    """Reference Or-opt pass: the first improving relocation in (run length,
+    i, k, orientation) order, one Python step per candidate."""
+    n = len(order)
+    s = dist.shape[0] - 1
+    for seg in (1, 2, 3):
+        if seg > n - 1:
+            break
+        for i in range(n - seg + 1):
+            j = i + seg - 1
+            prev = s if i == 0 else order[i - 1]
+            gain = dist[prev, order[i]]
+            if j + 1 < n:
+                nxt = order[j + 1]
+                gain += dist[order[j], nxt] - dist[prev, nxt]
+            rest = order[:i] + order[j + 1 :]
+            segment = order[i : j + 1]
+            for k in range(len(rest) + 1):
+                a = s if k == 0 else rest[k - 1]
+                b = rest[k] if k < len(rest) else None
+                for piece in (segment, segment[::-1]):
+                    cost = dist[a, piece[0]]
+                    if b is not None:
+                        cost += dist[piece[-1], b] - dist[a, b]
+                    if cost < gain - 1e-12:
+                        return rest[:k] + piece + rest[k:], True
+    return order, False
 
 
 def _uniform_3d(rng, n):
@@ -196,6 +252,43 @@ class TestTsp:
             assert route_length(points, start, after) <= route_length(
                 points, start, before
             ) + 1e-12
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    def test_move_scans_match_loop_reference(self, make_points):
+        # From a random order (many 2-opt moves) and from a 2-opt optimum
+        # (Or-opt hits deep in its scan), on 2-30 points.
+        rng = np.random.default_rng(13)
+        for trial in range(120):
+            n = 2 + trial % 29
+            points, start = make_points(rng, n)
+            dist = _extended_distances(points, start)
+            order = [int(k) for k in rng.permutation(n)]
+            polished = two_opt_loop(dist, list(order))
+            assert _two_opt(dist, list(order)) == polished, (trial, n)
+            for before in (order, polished):
+                assert _or_opt(dist, list(before)) == or_opt_loop(dist, list(before)), (trial, n)
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    def test_heuristic_matches_loop_reference(self, make_points, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = [make_points(rng, n) for n in (2, 3, 4, 5, 8, 13, 17, 22, 30)]
+        got = [heuristic_tsp(points, start) for points, start in cases]
+        monkeypatch.setattr(planner, "_two_opt", two_opt_loop)
+        monkeypatch.setattr(planner, "_or_opt", or_opt_loop)
+        for (points, start), order in zip(cases, got):
+            assert order == heuristic_tsp(points, start), len(points)
+
+    def test_heuristic_matches_loop_reference_on_acceptance_instances(self, monkeypatch):
+        # The ten-point instances of the acceptance gate's route check.
+        cases = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            cases.append((rng.uniform(0, 10, size=(10, 2)), rng.uniform(0, 10, size=2)))
+        got = [heuristic_tsp(points, start) for points, start in cases]
+        monkeypatch.setattr(planner, "_two_opt", two_opt_loop)
+        monkeypatch.setattr(planner, "_or_opt", or_opt_loop)
+        for (points, start), order in zip(cases, got):
+            assert order == heuristic_tsp(points, start)
 
     def test_threshold_switches_to_heuristic(self):
         rng = np.random.default_rng(4)
@@ -393,7 +486,71 @@ class TestVsgPlanner:
                 assert result.distance_traveled == pytest.approx(total, abs=1e-12), trial
 
 
+def scan_pair_episodes(rng, num_objects, num_moved, n_values=(1, 2, 3)):
+    """One random scan pair, one episode per n; `num_moved` objects move 1m."""
+    nodes = [
+        make_node(f"o{k:02d}", attrs=(1,), pos=tuple(rng.uniform(0, 8, size=3)))
+        for k in range(num_objects)
+    ]
+    moved = {f"o{k:02d}" for k in rng.choice(num_objects, size=num_moved, replace=False)}
+
+    def realized_position(node):
+        x, y, z = node.position
+        return (x, y + 1.0, z) if node.id in moved else node.position
+
+    realized = [make_node(n_.id, attrs=(1,), pos=realized_position(n_)) for n_ in nodes]
+    previous = make_graph(nodes, scan="s0")
+    return make_episodes({"envA": [previous, make_graph(realized, scan="s1", t=1)]}, list(n_values))
+
+
 class TestBenchmark:
+    def test_coverage_tour_solved_once_per_map_and_start(self, tiny_tax, monkeypatch):
+        # Two maps (one above EXACT_TSP_LIMIT), each with episodes for n = 1, 2, 3,
+        # and the second map's episodes again from an explicit start.
+        rng = np.random.default_rng(21)
+        episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
+        episodes += [
+            Episode(ep.previous_map, ep.realized_scene, ep.n, start_position=(1.0, 2.0, 0.5))
+            for ep in episodes[3:]
+        ]
+        calls = []
+        solve = planner.solve_tsp
+
+        def counting_solve_tsp(points, start):
+            calls.append((np.asarray(points).tobytes(), np.asarray(start).tobytes()))
+            return solve(points, start)
+
+        monkeypatch.setattr(planner, "solve_tsp", counting_solve_tsp)
+        run_benchmark(episodes, UniformScorer(), tiny_tax)
+        full_map_tours = {
+            (ep.previous_map.positions().tobytes(), ep.start().tobytes()) for ep in episodes
+        }
+        assert len(full_map_tours) == 3
+        for key in full_map_tours:
+            assert calls.count(key) == 1
+
+    def test_shared_coverage_tour_gives_the_same_summary(self, tiny_tax, monkeypatch):
+        rng = np.random.default_rng(22)
+        episodes = scan_pair_episodes(rng, 8, 3) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 5, 5)
+        model = UniformScorer()
+        summary = run_benchmark(episodes, model, tiny_tax)
+        cov_calls = []
+        coverage = planner.run_coverage
+
+        def coverage_without_tour(ep, tax, *, tour=None):
+            cov_calls.append(ep)
+            return coverage(ep, tax)
+
+        monkeypatch.setattr(planner, "run_coverage", coverage_without_tour)
+        assert run_benchmark(episodes, model, tiny_tax) == summary
+        assert cov_calls == episodes
+
+    def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
+        rng = np.random.default_rng(23)
+        for ep in scan_pair_episodes(rng, EXACT_TSP_LIMIT + 2, 3):
+            tour = solve_tsp(ep.previous_map.positions(), ep.start())
+            assert run_coverage(ep, tiny_tax, tour=tour) == run_coverage(ep, tiny_tax)
+
     def test_summary_rows(self, tiny_tax):
         episodes = [
             cluster_episode(tiny_tax, n=1),
