@@ -34,6 +34,16 @@ KIND_MLP_BASELINE = "mlp_baseline"
 MODEL_KINDS = (KIND_DELTAVSG, KIND_MLP_BASELINE)
 
 
+def _scatter_add(base: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``base`` (n, d) with ``rows[k]`` added to row ``index[k]`` in k order: one
+    ``np.bincount`` adding each bin's terms in input order, so ``np.add.at``'s
+    sums bit for bit, except that bins start at +0.0 and so all -0.0 sums to +0.0."""
+    n, d = base.shape
+    bins = np.concatenate([np.arange(n * d), (index[:, None] * d + np.arange(d)).ravel()])
+    weights = np.concatenate([base.ravel(), rows.ravel()])
+    return np.bincount(bins, weights).reshape(n, d)
+
+
 class MpConv:
     """One message-passing convolution layer; preserves the feature width."""
 
@@ -63,7 +73,6 @@ class MpConv:
         if edge_index.size and (edge_index.min() < 0 or edge_index.max() >= n):
             raise GraphError(f"edge index out of range for {n} nodes")
         out, f_cache = self.f.forward(z)
-        out = np.array(out, copy=True)
         if edge_index.shape[0]:
             if edge_features.shape[1] != self.edge_dim:
                 raise DimensionError(
@@ -73,16 +82,16 @@ class MpConv:
             tgt = edge_index[:, 1]
             gates, h_cache = self.h.forward(edge_features)
             messages = z[src] * gates  # broadcasts when the gate is scalar
-            np.add.at(out, tgt, messages)
+            out = _scatter_add(out, tgt, messages)
         else:
             gates, h_cache = None, None
         cache = (z, edge_index, f_cache, h_cache, gates)
         return out, cache
 
-    def backward(self, cache: tuple, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, dout: np.ndarray, input_grad: bool = True):
+        """Accumulate parameter gradients; return dLoss/dz, or None if not input_grad."""
         z, edge_index, f_cache, h_cache, gates = cache
-        dz = self.f.backward(f_cache, dout)
-        dz = np.array(dz, copy=True)
+        dz = self.f.backward(f_cache, dout, input_grad)
         if edge_index.shape[0]:
             src = edge_index[:, 0]
             tgt = edge_index[:, 1]
@@ -90,8 +99,9 @@ class MpConv:
             dgates = dmsg * z[src]
             if self.scalar_gate:
                 dgates = dgates.sum(axis=1, keepdims=True)
-            np.add.at(dz, src, dmsg * gates)
-            self.h.backward(h_cache, dgates)
+            if input_grad:
+                dz = _scatter_add(dz, src, dmsg * gates)
+            self.h.backward(h_cache, dgates, input_grad=False)
         return dz
 
 
@@ -223,7 +233,7 @@ class DeltaVsgModel(_VariabilityModel):
         dd1 = self.conv2.backward(c2, da2)
         dr1 = dropout_backward(dd1, mask, self.dropout_rate)
         da1 = dr1 * (a1 > 0)
-        self.conv1.backward(c1, da1)
+        self.conv1.backward(c1, da1, input_grad=False)
 
     def hyperparameters(self) -> dict:
         return {
@@ -270,7 +280,7 @@ class MlpBaseline(_VariabilityModel):
         if mode != "train":
             raise UsageError("backward requires a cache from a train-mode forward")
         dlogits = dprobs * probs * (1.0 - probs)
-        self.net.backward(c, dlogits)
+        self.net.backward(c, dlogits, input_grad=False)
 
     def hyperparameters(self) -> dict:
         return {
@@ -366,6 +376,11 @@ def save_checkpoint(model: _VariabilityModel, taxonomy: Taxonomy, path) -> None:
         f.write(checkpoint_to_json(model, taxonomy))
 
 
+def _require_finite(path, what: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: {what} holds a non-finite value")
+
+
 def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -387,6 +402,8 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
                 f"taxonomy_name {data['taxonomy_name']!r}"
             )
         pca = _pca_from_dict(data["pca"])
+        for field in ("mean", "components", "explained_variance_ratio"):
+            _require_finite(path, f"pca {field}", getattr(pca, field))
         edge_config = EdgeConfig(
             tau=float(data["edge_config"]["tau"]),
             include_semantic_edges=bool(data["edge_config"]["include_semantic_edges"]),
@@ -418,6 +435,7 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
                     f"{path}: parameter {name!r} has shape {stored.shape}, "
                     f"expected {model.store[name].value.shape}"
                 )
+            _require_finite(path, f"parameter {name!r}", stored)
             model.store[name].value[...] = stored
     except (KeyError, TypeError, ValueError, ConfigError, ParseError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e!r})") from e

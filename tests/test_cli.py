@@ -250,6 +250,22 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: CheckpointError:")
 
+    def test_non_finite_weight_is_one_error_line(self, pipeline, tmp_path, capsys):
+        data = json.loads(pipeline["ckpt"].read_text())
+        data["parameters"]["head.W0"][0][0] = float("nan")
+        ckpt = tmp_path / "nan.json"
+        ckpt.write_text(json.dumps(data))
+        out = tmp_path / "pred.json"
+        capsys.readouterr()
+        rc = dispatch(["predict", "--ckpt", str(ckpt),
+                       "--scene", str(pipeline["scene"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: CheckpointError:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "head.W0" in captured.err
+        assert not out.exists()
+
 
 # plan-realized is `plan` with a good --scene and the malformed file as --realized.
 @pytest.mark.parametrize("command", ["predict", "plan", "plan-realized"])

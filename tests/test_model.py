@@ -6,6 +6,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsg import (
     CheckpointError,
@@ -19,8 +21,8 @@ from vsg import (
     load_checkpoint,
     save_checkpoint,
 )
-from vsg.model import MpConv
-from vsg.nn_core import ParamStore, max_relative_error, numerical_gradient
+from vsg.model import MpConv, _scatter_add
+from vsg.nn_core import Mlp, ParamStore, max_relative_error, numerical_gradient
 
 from conftest import identity_pca, random_embedded_graph
 
@@ -166,6 +168,92 @@ class TestMpConv:
 
             num_dz = numerical_gradient(loss_of_z, eg.node_features)
             assert max_relative_error(dz, num_dz) < GRAD_TOL
+
+
+def scatter_add_reference(base, index, rows):
+    """MpConv's scatter before `_scatter_add`: a copy of base, then np.add.at."""
+    out = np.array(base, copy=True)
+    np.add.at(out, index, rows)
+    return out
+
+
+@st.composite
+def scatter_cases(draw):
+    """Message-sum inputs: up to 40 nodes, 30 channels and 200 edges."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=30))
+    e = draw(st.integers(min_value=0, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Few distinct targets give long runs of repeated indices.
+    index = rng.integers(0, draw(st.integers(min_value=1, max_value=n)), size=e)
+    base = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    z_src = rng.normal(size=(e, d)) * 10.0 ** rng.uniform(-3, 3, size=(e, 1))
+    gate_dim = 1 if draw(st.booleans()) else d  # a scalar gate broadcasts
+    rows = z_src * rng.normal(size=(e, gate_dim))
+    # Exact zeros of both signs, as dead ReLUs and masked nodes give.
+    zero_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    for a in (base, rows):
+        hit = rng.random(a.shape) < zero_share
+        a[hit] = np.copysign(0.0, rng.normal(size=int(hit.sum())))
+    return base, index, rows
+
+
+class TestScatterAdd:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scatter_cases())
+    def test_matches_add_at_byte_for_byte(self, case):
+        base, index, rows = case
+        got = _scatter_add(base, index, rows)
+        # bincount's bins start at +0.0, so a sum of only -0.0 terms is +0.0;
+        # adding 0.0 to the reference changes that case and no other bit.
+        want = scatter_add_reference(base, index, rows) + 0.0
+        assert got.shape == base.shape and got.dtype == np.float64
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_negative_zero_sum_comes_back_positive(self):
+        base = np.array([[-0.0, -0.0, 1.0]])
+        rows = np.array([[-0.0, 0.0, -1.0]])
+        got = _scatter_add(base, np.array([0]), rows)
+        npt.assert_array_equal(np.signbit(got), [[False, False, False]])
+        npt.assert_array_equal(got, [[0.0, 0.0, 0.0]])
+
+
+class TestSkippedInputGradient:
+    """`input_grad=False` returns None and leaves every parameter gradient
+    bit-identical to the full backward."""
+
+    @staticmethod
+    def _both_ways(store, backward):
+        store.zero_grads()
+        full = backward(True)
+        full_grads = store.grads.copy()
+        store.zero_grads()
+        assert backward(False) is None
+        npt.assert_array_equal(store.grads.view(np.int64), full_grads.view(np.int64))
+        return full
+
+    @pytest.mark.parametrize("sizes", [[4, 3], [4, 6, 3], [4, 6, 5, 3]])
+    def test_mlp(self, sizes):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            store = ParamStore()
+            net = Mlp(sizes, store, "net", rng)
+            for x in (rng.normal(size=(7, 4)), rng.normal(size=4)):
+                y, cache = net.forward(x)
+                dy = rng.normal(size=y.shape)
+                dx = self._both_ways(store, lambda g: net.backward(cache, dy, input_grad=g))
+                assert dx.shape == x.shape
+
+    @pytest.mark.parametrize("scalar_gate", [False, True])
+    def test_mp_conv(self, scalar_gate):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            layer, store = make_layer(seed=seed, scalar_gate=scalar_gate)
+            eg = random_embedded_graph(rng, int(rng.integers(1, 9)), 5, 2)
+            out, cache = layer.forward(eg.node_features, eg.edge_index, eg.edge_features)
+            dout = rng.normal(size=out.shape)
+            dz = self._both_ways(store, lambda g: layer.backward(cache, dout, input_grad=g))
+            assert dz.shape == eg.node_features.shape
 
 
 class TestDeltaVsgModel:
@@ -432,6 +520,24 @@ class TestCheckpoints:
         other = make_other_taxonomy()
         with pytest.raises(CheckpointError):
             model.predict_probabilities(small_graph, other)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["conv1.f.W0", "head.b0", "mean", "components", "explained_variance_ratio"]
+    )
+    def test_non_finite_value_rejected(self, tiny_tax, tmp_path, field, bad):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        section = "parameters" if field in data["parameters"] else "pca"
+        arr = np.array(data[section][field])
+        arr.flat[arr.size // 2] = bad
+        data[section][field] = arr.tolist()
+        path.write_text(json.dumps(data))  # json writes NaN / Infinity literals
+        with pytest.raises(CheckpointError, match="non-finite") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and field in str(err.value)
 
     def test_scalar_gate_round_trip(self, tiny_tax, tmp_path):
         model = self._fitted_model(tiny_tax, scalar_gate=True)

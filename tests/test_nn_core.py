@@ -111,6 +111,30 @@ class TestParamStore:
         with pytest.raises(TrainingError, match="w"):
             store.require_finite_grads()
 
+    def test_first_non_finite_grad_in_name_order_is_named(self):
+        store = ParamStore()
+        for name in ("c", "b", "a"):
+            store.add(name, np.zeros(2))
+        store["c"].grad[1] = np.inf
+        store["b"].grad[0] = np.nan
+        with pytest.raises(TrainingError, match="'b'"):
+            store.require_finite_grads()
+
+    def test_parameters_are_views_into_the_flat_buffers(self):
+        store = ParamStore()
+        w = np.arange(6.0).reshape(2, 3)
+        store.add("w", w)
+        first = store["w"]
+        store.add("b", np.array([7.0, 8.0]))  # growing the buffers keeps values
+        npt.assert_array_equal(first.value, w)
+        assert first.value.base is store.values and first.grad.base is store.grads
+        npt.assert_array_equal(store.values, [0, 1, 2, 3, 4, 5, 7, 8])
+        store.values[-1] = -1.0
+        store.grads[0] = 2.0
+        assert store["b"].value[1] == -1.0 and first.grad[0, 0] == 2.0
+        w[0, 0] = 99.0  # the caller's array is copied, not shared
+        assert first.value[0, 0] == 0.0
+
 
 class TestMlp:
     def test_matches_straight_line_oracle(self):

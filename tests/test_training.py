@@ -30,10 +30,13 @@ from vsg import (
     write_eval_csv,
     write_sweep_csv,
 )
-from vsg.model import checkpoint_to_json
-from vsg.nn_core import max_relative_error, numerical_gradient
+import vsg.model as model_module
+import vsg.training as training_module
+from vsg.model import MpConv, checkpoint_to_json
+from vsg.nn_core import Adam, Mlp, max_relative_error, numerical_gradient
 
 from conftest import make_graph, make_node
+from test_model import scatter_add_reference
 
 
 def unit_weights():
@@ -244,6 +247,47 @@ class TestEvaluateProbabilities:
         assert lines[4].startswith("pooled,")
 
 
+def evaluate_probabilities_loop(prob_list, label_list, mask_list, threshold=0.5):
+    """The per-sample, per-type counting loop `evaluate_probabilities` replaced."""
+    if not prob_list:
+        raise EvaluationError("nothing to evaluate: empty sample set")
+    counts = np.zeros((3, 4), dtype=np.int64)  # per type: tp, fp, fn, tn
+    for probs, labels, masks in zip(prob_list, label_list, mask_list):
+        pred = probs >= threshold
+        pos = labels > 0.5
+        m = masks > 0
+        for t in range(3):
+            sel = m[:, t]
+            p, y = pred[sel, t], pos[sel, t]
+            counts[t] += (
+                int((p & y).sum()),
+                int((p & ~y).sum()),
+                int((~p & y).sum()),
+                int((~p & ~y).sum()),
+            )
+    metrics = {
+        name: training_module._metrics_from_counts(*counts[t])
+        for t, name in enumerate(training_module.VARIABILITY_NAMES)
+    }
+    metrics["pooled"] = training_module._metrics_from_counts(*counts.sum(axis=0))
+    return training_module.EvalReport(metrics=metrics, threshold=threshold)
+
+
+def test_evaluate_probabilities_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        sizes = [int(k) for k in rng.integers(0, 9, size=int(rng.integers(1, 7)))]
+        sizes[int(rng.integers(len(sizes)))] = 0  # a zero-node sample
+        probs = [rng.random((k, 3)) for k in sizes]
+        labels = [(rng.random((k, 3)) < 0.3).astype(float) for k in sizes]
+        masks = [(rng.random((k, 3)) < 0.8).astype(float) for k in sizes]
+        masks[int(rng.integers(len(sizes)))][...] = 0.0  # an all-masked sample
+        probs[0][:, 0] = 0.5  # exactly on the threshold
+        for threshold in (0.05, 0.5, 0.95):
+            got = evaluate_probabilities(probs, labels, masks, threshold)
+            assert got == evaluate_probabilities_loop(probs, labels, masks, threshold), case
+
+
 def small_bundle(num_environments=3, seed=4, **kwargs):
     cfg = GeneratorConfig(
         num_environments=num_environments,
@@ -382,3 +426,60 @@ class TestTrain:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
+
+
+# Reference kernels for the whole-run test: the forms training used before
+# the bincount scatter, the skipped input gradients and the flat buffer.
+def full_backward(original):
+    def backward(self, cache, dy, input_grad=True):
+        return original(self, cache, dy, input_grad=True)
+
+    return backward
+
+
+def adam_step_loop(self):
+    """Adam.step as a loop over parameters, moments kept per name. beta1,
+    beta2 and eps are written out: they are the values `train` uses."""
+    self.t += 1
+    bc1 = 1.0 - 0.9**self.t
+    bc2 = 1.0 - 0.999**self.t
+    moments = self.__dict__.setdefault("moments", {})
+    for p in self.store.parameters():
+        m, v = moments.setdefault(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
+        m *= 0.9
+        m += (1.0 - 0.9) * p.grad
+        v *= 0.999
+        v += (1.0 - 0.999) * p.grad**2
+        p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def snapshot_per_name(model):
+    return {n: model.store[n].value.copy() for n in model.store.names()}
+
+
+def restore_per_name(model, snap):
+    for n, v in snap.items():
+        model.store[n].value[...] = v
+
+
+@pytest.mark.parametrize(
+    "model_cfg",
+    [small_model_cfg(), small_model_cfg(scalar_gate=True), small_model_cfg(kind="mlp_baseline")],
+    ids=["deltavsg", "scalar_gate", "mlp_baseline"],
+)
+def test_whole_run_matches_reference_kernels(monkeypatch, model_cfg):
+    bundle = small_bundle()
+    cfg = quick_train_cfg(epochs=3, dropout_rate=0.3, learning_rate=5e-3)
+
+    def run():
+        model, report = train(bundle, model_cfg, cfg)
+        return checkpoint_to_json(model, bundle.taxonomy), report.to_json()
+
+    shipped = run()
+    monkeypatch.setattr(model_module, "_scatter_add", scatter_add_reference)
+    monkeypatch.setattr(Mlp, "backward", full_backward(Mlp.backward))
+    monkeypatch.setattr(MpConv, "backward", full_backward(MpConv.backward))
+    monkeypatch.setattr(Adam, "step", adam_step_loop)
+    monkeypatch.setattr(training_module, "_snapshot", snapshot_per_name)
+    monkeypatch.setattr(training_module, "_restore", restore_per_name)
+    assert run() == shipped
