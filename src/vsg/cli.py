@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core_graph import scene_graph_from_dict, scene_graph_to_dict
+from .core_graph import _config_from_json, _read_json, scene_graph_from_dict, scene_graph_to_dict
 from .dataset import (
     GeneratorConfig,
     LabelConfig,
@@ -66,16 +66,6 @@ def _echo_config(command: str, resolved: dict) -> None:
     print(f"resolved-config: {json.dumps({'command': command, **resolved}, sort_keys=True)}")
 
 
-def _load_json(path, what: str) -> dict:
-    if not os.path.isfile(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-
-
 def _require_dir(path, what: str) -> str:
     if not os.path.isdir(path):
         raise ConfigError(f"{what} directory not found: {path}")
@@ -100,7 +90,7 @@ def _check_taxonomy(tax, name, source: str) -> None:
 def _load_scene(path, tax):
     """Read a scene JSON once, check its taxonomy against the checkpoint's,
     then build the graph."""
-    data = _load_json(path, "scene")
+    data = _read_json(path, "scene", ConfigError, expect=object)
     if isinstance(data, dict):
         _check_taxonomy(tax, data.get("taxonomy"), "scene")
     return scene_graph_from_dict(data, tax, source=str(path))
@@ -123,10 +113,10 @@ def _split_samples(bundle, split: str, label_cfg: LabelConfig):
 def cmd_generate(args) -> int:
     cfg_dict = generator_config_to_dict(GeneratorConfig())
     if args.spec:
-        cfg_dict.update(_load_json(args.spec, "generator spec"))
+        cfg_dict.update(_read_json(args.spec, "generator spec", ConfigError))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
-    cfg = generator_config_from_dict(cfg_dict)
+    cfg = generator_config_from_dict(cfg_dict, source=args.spec or "generator config")
     _echo_config("generate", generator_config_to_dict(cfg) | {"out": args.out})
     data = generate_dataset(cfg)
     write_dataset(args.out, data.taxonomy, data.environments, data.splits)
@@ -169,16 +159,18 @@ _TRAIN_SECTIONS = ("model", "train", "loss", "label")
 def cmd_train(args) -> int:
     bundle = load_dataset(_require_dir(args.data, "data"))
     file_cfg: dict = {}
+    where = f"{args.config}: config section" if args.config else "config section"
     if args.config:
-        file_cfg = _load_json(args.config, "config")
+        file_cfg = _read_json(args.config, "config", ConfigError)
         unknown = set(file_cfg) - set(_TRAIN_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown config sections {sorted(unknown)}; expected {_TRAIN_SECTIONS}")
 
     def merged(section: str, flag_values: dict) -> dict:
-        out = dict(file_cfg.get(section, {}))
-        out.update({k: v for k, v in flag_values.items() if v is not None})
-        return out
+        out = file_cfg.get(section, {})
+        if not isinstance(out, dict):
+            raise ConfigError(f"{where} {section!r} must be a JSON object")
+        return {**out, **{k: v for k, v in flag_values.items() if v is not None}}
 
     model_kwargs = merged(
         "model",
@@ -203,19 +195,12 @@ def cmd_train(args) -> int:
     )
     loss_kwargs = merged("loss", {"gamma": args.gamma})
     label_kwargs = merged("label", {"epsilon": args.epsilon})
-    try:
-        if "tau" in model_kwargs and isinstance(model_kwargs["tau"], str):
-            model_kwargs["tau"] = _parse_tau(model_kwargs["tau"])
-        if "class_weights" in loss_kwargs:
-            loss_kwargs["class_weights"] = tuple(
-                tuple(r) for r in loss_kwargs["class_weights"]
-            )
-        model_cfg = ModelConfig(**model_kwargs)
-        train_cfg = TrainConfig(**train_kwargs)
-        loss_cfg = LossConfig(**loss_kwargs) if loss_kwargs else None
-        label_cfg = LabelConfig(**label_kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from e
+    if isinstance(model_kwargs.get("tau"), str):
+        model_kwargs["tau"] = _parse_tau(model_kwargs["tau"])
+    model_cfg = _config_from_json(ModelConfig, model_kwargs, f"{where} 'model'")
+    train_cfg = _config_from_json(TrainConfig, train_kwargs, f"{where} 'train'")
+    loss_cfg = _config_from_json(LossConfig, loss_kwargs, f"{where} 'loss'") if loss_kwargs else None
+    label_cfg = _config_from_json(LabelConfig, label_kwargs, f"{where} 'label'")
     resolved = {
         "data": args.data,
         "out": args.out,

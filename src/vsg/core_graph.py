@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import numbers
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MappingError,
     ObjectLookupError,
     ParseError,
@@ -100,25 +102,20 @@ class Taxonomy:
     def state_attribute_indices(self) -> frozenset[int]:
         return self._state_indices  # type: ignore[attr-defined]
 
-    def class_index(self, name: str) -> int:
+    def _lookup(self, index: dict, what: str, name: str) -> int:
         try:
-            return self._class_index[name]  # type: ignore[attr-defined]
+            return index[name]
         except KeyError:
-            raise TaxonomyError(f"unknown class {name!r} in taxonomy {self.name!r}") from None
+            raise TaxonomyError(f"unknown {what} {name!r} in taxonomy {self.name!r}") from None
+
+    def class_index(self, name: str) -> int:
+        return self._lookup(self._class_index, "class", name)  # type: ignore[attr-defined]
 
     def attribute_index(self, name: str) -> int:
-        try:
-            return self._attribute_index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise TaxonomyError(f"unknown attribute {name!r} in taxonomy {self.name!r}") from None
+        return self._lookup(self._attribute_index, "attribute", name)  # type: ignore[attr-defined]
 
     def relationship_index(self, name: str) -> int:
-        try:
-            return self._relationship_index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise TaxonomyError(
-                f"unknown relationship {name!r} in taxonomy {self.name!r}"
-            ) from None
+        return self._lookup(self._relationship_index, "relationship", name)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -285,6 +282,77 @@ def map_taxonomy(g: SceneGraph, mapping: Mapping[int, int], target: Taxonomy) ->
 # for canonically written files.
 # ---------------------------------------------------------------------------
 
+# What reading a missing field or a wrongly typed value out of parsed JSON raises.
+_BAD_FIELD = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError)
+
+
+def _read_json(path, what: str, error=ParseError, expect=dict):
+    """The one JSON file reader: a missing file, bad UTF-8, invalid JSON or a
+    top level that is not an `expect` becomes one `error` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (UnicodeDecodeError, RecursionError) as e:  # bad UTF-8; nesting deeper than the stack
+        raise error(f"{path}: unreadable JSON text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    if not isinstance(data, expect):
+        raise error(f"{path}: expected a JSON {'list' if expect is list else 'object'} at top level")
+    return data
+
+
+def _parse_rows(source, rows, what: str, build: Callable) -> list:
+    """`build(row)` for each row of a JSON list; a missing field or a bad value
+    in row k becomes one ParseError naming `what k`."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{source}: expected a JSON list of {what}s, got {type(rows).__name__}")
+    out = []
+    try:
+        for k, row in enumerate(rows):
+            out.append(build(row))
+    except KeyError as e:
+        raise ParseError(f"{source}: {what} {k}: missing field {e.args[0]!r}") from e
+    except _BAD_FIELD as e:
+        raise ParseError(f"{source}: {what} {k}: {e}") from e
+    return out
+
+
+def _fits(value, annotation: str, default) -> bool:
+    """Whether a parsed JSON value has a type its dataclass field names: an
+    integer for `int`, a finite number for `float`, a list as long as the
+    default (element by element) for `tuple[...]`, or a str, bool, null or dict."""
+    for kind in annotation.split(" | "):
+        if kind.startswith("tuple"):
+            ok = isinstance(value, (list, tuple)) and len(value) == len(default) and all(
+                _fits(v, "tuple" if isinstance(d, tuple) else "float", d) for v, d in zip(value, default)
+            )
+        elif kind in ("int", "float"):
+            ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) or (
+                kind == "float" and isinstance(value, float) and math.isfinite(value)
+            )
+        else:
+            ok = isinstance(value, {"str": str, "bool": bool, "None": type(None)}.get(kind, dict))
+        if ok:
+            return True
+    return False
+
+
+def _config_from_json(cls, data, where: str):
+    """Dataclass `cls` from a JSON object, once every key names a field and
+    every value fits that field's annotation; a ConfigError names `where`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    by_name = {f.name: f for f in fields(cls)}
+    for key, value in data.items():
+        f = by_name.get(key)
+        if f is None:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+        if not _fits(value, f.type, f.default):
+            raise ConfigError(f"{where}: field {key!r} must be {f.type}, got {value!r}")
+    return cls(**{k: tuple(v) if by_name[k].type.startswith("tuple") else v for k, v in data.items()})
+
 
 def taxonomy_to_dict(tax: Taxonomy) -> dict:
     return {
@@ -303,7 +371,7 @@ def taxonomy_from_dict(data: dict, source: str = "<dict>") -> Taxonomy:
             attributes=tuple((str(a["name"]), str(a["kind"])) for a in data["attributes"]),
             relationships=tuple(str(r) for r in data["relationships"]),
         )
-    except (KeyError, TypeError) as e:
+    except _BAD_FIELD as e:
         raise ParseError(f"{source}: malformed taxonomy file ({e!r})") from e
 
 
@@ -314,12 +382,7 @@ def save_taxonomy(tax: Taxonomy, path) -> None:
 
 
 def load_taxonomy(path) -> Taxonomy:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return taxonomy_from_dict(data, source=str(path))
+    return taxonomy_from_dict(_read_json(path, "taxonomy"), source=str(path))
 
 
 def scene_graph_to_dict(g: SceneGraph, tax: Taxonomy) -> dict:
@@ -370,31 +433,17 @@ def scene_graph_from_dict(data: dict, tax: Taxonomy, source: str = "<dict>") -> 
         raise TaxonomyError(
             f"{source}: file uses taxonomy {tax_name!r} but {tax.name!r} was supplied"
         )
-    nodes = []
-    for k, raw in enumerate(data.get("nodes", [])):
-        try:
-            node = ObjectNode(
-                id=str(raw["id"]),
-                class_index=tax.class_index(raw["class"]),
-                attribute_indices=tuple(tax.attribute_index(a) for a in raw["attributes"]),
-                position=tuple(raw["position"]),
-            )
-        except KeyError as e:
-            raise ParseError(f"{source}: node {k}: missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"{source}: node {k}: {e}") from e
-        nodes.append(node)
-    edges = []
-    for k, raw in enumerate(data.get("edges", [])):
-        try:
-            edge = SemanticEdge(
-                source_id=str(raw["source"]),
-                target_id=str(raw["target"]),
-                relation_index=tax.relationship_index(raw["relation"]),
-            )
-        except KeyError as e:
-            raise ParseError(f"{source}: edge {k}: missing field {e.args[0]!r}") from e
-        edges.append(edge)
+    nodes = _parse_rows(source, data.get("nodes", []), "node", lambda raw: ObjectNode(
+        id=str(raw["id"]),
+        class_index=tax.class_index(raw["class"]),
+        attribute_indices=tuple(tax.attribute_index(a) for a in raw["attributes"]),
+        position=tuple(raw["position"]),
+    ))
+    edges = _parse_rows(source, data.get("edges", []), "edge", lambda raw: SemanticEdge(
+        source_id=str(raw["source"]),
+        target_id=str(raw["target"]),
+        relation_index=tax.relationship_index(raw["relation"]),
+    ))
     try:
         return SceneGraph(
             environment_id=str(data["environment_id"]),
@@ -406,6 +455,8 @@ def scene_graph_from_dict(data: dict, tax: Taxonomy, source: str = "<dict>") -> 
         )
     except KeyError as e:
         raise ParseError(f"{source}: missing field {e.args[0]!r}") from e
+    except _BAD_FIELD as e:
+        raise ParseError(f"{source}: field 'timestamp': {e}") from e
 
 
 def scene_graph_to_json(g: SceneGraph, tax: Taxonomy) -> str:
@@ -418,9 +469,4 @@ def save_scene_graph(g: SceneGraph, tax: Taxonomy, path) -> None:
 
 
 def load_scene_graph(path, tax: Taxonomy) -> SceneGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return scene_graph_from_dict(data, tax, source=str(path))
+    return scene_graph_from_dict(_read_json(path, "scene"), tax, source=str(path))

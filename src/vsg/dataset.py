@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .core_graph import (
     SceneGraph,
     SemanticEdge,
     Taxonomy,
+    _config_from_json,
+    _parse_rows,
+    _read_json,
     load_scene_graph,
     load_taxonomy,
     save_scene_graph,
@@ -389,21 +392,12 @@ def generator_config_to_dict(cfg: GeneratorConfig) -> dict:
     return asdict(cfg)
 
 
-def generator_config_from_dict(data: dict) -> GeneratorConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("generator config must be a JSON object")
-    kwargs = dict(data)
-    try:
-        for key in ("room_size", "move_distance", "split_fractions"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        overrides = kwargs.pop("propensity_overrides", {})
-        kwargs["propensity_overrides"] = {
-            c: ClassPropensity(**p) for c, p in overrides.items()
-        }
-        return GeneratorConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad generator config: {e}") from e
+def generator_config_from_dict(data: dict, source: str = "generator config") -> GeneratorConfig:
+    cfg = _config_from_json(GeneratorConfig, data, source)
+    return replace(cfg, propensity_overrides={
+        c: _config_from_json(ClassPropensity, p, f"{source}: propensity_overrides[{c!r}]")
+        for c, p in cfg.propensity_overrides.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -813,30 +807,25 @@ def write_dataset(
 
 def load_dataset(root) -> DatasetBundle:
     manifest_path = os.path.join(root, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ParseError(f"{manifest_path}: no manifest found; not a dataset directory")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{manifest_path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    manifest = _read_json(manifest_path, "manifest")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise ParseError(
             f"{manifest_path}: unsupported manifest version {manifest.get('format_version')!r}"
         )
-    taxonomy = load_taxonomy(os.path.join(root, manifest.get("taxonomy_file", "taxonomy.json")))
+    taxonomy_file = str(manifest.get("taxonomy_file", "taxonomy.json"))
+    taxonomy = load_taxonomy(os.path.join(root, taxonomy_file))
     environments: dict[str, list[SceneGraph]] = {}
     splits: dict[str, str] = {}
-    for entry in manifest.get("environments", []):
-        env_id = entry["environment_id"]
-        split = entry.get("split", "train")
+    entries = _parse_rows(manifest_path, manifest.get("environments", []), "environment", lambda e: (
+        str(e["environment_id"]), e.get("split", "train"), [str(scan) for scan in e["scans"]]
+    ))
+    for env_id, split, scan_ids in entries:
         if split not in SPLIT_NAMES:
             raise ParseError(f"{manifest_path}: environment {env_id!r} has bad split {split!r}")
-        scans = [
+        environments[env_id] = [
             load_scene_graph(os.path.join(root, env_id, f"{scan_id}.json"), taxonomy)
-            for scan_id in entry["scans"]
+            for scan_id in scan_ids
         ]
-        environments[env_id] = scans
         splits[env_id] = split
     return DatasetBundle(taxonomy, environments, splits)
 
@@ -858,20 +847,31 @@ class IngestReport:
 _KIND_MAP = {"state": "state", "dynamic": "state", "affordance": "affordance"}
 
 
-def _read_scan_objects(scan_dir: str) -> list[dict]:
+def _read_scan(scan_dir: str) -> tuple[list[tuple], list[tuple[str, str, str]]]:
+    """One scan's objects as (id, label, attributes, position) rows, and its
+    relationships as (source, target, name) triples. Every object must carry
+    a position: this adapter consumes layout exports that include them."""
     path = os.path.join(scan_dir, "objects.json")
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    objects = data.get("objects")
-    if not isinstance(objects, list):
-        raise ParseError(f"{path}: expected an 'objects' list")
-    for obj in objects:
-        if "position" not in obj:
-            raise ParseError(
-                f"{path}: object {obj.get('id')!r} has no position; this adapter "
-                "consumes layout exports that include per-object positions"
-            )
-    return objects
+    objects = _parse_rows(path, _read_json(path, "objects").get("objects"), "object", lambda o: (
+        str(o["id"]), str(o.get("label", "object")), _object_attributes(o),
+        tuple(float(x) for x in o["position"]),
+    ))
+    rel_path = os.path.join(scan_dir, "relationships.json")
+    if not os.path.isfile(rel_path):
+        return objects, []
+    rels = _read_json(rel_path, "relationships").get("relationships", [])
+    return objects, _parse_rows(
+        rel_path, rels, "relationship", lambda r: (str(r[0]), str(r[1]), str(r[2]))
+    )
+
+
+def _index_entry(entry: dict) -> tuple[str, list[str] | None]:
+    """(reference, [reference, rescans...]) of one 3RScan.json entry; the list
+    is None when the entry has no reference mapping."""
+    ref, scans = entry.get("reference"), entry.get("scans")
+    if not ref or not isinstance(scans, list):
+        return str(ref or ""), None
+    return str(ref), [str(ref)] + [str(s["reference"]) for s in scans if s.get("reference")]
 
 
 def _object_attributes(obj: dict) -> list[tuple[str, str]]:
@@ -895,9 +895,10 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
       <root>/<scan>/relationships.json  optional {"relationships":
                                      [[source_id, target_id, name], ...]}
 
-    Environments missing their mapping entry or any scan payload are skipped
-    with a warning. The taxonomy is built from the union of observed labels,
-    attributes, and relationship names.
+    Environments whose mapping entry or scan files are missing or malformed
+    are skipped with a warning; a malformed index is a ParseError. The
+    taxonomy is built from the union of observed labels, attributes, and
+    relationship names.
     """
     # Returned, with an empty report, when nothing usable is found.
     placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
@@ -906,53 +907,37 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
     if not os.path.isfile(index_path):
         logger.warning("%s: no 3RScan.json index; returning empty dataset", root)
         return [], placeholder, IngestReport(0, 0, 0, (), empty)
-    with open(index_path, "r", encoding="utf-8") as f:
-        index = json.load(f)
-    if not isinstance(index, list):
-        raise ParseError(f"{index_path}: expected a JSON list of environments")
-
+    index = _read_json(index_path, "3RScan index", expect=list)
     scan_lists: dict[str, list[str]] = {}
     skipped: list[str] = []
-    for k, entry in enumerate(index):
-        ref = entry.get("reference")
-        if not ref or not isinstance(entry.get("scans"), list):
+    for k, (ref, ids) in enumerate(_parse_rows(index_path, index, "entry", _index_entry)):
+        if ids is None:
             logger.warning("%s: entry %d has no reference mapping; skipping", index_path, k)
-            skipped.append(str(ref or f"<entry {k}>"))
+            skipped.append(ref or f"<entry {k}>")
             continue
-        scan_ids = [ref] + [s.get("reference") for s in entry["scans"] if s.get("reference")]
-        scan_lists[ref] = scan_ids
+        scan_lists[ref] = ids
 
     # First pass: collect the vocabulary.
     classes: set[str] = set()
     attributes: dict[str, str] = {}
     relations: set[str] = set()
-    payloads: dict[str, tuple[list[dict], list]] = {}
+    payloads: dict[str, tuple[list[tuple], list[tuple[str, str, str]]]] = {}
     usable: dict[str, list[str]] = {}
     for env_id, scan_ids in sorted(scan_lists.items()):
-        entries = []
         try:
-            for scan_id in scan_ids:
-                scan_dir = os.path.join(root, scan_id)
-                objects = _read_scan_objects(scan_dir)
-                rel_path = os.path.join(scan_dir, "relationships.json")
-                rels = []
-                if os.path.isfile(rel_path):
-                    with open(rel_path, "r", encoding="utf-8") as f:
-                        rels = json.load(f).get("relationships", [])
-                entries.append((scan_id, objects, rels))
-        except (OSError, ParseError, json.JSONDecodeError) as e:
+            entries = [(scan_id, *_read_scan(os.path.join(root, scan_id))) for scan_id in scan_ids]
+        except (OSError, ParseError) as e:
             logger.warning("environment %s: %s; skipping", env_id, e)
             skipped.append(env_id)
             continue
         usable[env_id] = scan_ids
         for scan_id, objects, rels in entries:
             payloads[scan_id] = (objects, rels)
-            for obj in objects:
-                classes.add(str(obj.get("label", "object")))
-                for name, kind in _object_attributes(obj):
+            for _, label, attrs, _ in objects:
+                classes.add(label)
+                for name, kind in attrs:
                     attributes.setdefault(name, kind)
-            for rel in rels:
-                relations.add(str(rel[2]))
+            relations.update(name for _, _, name in rels)
 
     if not usable:
         return [], placeholder, IngestReport(0, 0, 0, tuple(skipped), empty)
@@ -976,22 +961,18 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
             objects, rels = payloads[scan_id]
             nodes = tuple(
                 ObjectNode(
-                    id=str(obj["id"]),
-                    class_index=taxonomy.class_index(str(obj.get("label", "object"))),
-                    attribute_indices=tuple(
-                        sorted(
-                            {taxonomy.attribute_index(n) for n, _ in _object_attributes(obj)}
-                        )
-                    ),
-                    position=tuple(float(x) for x in obj["position"]),
+                    id=oid,
+                    class_index=taxonomy.class_index(label),
+                    attribute_indices=tuple(sorted({taxonomy.attribute_index(n) for n, _ in attrs})),
+                    position=position,
                 )
-                for obj in objects
+                for oid, label, attrs, position in objects
             )
             ids = {n.id for n in nodes}
             edges = tuple(
-                SemanticEdge(str(r[0]), str(r[1]), taxonomy.relationship_index(str(r[2])))
-                for r in rels
-                if str(r[0]) in ids and str(r[1]) in ids and str(r[0]) != str(r[1])
+                SemanticEdge(s, t, taxonomy.relationship_index(name))
+                for s, t, name in rels
+                if s in ids and t in ids and s != t
             )
             scans.append(
                 SceneGraph(

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, taxonomy_from_dict, taxonomy_to_dict
+from .core_graph import (
+    _BAD_FIELD,
+    SceneGraph,
+    Taxonomy,
+    _read_json,
+    taxonomy_from_dict,
+    taxonomy_to_dict,
+)
 from .embedding import EdgeConfig, EmbeddedGraph, PcaModel, embed
 from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
 from .nn_core import Mlp, ParamStore, dropout, dropout_backward, relu, sigmoid
@@ -125,6 +132,8 @@ class _VariabilityModel:
     """Shared surface of the graph model and the per-node MLP baseline."""
 
     kind: str
+    # Checkpointed in this order, followed by the parameter store's rng_seed.
+    _HYPERPARAMETERS = ("d_v", "hidden_dim", "dropout_rate", "num_relationships")
 
     def __init__(
         self,
@@ -144,6 +153,9 @@ class _VariabilityModel:
         self.hidden_dim = hidden_dim
         self.dropout_rate = dropout_rate
         self.store = ParamStore(rng_seed=seed)
+
+    def hyperparameters(self) -> dict:
+        return {k: getattr(self, k) for k in self._HYPERPARAMETERS} | {"rng_seed": self.store.rng_seed}
 
     def _check_graph(self, eg: EmbeddedGraph) -> None:
         if eg.node_features.shape[1] != self.d_v and eg.num_nodes:
@@ -186,6 +198,7 @@ class DeltaVsgModel(_VariabilityModel):
     """Two message-passing layers, ReLU + dropout between, 3-sigmoid head."""
 
     kind = KIND_DELTAVSG
+    _HYPERPARAMETERS = ("d_v", "hidden_dim", "dropout_rate", "scalar_gate", "num_relationships")
 
     def __init__(
         self,
@@ -235,16 +248,6 @@ class DeltaVsgModel(_VariabilityModel):
         da1 = dr1 * (a1 > 0)
         self.conv1.backward(c1, da1, input_grad=False)
 
-    def hyperparameters(self) -> dict:
-        return {
-            "d_v": self.d_v,
-            "hidden_dim": self.hidden_dim,
-            "dropout_rate": self.dropout_rate,
-            "scalar_gate": self.scalar_gate,
-            "num_relationships": self.num_relationships,
-            "rng_seed": self.store.rng_seed,
-        }
-
 
 class MlpBaseline(_VariabilityModel):
     """Per-node MLP on node features only; edges are ignored entirely."""
@@ -281,15 +284,6 @@ class MlpBaseline(_VariabilityModel):
             raise UsageError("backward requires a cache from a train-mode forward")
         dlogits = dprobs * probs * (1.0 - probs)
         self.net.backward(c, dlogits, input_grad=False)
-
-    def hyperparameters(self) -> dict:
-        return {
-            "d_v": self.d_v,
-            "hidden_dim": self.hidden_dim,
-            "dropout_rate": self.dropout_rate,
-            "num_relationships": self.num_relationships,
-            "rng_seed": self.store.rng_seed,
-        }
 
 
 def build_model(
@@ -382,16 +376,10 @@ def _require_finite(path, what: str, values: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable or truncated checkpoint ({e})") from e
-    if not isinstance(data, dict) or data.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version "
-            f"{data.get('format_version') if isinstance(data, dict) else None!r}"
-        )
+    data = _read_json(path, "checkpoint", CheckpointError)
+    if data.get("format_version") != CHECKPOINT_VERSION:
+        version = data.get("format_version")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         kind = data["model_kind"]
         hp = data["hyperparameters"]
@@ -437,6 +425,6 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
                 )
             _require_finite(path, f"parameter {name!r}", stored)
             model.store[name].value[...] = stored
-    except (KeyError, TypeError, ValueError, ConfigError, ParseError) as e:
+    except (ConfigError, ParseError, *_BAD_FIELD) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e!r})") from e
     return model, taxonomy
