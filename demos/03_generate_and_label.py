@@ -10,6 +10,7 @@ from vsg import (
     ClassPropensity,
     GeneratorConfig,
     LabelConfig,
+    VARIABILITY_NAMES,
     augment_pairs,
     compute_labels,
     default_taxonomy,
@@ -46,18 +47,18 @@ def main():
               f"toggled {sorted(log.toggled) or 'none'}, "
               f"vanished {sorted(log.vanished) or 'none'}")
 
-    # Labels recomputed from the scan pair agree with that log exactly.
+    # Labels recomputed from the scan pair agree with that log exactly. They
+    # come as two (N, 3) arrays in node order, columns (position, state,
+    # instance): the labels y and the masks m saying which entries supervise.
     label_cfg = LabelConfig(epsilon=cfg.epsilon)
-    computed = compute_labels(scans[0], scans[1], tax, label_cfg)
-    oracle = labels_from_log(scans[0], logs[0], tax, cfg.epsilon)
-    print("\nrecomputed labels match the generator log:", computed == oracle)
-    changed = {oid: lab for oid, lab in computed.items()
-               if lab.y_position or lab.y_state or lab.y_instance}
-    for oid, lab in sorted(changed.items()):
-        kinds = [k for k, y in [("position", lab.y_position),
-                                ("state", lab.y_state),
-                                ("instance", lab.y_instance)] if y]
-        print(f"  {oid}: {', '.join(kinds)}")
+    y, m = compute_labels(scans[0], scans[1], tax, label_cfg)
+    y_log, m_log = labels_from_log(scans[0], logs[0], tax, cfg.epsilon)
+    print("\nrecomputed labels match the generator log:",
+          np.array_equal(y, y_log) and np.array_equal(m, m_log))
+    kinds = np.array(VARIABILITY_NAMES)
+    for oid, row in zip(scans[0].node_ids, y):
+        if row.any():
+            print(f"  {oid}: {', '.join(kinds[row > 0])}")
 
     # Every ordered scan pair becomes a training sample: n(n-1) of them.
     pairs = augment_pairs(scans)

@@ -34,7 +34,7 @@ from .dataset import (
     LabelStats,
     Sample,
     TransitionLog,
-    VariabilityLabel,
+    VARIABILITY_NAMES,
     augment_pairs,
     compute_labels,
     default_taxonomy,
@@ -44,7 +44,6 @@ from .dataset import (
     generator_config_to_dict,
     importance_sample,
     ingest_3rscan_layout,
-    label_matrices,
     label_statistics,
     labels_from_log,
     load_dataset,

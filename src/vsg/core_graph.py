@@ -287,13 +287,16 @@ _BAD_FIELD = (LookupError, TypeError, ValueError, ArithmeticError, AttributeErro
 
 
 def _read_json(path, what: str, error=ParseError, expect=dict):
-    """The one JSON file reader: a missing file, bad UTF-8, invalid JSON or a
-    top level that is not an `expect` becomes one `error` naming the path."""
+    """The one JSON file reader: a missing or unreadable file, bad UTF-8,
+    invalid JSON or a top level that is not an `expect` becomes one `error`
+    naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None
+    except OSError as e:  # a directory, no permission, an I/O fault
+        raise error(f"{path}: cannot read {what} file: {e.strerror or e}") from None
     except (UnicodeDecodeError, RecursionError) as e:  # bad UTF-8; nesting deeper than the stack
         raise error(f"{path}: unreadable JSON text: {e}") from None
     except json.JSONDecodeError as e:

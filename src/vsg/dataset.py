@@ -71,41 +71,49 @@ class LabelConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
 
 
-@dataclass(frozen=True)
-class VariabilityLabel:
-    y_position: int
-    y_state: int
-    y_instance: int
-    mask_position: int
-    mask_state: int
-
-    def __post_init__(self):
-        if self.y_instance and (self.mask_position or self.mask_state):
-            raise ConfigError("vanished object must have position/state masks zeroed")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """One (current scan, labels) pair; pair_id records (from, to) scan ids."""
+    """One (current scan, labels) pair; pair_id records (from, to) scan ids.
+
+    labels (y) and masks (m) are float64 (N, 3) arrays in input.node_ids
+    order, with columns VARIABILITY_NAMES; the instance column is never
+    masked, and a vanished object (y_instance = 1) has its position and
+    state masks at 0.
+    """
 
     input: SceneGraph
-    labels: dict[str, VariabilityLabel]
+    labels: np.ndarray
+    masks: np.ndarray
     pair_id: tuple[str, str]
 
     def __post_init__(self):
-        if set(self.labels) != set(self.input.node_ids):
-            raise ConfigError(
-                f"sample {self.pair_id}: labels must cover exactly the input nodes"
-            )
+        shape = (self.input.num_nodes, 3)
+        if np.shape(self.labels) != shape or np.shape(self.masks) != shape:
+            raise ConfigError(f"sample {self.pair_id}: labels and masks must both be {shape}")
+        if (self.labels[:, 2:] * self.masks[:, :2]).any():
+            raise ConfigError(f"sample {self.pair_id}: vanished object must have position/state masks 0")
 
     @property
     def environment_id(self) -> str:
         return self.input.environment_id
 
 
-def _state_attribute_set(node: ObjectNode, tax: Taxonomy) -> frozenset[int]:
-    state = tax.state_attribute_indices
-    return frozenset(i for i in node.attribute_indices if i in state)
+def _state_indicators(nodes, tax: Taxonomy) -> np.ndarray:
+    """(N, S) bool: node i holds the s-th state-kind attribute of `tax`."""
+    held = np.zeros((len(nodes), tax.num_attributes), dtype=bool)
+    rows = [i for i, node in enumerate(nodes) for _ in node.attribute_indices]
+    held[rows, [a for node in nodes for a in node.attribute_indices]] = True
+    return held[:, sorted(tax.state_attribute_indices)]
+
+
+def _label_arrays(vanished, moved, toggled, has_state) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, masks) from per-node bool vectors; a vanished node gets only
+    y_instance = 1, and nodes without state get no state supervision."""
+    present = ~vanished
+    y, m = np.zeros((len(present), 3)), np.ones((len(present), 3))
+    y[:, 0], y[:, 1], y[:, 2] = moved & present, toggled & present, vanished
+    m[:, 0], m[:, 1] = present, present & has_state
+    return y, m
 
 
 def compute_labels(
@@ -113,11 +121,15 @@ def compute_labels(
     future: SceneGraph,
     tax: Taxonomy,
     cfg: LabelConfig = LabelConfig(),
-) -> dict[str, VariabilityLabel]:
-    """Labels for every node of `current` by comparison with `future`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, masks) for the nodes of `current` by comparison with `future`,
+    in the layout `Sample` documents.
 
     Objects are matched purely by id. Ids present only in `future` yield no
-    rows.
+    rows. Displacements are measured row-wise with np.linalg.norm(axis=1),
+    which can differ in the last bit from a 1-D norm of the same vector, so
+    a position label depends on the method only for a displacement within
+    one ulp of epsilon.
     """
     if current.environment_id != future.environment_id:
         raise PairingError(
@@ -129,20 +141,16 @@ def compute_labels(
             f"cannot pair scans with different taxonomies: "
             f"{current.taxonomy_name!r} vs {future.taxonomy_name!r}"
         )
-    labels: dict[str, VariabilityLabel] = {}
-    for node in current.nodes:
-        has_state = bool(_state_attribute_set(node, tax)) or not cfg.require_state_attributes
-        if not future.has_node(node.id):
-            labels[node.id] = VariabilityLabel(0, 0, 1, 0, 0)
-            continue
-        counterpart = future.node(node.id)
-        delta = np.array(counterpart.position) - np.array(node.position)
-        y_p = int(float(np.linalg.norm(delta)) >= cfg.epsilon)
-        y_s = int(
-            _state_attribute_set(node, tax) != _state_attribute_set(counterpart, tax)
-        )
-        labels[node.id] = VariabilityLabel(y_p, y_s if has_state else 0, 0, 1, int(has_state))
-    return labels
+    vanished = np.array([not future.has_node(n.id) for n in current.nodes], dtype=bool)
+    # Each node's counterpart in `future`; a vanished node is its own, so it neither
+    # moves nor toggles.
+    after = [future.node(n.id) if future.has_node(n.id) else n for n in current.nodes]
+    shift = np.array([n.position for n in after]).reshape(-1, 3) - current.positions()
+    moved = np.linalg.norm(shift, axis=1) >= cfg.epsilon
+    state = _state_indicators(current.nodes, tax)
+    toggled = (state != _state_indicators(after, tax)).any(axis=1)
+    has_state = state.any(axis=1) | (not cfg.require_state_attributes)
+    return _label_arrays(vanished, moved, toggled & has_state, has_state)
 
 
 def augment_pairs(scans: list[SceneGraph]) -> list[tuple[SceneGraph, SceneGraph]]:
@@ -158,21 +166,9 @@ def make_samples(
     scans: list[SceneGraph], tax: Taxonomy, cfg: LabelConfig = LabelConfig()
 ) -> list[Sample]:
     return [
-        Sample(cur, compute_labels(cur, fut, tax, cfg), (cur.scan_id, fut.scan_id))
+        Sample(cur, *compute_labels(cur, fut, tax, cfg), (cur.scan_id, fut.scan_id))
         for cur, fut in augment_pairs(scans)
     ]
-
-
-def label_matrices(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, masks), each (N, 3) in node order; instance is never masked."""
-    n = sample.input.num_nodes
-    y = np.zeros((n, 3), dtype=np.float64)
-    m = np.zeros((n, 3), dtype=np.float64)
-    for i, oid in enumerate(sample.input.node_ids):
-        lab = sample.labels[oid]
-        y[i] = (lab.y_position, lab.y_state, lab.y_instance)
-        m[i] = (lab.mask_position, lab.mask_state, 1.0)
-    return y, m
 
 
 @dataclass(frozen=True)
@@ -190,13 +186,9 @@ class LabelStats:
 
 
 def label_statistics(samples: list[Sample]) -> LabelStats:
-    unmasked = np.zeros(3, dtype=np.int64)
-    positives = np.zeros(3, dtype=np.int64)
-    for s in samples:
-        y, m = label_matrices(s)
-        unmasked += m.sum(axis=0).astype(np.int64)
-        positives += (y * m).sum(axis=0).astype(np.int64)
-    return LabelStats(tuple(int(x) for x in unmasked), tuple(int(x) for x in positives))
+    y = np.concatenate([np.zeros((0, 3))] + [s.labels for s in samples]).astype(np.int64)
+    m = np.concatenate([np.zeros((0, 3))] + [s.masks for s in samples]).astype(np.int64)
+    return LabelStats(tuple(m.sum(axis=0).tolist()), tuple((y * m).sum(axis=0).tolist()))
 
 
 def importance_sample(samples: list[Sample], stats: LabelStats | None = None) -> np.ndarray:
@@ -218,9 +210,8 @@ def importance_sample(samples: list[Sample], stats: LabelStats | None = None) ->
     neg_w = np.where(rates < 1, 1.0 / np.where(rates < 1, 1.0 - rates, 1.0), 1.0)
     weights = np.empty(len(samples), dtype=np.float64)
     for k, s in enumerate(samples):
-        y, m = label_matrices(s)
-        element_w = np.where(y > 0, pos_w, neg_w) * m
-        total_mask = m.sum()
+        element_w = np.where(s.labels > 0, pos_w, neg_w) * s.masks
+        total_mask = s.masks.sum()
         weights[k] = element_w.sum() / total_mask if total_mask else 1.0
     return weights / weights.sum()
 
@@ -689,18 +680,15 @@ def generate_environment(
 
 def labels_from_log(
     scan: SceneGraph, log: TransitionLog, tax: Taxonomy, epsilon: float
-) -> dict[str, VariabilityLabel]:
-    """Oracle labels for one consecutive transition, straight from the log."""
-    labels: dict[str, VariabilityLabel] = {}
-    for oid in scan.node_ids:
-        if oid in log.vanished:
-            labels[oid] = VariabilityLabel(0, 0, 1, 0, 0)
-            continue
-        y_p = int(oid in log.moved and log.moved[oid] >= epsilon)
-        y_s = int(oid in log.toggled)
-        has_state = bool(_state_attribute_set(scan.node(oid), tax))
-        labels[oid] = VariabilityLabel(y_p, y_s, 0, 1, int(has_state))
-    return labels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle (labels, masks) for one consecutive transition, straight from the log."""
+    ids = scan.node_ids
+    return _label_arrays(
+        np.array([oid in log.vanished for oid in ids], dtype=bool),
+        np.array([oid in log.moved and log.moved[oid] >= epsilon for oid in ids], dtype=bool),
+        np.array([oid in log.toggled for oid in ids], dtype=bool),
+        _state_indicators(scan.nodes, tax).any(axis=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -847,15 +835,25 @@ class IngestReport:
 _KIND_MAP = {"state": "state", "dynamic": "state", "affordance": "affordance"}
 
 
+def _position(raw) -> tuple[float, ...]:
+    position = tuple(float(x) for x in raw)
+    if len(position) != 3 or not all(map(math.isfinite, position)):
+        raise ValueError(f"position must be 3 finite numbers, got {raw!r}")
+    return position
+
+
 def _read_scan(scan_dir: str) -> tuple[list[tuple], list[tuple[str, str, str]]]:
     """One scan's objects as (id, label, attributes, position) rows, and its
     relationships as (source, target, name) triples. Every object must carry
-    a position: this adapter consumes layout exports that include them."""
+    a position of 3 finite numbers (this adapter consumes layout exports that
+    include them) and an id no other object of the scan has."""
     path = os.path.join(scan_dir, "objects.json")
     objects = _parse_rows(path, _read_json(path, "objects").get("objects"), "object", lambda o: (
-        str(o["id"]), str(o.get("label", "object")), _object_attributes(o),
-        tuple(float(x) for x in o["position"]),
+        str(o["id"]), str(o.get("label", "object")), _object_attributes(o), _position(o["position"]),
     ))
+    ids = [row[0] for row in objects]
+    if len(set(ids)) < len(ids):
+        raise ParseError(f"{path}: duplicate object id {max(ids, key=ids.count)!r}")
     rel_path = os.path.join(scan_dir, "relationships.json")
     if not os.path.isfile(rel_path):
         return objects, []

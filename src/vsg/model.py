@@ -126,6 +126,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        for name in ("d_v", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
 
 class _VariabilityModel:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -282,10 +283,9 @@ class EpisodeResult:
 
 
 def changed_object_ids(ep: Episode, tax: Taxonomy) -> frozenset[str]:
-    labels = compute_labels(ep.previous_map, ep.realized_scene, tax, ep.label_cfg)
-    return frozenset(
-        oid for oid, lab in labels.items() if lab.y_position or lab.y_state or lab.y_instance
-    )
+    """Ids of the previous-map objects with any nonzero label row."""
+    labels, _ = compute_labels(ep.previous_map, ep.realized_scene, tax, ep.label_cfg)
+    return frozenset(compress(ep.previous_map.node_ids, labels.any(axis=1)))
 
 
 def _walk(
@@ -396,11 +396,8 @@ class OracleScorer:
         self.label_cfg = label_cfg
 
     def predict_probabilities(self, g: SceneGraph, tax: Taxonomy):
-        labels = compute_labels(g, self.realized_scene, tax, self.label_cfg)
-        return {
-            oid: (float(lab.y_position), float(lab.y_state), float(lab.y_instance))
-            for oid, lab in labels.items()
-        }
+        labels, _ = compute_labels(g, self.realized_scene, tax, self.label_cfg)
+        return dict(zip(g.node_ids, map(tuple, labels.tolist())))
 
 
 # ---------------------------------------------------------------------------

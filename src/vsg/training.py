@@ -43,7 +43,6 @@ from .dataset import (
     Sample,
     VARIABILITY_NAMES,
     importance_sample,
-    label_matrices,
     label_statistics,
 )
 from .embedding import EdgeConfig, EmbeddedGraph, embed, encode_nodes, fit_pca, resolve_tau
@@ -164,24 +163,14 @@ class TrainingReport:
         return json.dumps(self.to_dict()) + "\n"
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    sample: Sample
-    graph: EmbeddedGraph
-    labels: np.ndarray
-    masks: np.ndarray
-
-
-def _prepare(samples: list[Sample], tax, pca, edge_cfg) -> list[_Prepared]:
+def _embed_inputs(samples: list[Sample], tax, pca, edge_cfg) -> list[EmbeddedGraph]:
+    """Each sample's embedded input graph, embedding every scan once."""
     cache: dict[tuple[str, str], EmbeddedGraph] = {}
-    out = []
     for s in samples:
         key = (s.environment_id, s.input.scan_id)
         if key not in cache:
             cache[key] = embed(s.input, tax, pca, edge_cfg)
-        y, m = label_matrices(s)
-        out.append(_Prepared(s, cache[key], y, m))
-    return out
+    return [cache[(s.environment_id, s.input.scan_id)] for s in samples]
 
 
 def _snapshot(model) -> np.ndarray:
@@ -192,9 +181,9 @@ def _restore(model, snap: np.ndarray) -> None:
     model.store.values[...] = snap
 
 
-def _eval_probabilities(model, prepared: list[_Prepared]) -> list[np.ndarray]:
-    """Eval-mode (N, 3) probabilities of each prepared sample, in order."""
-    return [model.forward(p.graph, mode="eval")[0] for p in prepared]
+def _eval_probabilities(model, graphs: list[EmbeddedGraph]) -> list[np.ndarray]:
+    """Eval-mode (N, 3) probabilities of each graph, in order."""
+    return [model.forward(g, mode="eval")[0] for g in graphs]
 
 
 def train(
@@ -239,8 +228,8 @@ def train(
     )
     optimizer = Adam(model.store, lr=train_cfg.learning_rate)
 
-    prepared_train = _prepare(train_samples, tax, pca, edge_cfg)
-    prepared_val = _prepare(val_samples, tax, pca, edge_cfg)
+    train_inputs = _embed_inputs(train_samples, tax, pca, edge_cfg)
+    val_inputs = _embed_inputs(val_samples, tax, pca, edge_cfg)
     weights = importance_sample(train_samples)
 
     draw_rng = np.random.default_rng([train_cfg.seed, 1])
@@ -256,21 +245,21 @@ def train(
     best_snap = _snapshot(model)
     best_f1 = -1.0
     stale = 0
-    steps_per_epoch = max(1, math.ceil(len(prepared_train) / train_cfg.batch_size))
+    steps_per_epoch = max(1, math.ceil(len(train_samples) / train_cfg.batch_size))
 
     for epoch in range(train_cfg.epochs):
         epoch_loss = 0.0
         for _ in range(steps_per_epoch):
-            idx = draw_rng.choice(len(prepared_train), size=train_cfg.batch_size, p=weights)
+            idx = draw_rng.choice(len(train_samples), size=train_cfg.batch_size, p=weights)
             model.store.zero_grads()
             batch_loss = 0.0
             batch_unmasked = 0
             for k in idx:
-                p = prepared_train[int(k)]
-                probs, cache = model.forward(p.graph, mode="train", rng=dropout_rng)
-                loss, dprobs = focal_loss(probs, p.labels, p.masks, loss_cfg)
+                s = train_samples[int(k)]
+                probs, cache = model.forward(train_inputs[int(k)], mode="train", rng=dropout_rng)
+                loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
                 batch_loss += loss / train_cfg.batch_size
-                batch_unmasked += int(p.masks.sum())
+                batch_unmasked += int(s.masks.sum())
                 model.backward(cache, dprobs / train_cfg.batch_size)
             if batch_unmasked == 0:
                 report.all_masked_steps += 1
@@ -284,12 +273,12 @@ def train(
             epoch_loss += batch_loss / steps_per_epoch
         report.train_loss.append(epoch_loss)
 
-        val_probs = _eval_probabilities(model, prepared_val)
+        val_probs = _eval_probabilities(model, val_inputs)
         val_loss = sum(
-            focal_loss(probs, p.labels, p.masks, loss_cfg)[0]
-            for probs, p in zip(val_probs, prepared_val)
-        ) / len(prepared_val)
-        f1 = _evaluate_at(val_probs, prepared_val, 0.5).metrics["pooled"].f1
+            focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
+            for probs, s in zip(val_probs, val_samples)
+        ) / len(val_samples)
+        f1 = _evaluate_at(val_probs, val_samples, 0.5).metrics["pooled"].f1
         report.val_loss.append(val_loss)
         report.val_pooled_f1.append(f1)
         if val_loss < best_val:
@@ -360,9 +349,9 @@ def evaluate_probabilities(
     return EvalReport(metrics=metrics, threshold=threshold)
 
 
-def _evaluate_at(probs: list[np.ndarray], prepared: list[_Prepared], threshold: float) -> EvalReport:
+def _evaluate_at(probs: list[np.ndarray], samples: list[Sample], threshold: float) -> EvalReport:
     return evaluate_probabilities(
-        probs, [p.labels for p in prepared], [p.masks for p in prepared], threshold
+        probs, [s.labels for s in samples], [s.masks for s in samples], threshold
     )
 
 
@@ -370,8 +359,8 @@ def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalR
     """Run the model over labeled samples and report per-variability metrics."""
     if not samples:
         raise EvaluationError("nothing to evaluate: empty sample set")
-    prepared = _prepare(samples, tax, model.pca, model.edge_config)
-    return _evaluate_at(_eval_probabilities(model, prepared), prepared, threshold)
+    graphs = _embed_inputs(samples, tax, model.pca, model.edge_config)
+    return _evaluate_at(_eval_probabilities(model, graphs), samples, threshold)
 
 
 def threshold_sweep(
@@ -380,11 +369,10 @@ def threshold_sweep(
     """Precision/recall per variability type across decision thresholds."""
     if thresholds is None:
         thresholds = [round(0.05 * k, 2) for k in range(1, 20)]
-    prepared = _prepare(samples, tax, model.pca, model.edge_config)
-    probs = _eval_probabilities(model, prepared)
+    probs = _eval_probabilities(model, _embed_inputs(samples, tax, model.pca, model.edge_config))
     rows = []
     for th in thresholds:
-        rep = _evaluate_at(probs, prepared, th)
+        rep = _evaluate_at(probs, samples, th)
         for name in VARIABILITY_NAMES:
             m = rep.metrics[name]
             rows.append(

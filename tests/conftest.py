@@ -11,6 +11,7 @@ from vsg import (
     EmbeddedGraph,
     ObjectNode,
     PcaModel,
+    Sample,
     SceneGraph,
     SemanticEdge,
     Taxonomy,
@@ -49,6 +50,23 @@ def make_graph(nodes, edges=(), env="envA", scan="scan00", tax_name="tiny", t=0)
         nodes=tuple(nodes),
         semantic_edges=tuple(edges),
     )
+
+
+def make_sample(graph: SceneGraph, rows, pair_id=("s0", "s1")) -> Sample:
+    """A sample from one (y_position, y_state, y_instance, m_position,
+    m_state) row per node, in node order; the instance mask is always 1."""
+    table = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    return Sample(graph, table[:, :3], np.column_stack([table[:, 3:], np.ones(len(table))]), pair_id)
+
+
+def label_rows(graph: SceneGraph, labels_and_masks) -> dict[str, tuple[int, ...]]:
+    """Node id -> (y_position, y_state, y_instance, m_position, m_state), read
+    off a (labels, masks) pair after checking its layout: float64 (N, 3)
+    arrays of 0s and 1s with the instance column unmasked."""
+    y, m = labels_and_masks
+    assert y.dtype == m.dtype == np.float64 and y.shape == m.shape == (graph.num_nodes, 3)
+    assert np.isin(y, (0.0, 1.0)).all() and np.isin(m, (0.0, 1.0)).all() and (m[:, 2] == 1).all()
+    return {oid: (*map(int, y[i]), *map(int, m[i, :2])) for i, oid in enumerate(graph.node_ids)}
 
 
 @pytest.fixture

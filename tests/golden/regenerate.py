@@ -35,7 +35,6 @@ from vsg import (
     OracleScorer,
     generate_dataset,
     importance_sample,
-    label_matrices,
     make_episodes,
     make_samples,
     route_length,
@@ -73,8 +72,7 @@ def golden_files(scratch: Path) -> dict[str, str]:
     samples = [s for scans in world.environments.values() for s in make_samples(scans, tax)]
     label_rows = []
     for s in samples:
-        y, m = label_matrices(s)
-        for oid, y_row, m_row in zip(s.input.node_ids, y, m):
+        for oid, y_row, m_row in zip(s.input.node_ids, s.labels, s.masks):
             label_rows.append([s.environment_id, *s.pair_id, oid,
                                *(format(v, "g") for v in (*y_row, *m_row[:2]))])
     weight_rows = [

@@ -251,10 +251,11 @@ def test_04_labels_agree_with_generator_change_log():
         scans, logs = generate_environment(cfg, e, tax)
         for t, log in enumerate(logs):
             computed = compute_labels(scans[t], scans[t + 1], tax, label_cfg)
-            assert computed == labels_from_log(scans[t], log, tax, cfg.epsilon), (e, t)
+            oracle = labels_from_log(scans[t], log, tax, cfg.epsilon)
+            for a, b in zip(computed, oracle, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (e, t)
         for g in scans:
-            for lab in compute_labels(g, g, tax, label_cfg).values():
-                assert (lab.y_position, lab.y_state, lab.y_instance) == (0, 0, 0)
+            assert not compute_labels(g, g, tax, label_cfg)[0].any()
         assert len(augment_pairs(scans)) == len(scans) * (len(scans) - 1)
     four, _ = generate_environment(GeneratorConfig(scans_per_environment=4, seed=12), 0, tax)
     assert len(augment_pairs(four)) == 4 * 3

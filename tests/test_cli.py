@@ -210,6 +210,19 @@ class TestTrainEval:
         assert "resolved-config:" not in captured.out
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("field", ["d_v", "hidden_dim"])
+    def test_size_below_one_is_config_error(self, pipeline, tmp_path, capsys, field):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"model": {field: 0}}))
+        rc = dispatch(["train", "--data", str(pipeline["data"]),
+                       "--config", str(cfg), "--out", str(tmp_path / "m.json")])
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: ConfigError: {field} must be >= 1")
+        assert "resolved-config:" not in captured.out
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPredict:
     def test_annotates_every_node(self, pipeline, tmp_path, capsys):

@@ -18,8 +18,6 @@ from vsg import (
     LabelStats,
     PairingError,
     ParseError,
-    Sample,
-    VariabilityLabel,
     augment_pairs,
     compute_labels,
     default_taxonomy,
@@ -29,7 +27,6 @@ from vsg import (
     generator_config_to_dict,
     importance_sample,
     ingest_3rscan_layout,
-    label_matrices,
     label_statistics,
     labels_from_log,
     load_dataset,
@@ -38,11 +35,22 @@ from vsg import (
     write_dataset,
 )
 
-from conftest import build_tiny_tax, make_graph, make_node, tiny_graphs
+from conftest import build_tiny_tax, label_rows, make_graph, make_node, make_sample, tiny_graphs
 
 
 def label_of(y_p=0, y_s=0, y_i=0, m_p=1, m_s=1):
-    return VariabilityLabel(y_p, y_s, y_i, m_p, m_s)
+    return (y_p, y_s, y_i, m_p, m_s)
+
+
+VANISHED = label_of(y_i=1, m_p=0, m_s=0)
+
+
+def labels_by_id(cur, fut, tax, cfg=LabelConfig()):
+    return label_rows(cur, compute_labels(cur, fut, tax, cfg))
+
+
+def sample_rows(s):
+    return label_rows(s.input, (s.labels, s.masks))
 
 
 class TestComputeLabels:
@@ -50,7 +58,7 @@ class TestComputeLabels:
         nodes = [make_node("a", cls=1, attrs=(1,)), make_node("b", cls=0, attrs=(0,))]
         cur = make_graph(nodes, scan="s0")
         fut = make_graph(nodes, scan="s1", t=1)
-        labels = compute_labels(cur, fut, tiny_tax)
+        labels = labels_by_id(cur, fut, tiny_tax)
         assert labels["a"] == label_of()
         # "b" carries no state-kind attribute, so its state entry is masked.
         assert labels["b"] == label_of(m_s=0)
@@ -59,54 +67,56 @@ class TestComputeLabels:
         cur = make_graph([make_node("a", attrs=(1,), pos=(0, 0, 0))], scan="s0")
         for dist, expected in [(0.05, 0), (0.0999, 0), (0.1, 1), (0.2, 1)]:
             fut = make_graph([make_node("a", attrs=(1,), pos=(dist, 0, 0))], scan="s1", t=1)
-            labels = compute_labels(cur, fut, tiny_tax)
-            assert labels["a"].y_position == expected, dist
+            labels = labels_by_id(cur, fut, tiny_tax)
+            assert labels["a"][0] == expected, dist
 
     def test_custom_epsilon(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(1,), pos=(0.2, 0, 0))], scan="s1", t=1)
         cfg = LabelConfig(epsilon=0.5)
-        assert compute_labels(cur, fut, tiny_tax, cfg)["a"].y_position == 0
+        assert labels_by_id(cur, fut, tiny_tax, cfg)["a"][0] == 0
 
     def test_state_toggle(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(2,))], scan="s1", t=1)
-        labels = compute_labels(cur, fut, tiny_tax)
+        labels = labels_by_id(cur, fut, tiny_tax)
         assert labels["a"] == label_of(y_s=1)
 
     def test_static_attribute_change_is_not_state(self, tiny_tax):
         # Gaining a static or affordance attribute never flips the state label.
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(0, 1, 3))], scan="s1", t=1)
-        assert compute_labels(cur, fut, tiny_tax)["a"] == label_of()
+        assert labels_by_id(cur, fut, tiny_tax)["a"] == label_of()
 
     def test_vanished_object(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,)), make_node("b")], scan="s0")
         fut = make_graph([make_node("b")], scan="s1", t=1)
-        labels = compute_labels(cur, fut, tiny_tax)
-        assert labels["a"] == VariabilityLabel(0, 0, 1, 0, 0)
+        labels = labels_by_id(cur, fut, tiny_tax)
+        assert labels["a"] == VANISHED
 
     def test_vanished_also_moved_is_still_just_vanished(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("z")], scan="s1", t=1)
-        assert compute_labels(cur, fut, tiny_tax)["a"] == VariabilityLabel(0, 0, 1, 0, 0)
+        assert labels_by_id(cur, fut, tiny_tax)["a"] == VANISHED
 
     def test_appearing_object_yields_no_row(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(1,)), make_node("new")], scan="s1", t=1)
-        assert set(compute_labels(cur, fut, tiny_tax)) == {"a"}
+        y, m = compute_labels(cur, fut, tiny_tax)
+        assert y.shape == m.shape == (1, 3)
+        assert labels_by_id(cur, fut, tiny_tax) == {"a": label_of()}
 
     def test_no_state_attributes_masks_state(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(0, 3))], scan="s0")
         fut = make_graph([make_node("a", attrs=(0, 3))], scan="s1", t=1)
-        lab = compute_labels(cur, fut, tiny_tax)["a"]
-        assert lab.mask_state == 0 and lab.y_state == 0
+        lab = labels_by_id(cur, fut, tiny_tax)["a"]
+        assert lab[4] == 0 and lab[1] == 0
 
     def test_require_state_attributes_off(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(0,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(0,))], scan="s1", t=1)
         cfg = LabelConfig(require_state_attributes=False)
-        assert compute_labels(cur, fut, tiny_tax, cfg)["a"].mask_state == 1
+        assert labels_by_id(cur, fut, tiny_tax, cfg)["a"][4] == 1
 
     def test_environment_mismatch_rejected(self, tiny_tax):
         a = make_graph([make_node("a", attrs=(1,))], env="envA", scan="s0")
@@ -124,9 +134,9 @@ class TestComputeLabels:
     @given(g=tiny_graphs())
     def test_self_pair_is_all_negative(self, g):
         tax = build_tiny_tax()
-        for lab in compute_labels(g, g, tax).values():
-            assert (lab.y_position, lab.y_state, lab.y_instance) == (0, 0, 0)
-            assert lab.mask_position == 1
+        for lab in labels_by_id(g, g, tax).values():
+            assert lab[:3] == (0, 0, 0)
+            assert lab[3] == 1
 
 
 class TestAugmentPairs:
@@ -159,7 +169,13 @@ class TestAugmentPairs:
     def test_sample_label_coverage_enforced(self, tiny_tax):
         g = make_graph([make_node("a", attrs=(1,))], scan="s0")
         with pytest.raises(ConfigError):
-            Sample(input=g, labels={"other": label_of()}, pair_id=("s0", "s1"))
+            make_sample(g, [label_of(), label_of()])
+
+    @pytest.mark.parametrize("row", [label_of(y_i=1, m_s=0), label_of(y_i=1, m_p=0)])
+    def test_vanished_row_must_have_masks_zeroed(self, tiny_tax, row):
+        g = make_graph([make_node("a", attrs=(1,))], scan="s0")
+        with pytest.raises(ConfigError, match="vanished"):
+            make_sample(g, [row])
 
 
 class TestLabelMatrices:
@@ -168,24 +184,22 @@ class TestLabelMatrices:
             [make_node("a", attrs=(1,)), make_node("b", attrs=(0,)), make_node("c", attrs=(2,))],
             scan="s0",
         )
-        labels = {
-            "a": label_of(y_p=1),
-            "b": VariabilityLabel(0, 0, 1, 0, 0),
-            "c": label_of(y_s=1, m_s=1),
-        }
-        y, m = label_matrices(Sample(g, labels, ("s0", "s1")))
+        fut = make_graph(
+            [make_node("c", attrs=(1,)), make_node("a", attrs=(1,), pos=(1, 0, 0))], scan="s1", t=1
+        )
+        y, m = compute_labels(g, fut, tiny_tax)
+        assert y.dtype == m.dtype == np.float64
         npt.assert_array_equal(y, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         npt.assert_array_equal(m, [[1, 1, 1], [0, 0, 1], [1, 1, 1]])
 
     def test_instance_column_never_masked(self, tiny_tax):
         g = make_graph([make_node("a", attrs=(0,))], scan="s0")
-        _, m = label_matrices(Sample(g, {"a": label_of(m_p=0, m_s=0)}, ("s0", "s1")))
+        _, m = compute_labels(g, make_graph([], scan="s1", t=1), tiny_tax)
         npt.assert_array_equal(m, [[0, 0, 1]])
 
     def test_label_statistics(self, tiny_tax):
         g = make_graph([make_node("a", attrs=(1,)), make_node("b")], scan="s0")
-        labels = {"a": label_of(y_p=1), "b": VariabilityLabel(0, 0, 1, 0, 0)}
-        stats = label_statistics([Sample(g, labels, ("s0", "s1"))])
+        stats = label_statistics([make_sample(g, [label_of(y_p=1), VANISHED])])
         assert stats.unmasked == (1, 1, 2)
         assert stats.positives == (1, 0, 1)
         assert stats.positive_rates == (1.0, 0.0, 0.5)
@@ -194,7 +208,7 @@ class TestLabelMatrices:
 class TestImportanceSampling:
     def one_node_sample(self, tiny_tax, label, oid="a"):
         g = make_graph([make_node(oid, attrs=(1,))], scan="s0")
-        return Sample(g, {oid: label}, ("s0", "s1"))
+        return make_sample(g, [label])
 
     def test_balanced_labels_give_uniform_weights(self, tiny_tax):
         # Global positive rate is exactly 1/2 for every variability type, so
@@ -204,15 +218,7 @@ class TestImportanceSampling:
             [make_node("a", attrs=(1,)), make_node("b", attrs=(1,)), make_node("c", attrs=(1,))],
             scan="s0",
         )
-        s1 = Sample(
-            g1,
-            {
-                "a": label_of(y_p=1, y_s=1),
-                "b": VariabilityLabel(0, 0, 1, 0, 0),
-                "c": VariabilityLabel(0, 0, 1, 0, 0),
-            },
-            ("s0", "s1"),
-        )
+        s1 = make_sample(g1, [label_of(y_p=1, y_s=1), VANISHED, VANISHED])
         s2 = self.one_node_sample(tiny_tax, label_of(), oid="d")
         weights = importance_sample([s1, s2])
         npt.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
@@ -222,7 +228,7 @@ class TestImportanceSampling:
         samples = []
         for k in range(20):
             y = rng.integers(0, 2, size=3)
-            lab = VariabilityLabel(int(y[0]), int(y[1]), 0, 1, 1)
+            lab = label_of(int(y[0]), int(y[1]))
             samples.append(self.one_node_sample(tiny_tax, lab, oid=f"o{k}"))
         weights = importance_sample(samples)
         assert abs(weights.sum() - 1.0) < 1e-12
@@ -232,7 +238,7 @@ class TestImportanceSampling:
         # At a 13% instance-positive rate, a sample whose only unmasked
         # element is an instance positive carries raw weight 1/0.13.
         stats = LabelStats(unmasked=(100, 100, 100), positives=(50, 50, 13))
-        rare = self.one_node_sample(tiny_tax, VariabilityLabel(0, 0, 1, 0, 0), oid="v")
+        rare = self.one_node_sample(tiny_tax, VANISHED, oid="v")
         common = self.one_node_sample(tiny_tax, label_of(), oid="c")
         weights = importance_sample([rare, common], stats)
         raw_rare = 1.0 / 0.13
@@ -295,8 +301,8 @@ class TestGenerator:
             assert not log.moved and not log.toggled
             assert not log.vanished and not log.appeared
         tax = default_taxonomy()
-        for lab in compute_labels(scans[0], scans[-1], tax).values():
-            assert (lab.y_position, lab.y_state, lab.y_instance) == (0, 0, 0)
+        for lab in labels_by_id(scans[0], scans[-1], tax).values():
+            assert lab[:3] == (0, 0, 0)
 
     def test_forced_cup_moves(self):
         overrides = zero_propensities()
@@ -306,13 +312,13 @@ class TestGenerator:
         scans, _ = generate_environment(cfg, 0, tax)
         cup = tax.class_index("cup")
         cups_seen = 0
-        labels = compute_labels(scans[0], scans[1], tax)
+        labels = labels_by_id(scans[0], scans[1], tax)
         for node in scans[0].nodes:
             if node.class_index == cup:
                 cups_seen += 1
-                assert labels[node.id].y_position == 1
+                assert labels[node.id][0] == 1
             else:
-                assert labels[node.id].y_position == 0
+                assert labels[node.id][0] == 0
         assert cups_seen > 0
 
     def test_forced_cup_vanishes(self):
@@ -325,9 +331,9 @@ class TestGenerator:
         cup_ids = {n.id for n in scans[0].nodes if n.class_index == cup}
         assert cup_ids
         assert logs[0].vanished == frozenset(cup_ids)
-        labels = compute_labels(scans[0], scans[1], tax)
+        labels = labels_by_id(scans[0], scans[1], tax)
         for oid in cup_ids:
-            assert labels[oid] == VariabilityLabel(0, 0, 1, 0, 0)
+            assert labels[oid] == VANISHED
 
     def test_forced_door_toggles(self):
         overrides = zero_propensities()
@@ -338,9 +344,9 @@ class TestGenerator:
         doors = {n.id for n in scans[0].nodes if n.class_index == tax.class_index("door")}
         assert doors
         assert logs[0].toggled == frozenset(doors)
-        labels = compute_labels(scans[0], scans[1], tax)
+        labels = labels_by_id(scans[0], scans[1], tax)
         for oid in doors:
-            assert labels[oid].y_state == 1
+            assert labels[oid][1] == 1
         # Toggling twice returns to the original attribute set.
         assert scans[0].node(min(doors)).attribute_indices == scans[2].node(
             min(doors)
@@ -354,7 +360,7 @@ class TestGenerator:
         next_ids = set(scans[1].node_ids)
         assert logs[0].appeared <= next_ids
         assert not (logs[0].appeared & current_ids)
-        labels = compute_labels(scans[0], scans[1], default_taxonomy())
+        labels = labels_by_id(scans[0], scans[1], default_taxonomy())
         assert not (set(labels) & logs[0].appeared)
 
     def test_moves_clear_threshold_and_jitter_stays_below(self):
@@ -390,7 +396,9 @@ class TestGenerator:
             for t, log in enumerate(logs):
                 computed = compute_labels(scans[t], scans[t + 1], tax, label_cfg)
                 oracle = labels_from_log(scans[t], log, tax, cfg.epsilon)
-                assert computed == oracle, (e, t)
+                assert label_rows(scans[t], computed) == label_rows(scans[t], oracle), (e, t)
+                for a, b in zip(computed, oracle):
+                    npt.assert_array_equal(a, b, err_msg=str((e, t)))
 
     def test_infeasible_placement_raises(self):
         with pytest.raises(GeneratorError):
@@ -563,11 +571,11 @@ class TestIngest:
         samples, tax, report = ingest_3rscan_layout(tmp_path)
         by_pair = {(s.environment_id, s.pair_id): s for s in samples}
         forward = by_pair[("envA-ref", ("envA-ref", "envA-re1"))]
-        assert forward.labels["1"].y_position == 1  # moved 1.5m
-        assert forward.labels["1"].mask_state == 1
-        assert forward.labels["2"] == VariabilityLabel(0, 0, 0, 1, 0)
+        assert sample_rows(forward)["1"][0] == 1  # moved 1.5m
+        assert sample_rows(forward)["1"][4] == 1
+        assert sample_rows(forward)["2"] == label_of(m_s=0)
         gone = by_pair[("envB-ref", ("envB-ref", "envB-re1"))]
-        assert gone.labels["4"] == VariabilityLabel(0, 0, 1, 0, 0)
+        assert sample_rows(gone)["4"] == VANISHED
         assert report.stats.positives[2] == 1
 
     def test_relationships_become_semantic_edges(self, tmp_path):
@@ -607,7 +615,7 @@ class TestIngest:
         write_scan(tmp_path, "envA-re1", [obj("1", "box", (0, 0, 0), ["red"])])
         samples, tax, _ = ingest_3rscan_layout(tmp_path)
         assert ("unobserved_state", "state") in tax.attributes
-        assert samples[0].labels["1"].mask_state == 0
+        assert sample_rows(samples[0])["1"][4] == 0
 
     def test_empty_directory(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):

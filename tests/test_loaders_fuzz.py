@@ -276,6 +276,17 @@ def test_malformed_file_is_one_error_line(world, tmp_path, case):
         assert word in line, line
 
 
+def test_unreadable_file_is_the_callers_error_kind(world, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(world["data"], data)
+    (data / "manifest.json").unlink()
+    (data / "manifest.json").mkdir()
+    with pytest.raises(ParseError, match="manifest.json"):
+        load_dataset(data)
+    argv = ["fit-pca", "--data", str(data), "--out", str(tmp_path / "pca.json")]
+    assert str(data / "manifest.json") in assert_one_error_line(*run_cli(argv), "ParseError:")
+
+
 class TestIngestFaults:
     @pytest.mark.parametrize(
         "content", [b'[{"reference": "envA-ref", "sc', b'[{"reference": "\xff"}]', b"[5]"],
@@ -291,8 +302,12 @@ class TestIngestFaults:
     @pytest.mark.parametrize(
         "name, content",
         [("objects.json", [1]), ("relationships.json", [1]),
-         ("relationships.json", {"relationships": [["1", "2"]]})],
-        ids=["objects-not-an-object", "relationships-not-an-object", "short-relationship-row"],
+         ("relationships.json", {"relationships": [["1", "2"]]}),
+         ("objects.json", {"objects": [OBJECTS["objects"][0] | {"position": [0, 0]}]}),
+         ("objects.json", {"objects": [OBJECTS["objects"][0] | {"position": [0, float("nan"), 0]}]}),
+         ("objects.json", {"objects": [OBJECTS["objects"][0]] * 2})],
+        ids=["objects-not-an-object", "relationships-not-an-object", "short-relationship-row",
+             "position-of-two-numbers", "position-not-finite", "duplicate-object-id"],
     )
     def test_bad_scan_file_skips_environment(self, world, tmp_path, caplog, name, content):
         layout = tmp_path / "layout"

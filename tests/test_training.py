@@ -16,10 +16,8 @@ from vsg import (
     LossConfig,
     MlpBaseline,
     ModelConfig,
-    Sample,
     TrainConfig,
     TrainingError,
-    VariabilityLabel,
     class_weights_from_samples,
     evaluate,
     evaluate_probabilities,
@@ -35,7 +33,7 @@ import vsg.training as training_module
 from vsg.model import MpConv, checkpoint_to_json
 from vsg.nn_core import Adam, Mlp, max_relative_error, numerical_gradient
 
-from conftest import make_graph, make_node
+from conftest import make_graph, make_node, make_sample
 from test_model import scatter_add_reference
 
 
@@ -148,28 +146,25 @@ class TestFocalLoss:
             LossConfig(class_weights=((1.0, 1.0),) * 2)
 
 
-def sample_with_labels(tiny_tax, labels: dict, scan="s0"):
-    nodes = [make_node(oid, attrs=(1,)) for oid in labels]
-    return Sample(make_graph(nodes, scan=scan), labels, (scan, "s1"))
+def sample_with_labels(tiny_tax, rows: list, scan="s0"):
+    """One node per (y_position, y_state, y_instance, m_position, m_state) row."""
+    nodes = [make_node(f"o{k}", attrs=(1,)) for k in range(len(rows))]
+    return make_sample(make_graph(nodes, scan=scan), rows, (scan, "s1"))
 
 
 class TestClassWeights:
     def test_inverse_frequency(self, tiny_tax):
-        labels = {
-            f"o{k}": VariabilityLabel(int(k < 2), int(k < 1), 0, 1, 1) for k in range(8)
-        }
+        labels = [(int(k < 2), int(k < 1), 0, 1, 1) for k in range(8)]
         weights = class_weights_from_samples([sample_with_labels(tiny_tax, labels)])
         assert weights == ((4.0, 1.0), (8.0, 1.0), (1.0, 1.0))
 
     def test_cap_at_twenty(self, tiny_tax):
-        labels = {
-            f"o{k}": VariabilityLabel(int(k == 0), 0, 0, 1, 1) for k in range(40)
-        }
+        labels = [(int(k == 0), 0, 0, 1, 1) for k in range(40)]
         weights = class_weights_from_samples([sample_with_labels(tiny_tax, labels)])
         assert weights[0] == (20.0, 1.0)
 
     def test_feeds_loss_config(self, tiny_tax):
-        labels = {"a": VariabilityLabel(1, 0, 0, 1, 1)}
+        labels = [(1, 0, 0, 1, 1)]
         weights = class_weights_from_samples([sample_with_labels(tiny_tax, labels)])
         assert LossConfig(class_weights=weights).class_weights == weights
 
