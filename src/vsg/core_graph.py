@@ -171,22 +171,21 @@ class SceneGraph:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "semantic_edges", tuple(self.semantic_edges))
-        by_id: dict[str, ObjectNode] = {}
-        for node in self.nodes:
-            if node.id in by_id:
+        index_of: dict[str, int] = {}
+        for i, node in enumerate(self.nodes):
+            if node.id in index_of:
                 raise ParseError(
                     f"scan {self.scan_id!r}: duplicate node id {node.id!r}"
                 )
-            by_id[node.id] = node
+            index_of[node.id] = i
         for edge in self.semantic_edges:
             for endpoint in (edge.source_id, edge.target_id):
-                if endpoint not in by_id:
+                if endpoint not in index_of:
                     raise ParseError(
                         f"scan {self.scan_id!r}: edge endpoint {endpoint!r} "
                         "does not resolve to a node"
                     )
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_index_of", {n.id: i for i, n in enumerate(self.nodes)})
+        object.__setattr__(self, "_index_of", index_of)
 
     @property
     def num_nodes(self) -> int:
@@ -201,15 +200,10 @@ class SceneGraph:
         return tuple(n.id for n in self.nodes)
 
     def has_node(self, object_id: str) -> bool:
-        return object_id in self._by_id  # type: ignore[attr-defined]
+        return object_id in self._index_of  # type: ignore[attr-defined]
 
     def node(self, object_id: str) -> ObjectNode:
-        try:
-            return self._by_id[object_id]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ObjectLookupError(
-                f"unknown object id {object_id!r} in scan {self.scan_id!r}"
-            ) from None
+        return self.nodes[self.node_index(object_id)]
 
     def node_index(self, object_id: str) -> int:
         try:
@@ -344,7 +338,8 @@ def _fits(value, annotation: str, default) -> bool:
 
 def _config_from_json(cls, data, where: str):
     """Dataclass `cls` from a JSON object, once every key names a field and
-    every value fits that field's annotation; a ConfigError names `where`."""
+    every value fits that field's annotation; a ConfigError, also one raised
+    by the dataclass itself, names `where`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
     by_name = {f.name: f for f in fields(cls)}
@@ -354,7 +349,10 @@ def _config_from_json(cls, data, where: str):
             raise ConfigError(f"{where}: unknown field {key!r}")
         if not _fits(value, f.type, f.default):
             raise ConfigError(f"{where}: field {key!r} must be {f.type}, got {value!r}")
-    return cls(**{k: tuple(v) if by_name[k].type.startswith("tuple") else v for k, v in data.items()})
+    try:
+        return cls(**{k: tuple(v) if by_name[k].type.startswith("tuple") else v for k, v in data.items()})
+    except ConfigError as e:  # a range check in the dataclass's __post_init__
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def taxonomy_to_dict(tax: Taxonomy) -> dict:

@@ -409,28 +409,34 @@ def _propensity(cfg: GeneratorConfig, specs: dict[str, ClassSpec], cls: str) -> 
     return cfg.propensity_overrides.get(cls, specs[cls].propensity)
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between the rows of a and b.
+
+    Entry (i, j) is sqrt(d @ d) for d = a[i] - b[j], one BLAS dot per pair:
+    the same float as the 1-D np.linalg.norm(a[i] - b[j]). A sum of squares,
+    einsum, hypot or norm(axis=...) differs from it in the last bit.
+    """
+    d = a[:, None, :] - b[None, :, :]
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
 def _place(
     rng: np.random.Generator,
     cfg: GeneratorConfig,
-    taken: list[np.ndarray],
+    taken: list,
     z: float,
     near: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Random in-room position respecting min spacing; near biases placement."""
+    """Random in-room position respecting min spacing to the `taken` positions
+    (appended to on success); near biases placement."""
     rx, ry, _ = cfg.room_size
     for _ in range(200):
         if near is None:
             p = np.array([rng.uniform(0.3, rx - 0.3), rng.uniform(0.3, ry - 0.3), z])
         else:
             offset = rng.uniform(-0.6 * cfg.support_radius, 0.6 * cfg.support_radius, size=2)
-            p = np.array(
-                [
-                    float(np.clip(near[0] + offset[0], 0.3, rx - 0.3)),
-                    float(np.clip(near[1] + offset[1], 0.3, ry - 0.3)),
-                    z,
-                ]
-            )
-        if all(np.linalg.norm(p[:2] - q[:2]) >= cfg.min_spacing for q in taken):
+            p = np.array([*np.clip(near[:2] + offset, 0.3, (rx - 0.3, ry - 0.3)), z])
+        if (_distances(p[None, :2], np.reshape(taken, (-1, 3))[:, :2]) >= cfg.min_spacing).all():
             taken.append(p)
             return p
     raise GeneratorError(
@@ -439,51 +445,59 @@ def _place(
     )
 
 
-def _attribute_indices(tax: Taxonomy, spec: ClassSpec, state_value: str | None) -> tuple[int, ...]:
-    names = list(spec.static_attributes) + list(spec.affordances)
-    if state_value is not None:
-        names.append(state_value)
-    return tuple(sorted(tax.attribute_index(n) for n in names))
+def _new_object(
+    tax: Taxonomy, specs: dict[str, ClassSpec], cls: str, number: int, state_value: str | None, position
+) -> ObjectNode:
+    """Object `obj<number>` of class cls: its class's static attributes and
+    affordances, plus state_value unless that is None."""
+    state = () if state_value is None else (state_value,)
+    names = specs[cls].static_attributes + specs[cls].affordances + state
+    attributes = tuple(tax.attribute_index(n) for n in names)
+    return ObjectNode(f"obj{number:03d}", tax.class_index(cls), attributes, position)
 
 
 def _semantic_edges(
     nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassSpec], cfg: GeneratorConfig
 ) -> tuple[SemanticEdge, ...]:
-    """Edges recomputed from geometry: standing_on, next_to, attached_to."""
-    standing_on = tax.relationship_index("standing_on")
-    next_to = tax.relationship_index("next_to")
-    attached_to = tax.relationship_index("attached_to")
-    by_class = {n.id: tax.classes[n.class_index] for n in nodes}
-    supports = [n for n in nodes if specs[by_class[n.id]].is_support]
-    walls = [n for n in nodes if by_class[n.id] == "wall"]
-    edges: list[SemanticEdge] = []
-    for n in nodes:
-        cls = by_class[n.id]
-        spec = specs[cls]
-        if cls == "door" and walls:
-            nearest = min(
-                walls,
-                key=lambda w: (np.linalg.norm(np.array(n.position) - np.array(w.position)), w.id),
-            )
-            edges.append(SemanticEdge(n.id, nearest.id, attached_to))
-        if spec.is_support or spec.is_structure or not supports:
-            continue
-        dists = [
-            (float(np.linalg.norm(np.array(n.position)[:2] - np.array(s.position)[:2])), s.id)
-            for s in supports
-        ]
-        d, sid = min(dists)
-        if d < cfg.support_radius:
-            edges.append(SemanticEdge(n.id, sid, standing_on))
-    movable = [n for n in nodes if not specs[by_class[n.id]].is_structure]
-    for a in movable:
-        for b in movable:
-            if a.id >= b.id:
-                continue
-            d = float(np.linalg.norm(np.array(a.position)[:2] - np.array(b.position)[:2]))
-            if d < cfg.next_to_radius:
-                edges.append(SemanticEdge(a.id, b.id, next_to))
-    return tuple(edges)
+    """Edges recomputed from geometry. First, in node order, each door is
+    attached_to its nearest wall (3-D) and each other non-support,
+    non-structure object standing_on its nearest support (xy) if that is
+    within support_radius, ties going to the smaller id. Then each pair of
+    non-structure objects within next_to_radius (xy) is next_to, source id
+    < target id, in node order."""
+    standing_on, next_to, attached_to = (
+        tax.relationship_index(r) for r in ("standing_on", "next_to", "attached_to")
+    )
+    ids = [n.id for n in nodes]
+    rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's place in str order
+    pos = np.array([n.position for n in nodes]).reshape(-1, 3)
+    classes = np.array([tax.classes[n.class_index] for n in nodes], dtype=str)
+    support = np.array([specs[c].is_support for c in classes], dtype=bool)
+    structure = np.array([specs[c].is_structure for c in classes], dtype=bool)
+
+    def nearest(rows, candidates, dims):
+        """Per row, the candidate at the least (distance, id), and that distance."""
+        candidates = candidates[np.argsort(rank[candidates])]
+        d = _distances(pos[rows, :dims], pos[candidates, :dims])
+        k = d.argmin(axis=1)
+        return candidates[k], d[np.arange(len(rows)), k]
+
+    by_node: dict[int, SemanticEdge] = {}
+    walls, doors = np.flatnonzero(classes == "wall"), np.flatnonzero(classes == "door")
+    if walls.size:
+        for i, w in zip(doors, nearest(doors, walls, 3)[0]):
+            by_node[i] = SemanticEdge(ids[i], ids[w], attached_to)
+    placed = np.flatnonzero(~support & ~structure)
+    if support.any():
+        s, d = nearest(placed, np.flatnonzero(support), 2)
+        for i, j in zip(placed[d < cfg.support_radius], s[d < cfg.support_radius]):
+            by_node[i] = SemanticEdge(ids[i], ids[j], standing_on)
+    m = np.flatnonzero(~structure)
+    close = _distances(pos[m, :2], pos[m, :2]) < cfg.next_to_radius
+    pairs = zip(*np.nonzero(close & (rank[m][:, None] < rank[m][None, :])))
+    return tuple(by_node[i] for i in sorted(by_node)) + tuple(
+        SemanticEdge(ids[m[a]], ids[m[b]], next_to) for a, b in pairs
+    )
 
 
 def _initial_scene(
@@ -492,26 +506,13 @@ def _initial_scene(
     rx, ry, rz = cfg.room_size
     taken: list[np.ndarray] = []
     nodes: list[ObjectNode] = []
-    counter = 0
 
     def add(cls: str, position, state_value: str | None) -> None:
-        nonlocal counter
-        spec = specs[cls]
-        nodes.append(
-            ObjectNode(
-                id=f"obj{counter:03d}",
-                class_index=tax.class_index(cls),
-                attribute_indices=_attribute_indices(tax, spec, state_value),
-                position=tuple(float(x) for x in position),
-            )
-        )
-        counter += 1
+        nodes.append(_new_object(tax, specs, cls, len(nodes), state_value, position))
 
     def initial_state(cls: str) -> str | None:
         pair = specs[cls].state_pair
-        if pair is None:
-            return None
-        return pair[int(rng.random() < 0.5)]
+        return None if pair is None else pair[int(rng.random() < 0.5)]
 
     # Fixed structure: four walls, a floor, a door on one wall.
     add("floor", (rx / 2, ry / 2, 0.0), None)
@@ -547,7 +548,7 @@ def _initial_scene(
             # on the near bias and place on the open floor instead.
             position = _place(rng, cfg, taken, z=0.0)
         add(cls, position, initial_state(cls))
-    return nodes, counter
+    return nodes, len(nodes)
 
 
 def _transition(
@@ -559,22 +560,16 @@ def _transition(
     rng: np.random.Generator,
 ) -> tuple[list[ObjectNode], int, TransitionLog]:
     rx, ry, _ = cfg.room_size
-    support_xy = [
-        np.array(n.position)[:2]
-        for n in nodes
-        if specs[tax.classes[n.class_index]].is_support
-    ]
+    xy = np.array([n.position for n in nodes]).reshape(-1, 3)[:, :2]
+    support = np.array([specs[tax.classes[n.class_index]].is_support for n in nodes], dtype=bool)
+    near_support = (_distances(xy, xy[support]) < cfg.support_radius).any(axis=1)
     moved: dict[str, float] = {}
     toggled: set[str] = set()
     vanished: set[str] = set()
     appeared: set[str] = set()
     out: list[ObjectNode] = []
 
-    def near_support(n: ObjectNode) -> bool:
-        xy = np.array(n.position)[:2]
-        return any(np.linalg.norm(xy - s) < cfg.support_radius for s in support_xy)
-
-    for n in nodes:
+    for n, near in zip(nodes, near_support):
         cls = tax.classes[n.class_index]
         spec = specs[cls]
         prop = _propensity(cfg, specs, cls)
@@ -582,7 +577,7 @@ def _transition(
             vanished.add(n.id)
             continue
         position = np.array(n.position, dtype=np.float64)
-        move_p = prop.move_near if near_support(n) else prop.move_far
+        move_p = prop.move_near if near else prop.move_far
         if rng.random() < move_p:
             for _ in range(100):
                 angle = rng.uniform(0.0, 2.0 * math.pi)
@@ -602,21 +597,11 @@ def _transition(
                 position = wiggle
         attributes = n.attribute_indices
         if spec.state_pair is not None and rng.random() < prop.toggle:
-            a, b = (tax.attribute_index(x) for x in spec.state_pair)
-            current = set(attributes)
-            current.symmetric_difference_update((a, b))
-            attributes = tuple(sorted(current))
+            attributes = tuple(set(attributes) ^ {tax.attribute_index(x) for x in spec.state_pair})
             toggled.add(n.id)
-        out.append(
-            ObjectNode(
-                id=n.id,
-                class_index=n.class_index,
-                attribute_indices=attributes,
-                position=tuple(float(x) for x in position),
-            )
-        )
+        out.append(replace(n, attribute_indices=attributes, position=position))
 
-    taken = [np.array(n.position) for n in out]
+    taken = [n.position for n in out]
     appear_classes = ("cup", "book", "box")
     for _ in range(2):
         if rng.random() < cfg.appear_prob:
@@ -625,19 +610,10 @@ def _transition(
                 p = _place(rng, cfg, taken, z=0.0)
             except GeneratorError:
                 break
-            oid = f"obj{counter:03d}"
+            state_pair = specs[cls].state_pair
+            out.append(_new_object(tax, specs, cls, counter, state_pair and state_pair[1], p))
+            appeared.add(out[-1].id)
             counter += 1
-            out.append(
-                ObjectNode(
-                    id=oid,
-                    class_index=tax.class_index(cls),
-                    attribute_indices=_attribute_indices(
-                        tax, specs[cls], specs[cls].state_pair and specs[cls].state_pair[1]
-                    ),
-                    position=tuple(float(x) for x in p),
-                )
-            )
-            appeared.add(oid)
     log = TransitionLog(
         moved=moved,
         toggled=frozenset(toggled),
@@ -900,11 +876,10 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
     """
     # Returned, with an empty report, when nothing usable is found.
     placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
-    empty = LabelStats((0, 0, 0), (0, 0, 0))
     index_path = os.path.join(root, "3RScan.json")
     if not os.path.isfile(index_path):
         logger.warning("%s: no 3RScan.json index; returning empty dataset", root)
-        return [], placeholder, IngestReport(0, 0, 0, (), empty)
+        return [], placeholder, IngestReport(0, 0, 0, (), label_statistics([]))
     index = _read_json(index_path, "3RScan index", expect=list)
     scan_lists: dict[str, list[str]] = {}
     skipped: list[str] = []
@@ -938,7 +913,7 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
             relations.update(name for _, _, name in rels)
 
     if not usable:
-        return [], placeholder, IngestReport(0, 0, 0, tuple(skipped), empty)
+        return [], placeholder, IngestReport(0, 0, 0, tuple(skipped), label_statistics([]))
 
     if not any(kind == "state" for kind in attributes.values()):
         attributes["unobserved_state"] = "state"  # placeholder; never assigned
@@ -985,12 +960,11 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
         total_scans += len(scans)
         samples.extend(make_samples(scans, taxonomy))
 
-    stats = label_statistics(samples) if samples else LabelStats((0, 0, 0), (0, 0, 0))
     report = IngestReport(
         environments=len(usable),
         scans=total_scans,
         samples=len(samples),
         skipped_environments=tuple(skipped),
-        stats=stats,
+        stats=label_statistics(samples),
     )
     return samples, taxonomy, report

@@ -118,6 +118,22 @@ class TestGenerate:
         assert cfg["seed"] == 9  # flag beats the spec file's 7
         assert cfg["num_environments"] == 5
 
+    @pytest.mark.parametrize("entry, where, message", [
+        ({"objects_min": 2}, "", "objects_min must be >= 4"),
+        ({"propensity_overrides": {"cup": {"vanish": 2.0}}}, ": propensity_overrides['cup']",
+         "propensity vanish must be in [0, 1], got 2.0"),
+    ])
+    def test_out_of_range_spec_names_the_file(self, tmp_path, capsys, entry, where, message):
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps({**GEN_SPEC, **entry}))
+        rc = dispatch(["generate", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: ConfigError: {spec}{where}: {message}"), err
+        assert "resolved-config:" not in captured.out
+        assert not (tmp_path / "d").exists()
+
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         again = tmp_path / "again"
         assert dispatch(["generate", "--spec", str(pipeline["spec"]),
@@ -219,7 +235,8 @@ class TestTrainEval:
         captured = capsys.readouterr()
         err = captured.err.strip()
         assert rc == 1 and len(err.splitlines()) == 1, err
-        assert err.startswith(f"error: ConfigError: {field} must be >= 1")
+        assert err.startswith(f"error: ConfigError: {cfg}: config section 'model': ")
+        assert err.endswith(f"{field} must be >= 1, got 0")
         assert "resolved-config:" not in captured.out
         assert not (tmp_path / "m.json").exists()
 

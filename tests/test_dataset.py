@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsg import (
     ClassPropensity,
@@ -18,6 +19,7 @@ from vsg import (
     LabelStats,
     PairingError,
     ParseError,
+    SemanticEdge,
     augment_pairs,
     compute_labels,
     default_taxonomy,
@@ -34,6 +36,8 @@ from vsg import (
     scene_graph_to_json,
     write_dataset,
 )
+
+from vsg.dataset import _default_class_specs, _distances, _semantic_edges
 
 from conftest import build_tiny_tax, label_rows, make_graph, make_node, make_sample, tiny_graphs
 
@@ -443,6 +447,127 @@ class TestGenerator:
             counts[split] += 1
         assert counts == {"train": 7, "val": 2, "test": 1}
         assert ds.splits == generate_dataset(cfg).splits
+
+
+def distances_loop(a, b):
+    """Reference for `_distances`: one 1-D np.linalg.norm per pair."""
+    out = np.empty((len(a), len(b)))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i, j] = np.linalg.norm(a[i] - b[j])
+    return out
+
+
+def semantic_edges_loop(nodes, tax, specs, cfg):
+    """The generator's edges before `_distances`: a Python loop per pair."""
+    standing_on = tax.relationship_index("standing_on")
+    next_to = tax.relationship_index("next_to")
+    attached_to = tax.relationship_index("attached_to")
+    by_class = {n.id: tax.classes[n.class_index] for n in nodes}
+    supports = [n for n in nodes if specs[by_class[n.id]].is_support]
+    walls = [n for n in nodes if by_class[n.id] == "wall"]
+    edges = []
+    for n in nodes:
+        cls = by_class[n.id]
+        spec = specs[cls]
+        if cls == "door" and walls:
+            nearest = min(
+                walls,
+                key=lambda w: (np.linalg.norm(np.array(n.position) - np.array(w.position)), w.id),
+            )
+            edges.append(SemanticEdge(n.id, nearest.id, attached_to))
+        if spec.is_support or spec.is_structure or not supports:
+            continue
+        dists = [
+            (float(np.linalg.norm(np.array(n.position)[:2] - np.array(s.position)[:2])), s.id)
+            for s in supports
+        ]
+        d, sid = min(dists)
+        if d < cfg.support_radius:
+            edges.append(SemanticEdge(n.id, sid, standing_on))
+    movable = [n for n in nodes if not specs[by_class[n.id]].is_structure]
+    for a in movable:
+        for b in movable:
+            if a.id >= b.id:
+                continue
+            d = float(np.linalg.norm(np.array(a.position)[:2] - np.array(b.position)[:2]))
+            if d < cfg.next_to_radius:
+                edges.append(SemanticEdge(a.id, b.id, next_to))
+    return tuple(edges)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two 2-D or 3-D point sets of 0-40 rows each, over several scales,
+    with some rows of the second copied from the first."""
+    dims = draw(st.sampled_from([2, 3]))
+    n_a, n_b = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.integers(-3, 3, size=(n_a + n_b, 1))
+    points = rng.uniform(-10, 10, size=(n_a + n_b, dims)) * scale
+    a, b = points[:n_a], points[n_a:]
+    if n_a and draw(st.booleans()):
+        copied = rng.random(n_b) < 0.3
+        b[copied] = a[rng.integers(n_a, size=int(copied.sum()))]
+    return a, b
+
+
+class TestGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_pairs())
+    def test_distances_match_1d_norm_bit_for_bit(self, case):
+        a, b = case
+        got, want = _distances(a, b), distances_loop(a, b)
+        assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("support_radius, next_to_radius, appear_prob, seed", [
+        (1.0, 0.8, 0.15, 0), (0.4, 0.3, 0.0, 1), (1.6, 1.5, 1.0, 2), (2.5, 2.2, 0.5, 3),
+    ])
+    def test_semantic_edges_match_loop(self, support_radius, next_to_radius, appear_prob, seed):
+        cfg = GeneratorConfig(
+            num_environments=3, scans_per_environment=3, objects_min=12, objects_max=24,
+            support_radius=support_radius, next_to_radius=next_to_radius,
+            appear_prob=appear_prob, seed=seed,
+        )
+        tax, specs = default_taxonomy(), _default_class_specs()
+        for e in range(cfg.num_environments):
+            for scan in generate_environment(cfg, e, tax)[0]:
+                want = semantic_edges_loop(scan.nodes, tax, specs, cfg)
+                assert scan.semantic_edges == want, (e, scan.scan_id)
+                assert _semantic_edges(list(scan.nodes), tax, specs, cfg) == want
+                assert all(type(x) is str for ed in want for x in (ed.source_id, ed.target_id))
+
+    def test_semantic_edges_use_id_order_not_node_order(self):
+        # In str order obj1000 < obj999, so ties and next_to direction
+        # follow ids, not the node order below; the distance ties are exact.
+        tax, specs = default_taxonomy(), _default_class_specs()
+        nodes = [
+            make_node(oid, cls=tax.class_index(cls), pos=pos)
+            for oid, cls, pos in [
+                ("obj999", "wall", (3.0, 0.0, 1.0)),
+                ("obj1000", "wall", (5.0, 0.0, 1.0)),
+                ("obj1002", "door", (4.0, 0.0, 1.0)),
+                ("obj998", "table", (1.0, 1.0, 0.75)),
+                ("obj1001", "shelf", (3.0, 1.0, 0.75)),
+                ("obj1003", "cup", (2.0, 1.0, 0.0)),
+                ("obj997", "book", (2.0, 2.0, 0.0)),
+                ("obj1010", "chair", (6.0, 6.0, 0.0)),
+            ]
+        ]
+        scan = make_graph(nodes, tax_name=tax.name)
+        cfg = GeneratorConfig(support_radius=1.5, next_to_radius=2.5)
+        want = semantic_edges_loop(scan.nodes, tax, specs, cfg)
+        assert _semantic_edges(list(scan.nodes), tax, specs, cfg) == want
+        attached_to, standing_on, next_to = (
+            tax.relationship_index(r) for r in ("attached_to", "standing_on", "next_to")
+        )
+        assert want[:3] == (
+            SemanticEdge("obj1002", "obj1000", attached_to),
+            SemanticEdge("obj1003", "obj1001", standing_on),
+            SemanticEdge("obj997", "obj1001", standing_on),
+        )
+        assert SemanticEdge("obj1001", "obj998", next_to) in want
 
 
 class TestDatasetIO:
