@@ -51,11 +51,11 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     """Exact open-path TSP from a fixed start, dynamic programming over subsets.
 
     `cost[mask, j]` is the shortest path from the start through the points
-    in `mask` that ends at `j`. The table is filled one subset size at a
-    time: every mask of size k depends only on masks of size k - 1, so for
-    each endpoint j one vectorized step takes all size-k masks holding j
-    and computes `cost[mask ^ (1 << j), i] + dist[i, j]` for every
-    predecessor i at once.
+    in `mask` that ends at `j`. One numpy step fills each subset size k from
+    size k - 1: every endpoint j is held by C(n - 1, k - 1) size-k masks, so
+    the (j, mask) pairs form an (n, C(n - 1, k - 1)) block, row j in
+    ascending mask order, and `cost[mask ^ (1 << j), i] + dist[i, j]` is
+    computed for every pair and predecessor i at once.
 
     Ties are broken by taking the lowest point index at every argmin (each
     predecessor choice and the final endpoint), so the result is deterministic:
@@ -73,26 +73,26 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     # Subset sizes by shifting, not np.bitwise_count, which needs numpy 2.
     sizes = sum((masks >> b) & 1 for b in range(n))
     cost = np.full((full, n), np.inf)
-    parent = np.full((full, n), -1, dtype=np.int64)
+    parent = np.full((full, n), -1, dtype=np.int8)  # a 2**n table keeps n far below 128
     points_idx = np.arange(n)
+    end = points_idx[:, None]  # row j of a layer block ends at point j
     cost[1 << points_idx, points_idx] = d_start
     for k in range(2, n + 1):
         layer = masks[sizes == k]
-        for j in range(n):
-            ending = layer[(layer >> j) & 1 == 1]
-            # cost[prev, i] is inf unless i is in prev, so no extra masking
-            # is needed beyond excluding j itself.
-            candidates = cost[ending ^ (1 << j)]
-            candidates += dist[:, j]
-            candidates[:, j] = np.inf
-            best = np.argmin(candidates, axis=1)  # argmin takes the lowest index on ties
-            cost[ending, j] = candidates[np.arange(len(ending)), best]
-            parent[ending, j] = best
+        holds = (layer >> end) & 1 == 1
+        ending = np.broadcast_to(layer, holds.shape)[holds].reshape(n, -1)
+        # candidates[j, m, i], inf for i outside prev; i == j is masked whatever dist[j, j] is
+        candidates = cost[ending ^ (1 << end)]
+        candidates += dist.T[:, None, :]
+        candidates[points_idx, :, points_idx] = np.inf
+        best = np.argmin(candidates, axis=2)  # argmin takes the lowest index on ties
+        cost[ending, end] = np.take_along_axis(candidates, best[..., None], 2)[..., 0]
+        parent[ending, end] = best
+        del candidates  # free this layer's block before the next is gathered
     mask = full - 1
     last = int(np.argmin(cost[mask]))
     order = [last]
-    while parent[mask, last] >= 0:
-        prev = int(parent[mask, last])
+    while (prev := int(parent[mask, last])) >= 0:
         mask ^= 1 << last
         order.append(prev)
         last = prev
@@ -272,7 +272,7 @@ class Episode:
         return self.previous_map.positions().mean(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeResult:
     planner: str
     visit_order: tuple[str, ...]  # the visited prefix, in visit order
@@ -405,7 +405,7 @@ class OracleScorer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkRow:
     n: int
     planner: str
@@ -415,7 +415,7 @@ class BenchmarkRow:
     speedup: float  # mean relative distance reduction vs Coverage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkSummary:
     rows: tuple[BenchmarkRow, ...]
     feasible_episodes: int

@@ -156,6 +156,20 @@ def _integer_grid(rng, n):
     return rng.integers(0, 3, size=(n, 2)).astype(np.float64), rng.integers(0, 3, size=2).astype(np.float64)
 
 
+def _start_on_point(rng, n):
+    points = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+    return points, points[rng.integers(0, n)].copy() if n else np.zeros(2)
+
+
+def _all_equal(rng, n):
+    # Every route has the same length, so only the tie rule decides.
+    point = rng.uniform(-5, 5, size=3)
+    return np.tile(point, (n, 1)), point if rng.random() < 0.5 else rng.uniform(-5, 5, size=3)
+
+
+EXACT_CASES = [_uniform_3d, _uniform_2d, _duplicated, _integer_grid, _start_on_point, _all_equal]
+
+
 class TestTsp:
     def test_empty_and_single(self):
         assert held_karp(np.zeros((0, 3)), np.zeros(3)) == []
@@ -198,15 +212,35 @@ class TestTsp:
         assert held_karp(points, np.zeros(3)) == [1, 0]
         assert held_karp(points, np.zeros(3)) == held_karp(points, np.zeros(3))
 
-    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    @pytest.mark.parametrize("make_points", EXACT_CASES)
     def test_exact_matches_loop_reference(self, make_points):
+        # Every size up to 12, then many draws at the sizes most calls see:
+        # phase-1 routes have n + 3 points and fallback tours are often short.
         rng = np.random.default_rng(11)
-        for n in range(13):
+        for trial, n in enumerate(list(range(13)) + [1 + t % 7 for t in range(280)]):
             points, start = make_points(rng, n)
+            order = held_karp(points, start)
+            assert order == held_karp_loop(points, start), (trial, n)
+            assert all(type(k) is int for k in order), order
+
+    def test_exact_ignores_self_distances(self, monkeypatch):
+        # A point is never its own predecessor: those entries are masked,
+        # so even a NaN on the distance diagonal leaves every route as is.
+        def nan_diagonal(pts, start):
+            extended = _extended_distances(pts, start)
+            np.fill_diagonal(extended, np.nan)
+            return extended
+
+        monkeypatch.setattr(planner, "_extended_distances", nan_diagonal)
+        rng = np.random.default_rng(16)
+        for n in range(1, 9):
+            points, start = _integer_grid(rng, n)
             assert held_karp(points, start) == held_karp_loop(points, start), n
 
     def test_exact_memory_at_limit(self):
-        # The two DP tables alone are 2 * 2**15 * 15 * 8 bytes = 7.5 MiB.
+        # A float64 cost table of 2**15 * 15 * 8 bytes = 3.75 MiB, an int8
+        # parent table of 0.47 MiB, and one layer block of at most
+        # 15 * C(14, 7) * 15 * 8 bytes = 5.9 MiB (6.2 MB) at a time.
         rng = np.random.default_rng(12)
         points = rng.uniform(0, 10, size=(EXACT_TSP_LIMIT, 3))
         tracemalloc.start()
