@@ -59,7 +59,6 @@ from .embedding import (
     encode_binary,
     encode_nodes,
     fit_pca,
-    inverse_transform_pca,
     pairwise_distance_percentile,
     resolve_tau,
     transform_pca,

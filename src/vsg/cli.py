@@ -1,5 +1,4 @@
-"""Command-line pipeline: generate, fit-pca, train, eval, predict, plan,
-compare-planners.
+"""Command-line pipeline: generate, train, eval, predict, plan, compare-planners.
 
 Every run echoes its fully resolved configuration (flag > config file >
 built-in default) on one `resolved-config:` line, and is deterministic given
@@ -28,15 +27,8 @@ from .dataset import (
     load_dataset,
     write_dataset,
 )
-from .embedding import encode_nodes, fit_pca
 from .errors import CheckpointError, ConfigError, EvaluationError, UsageError, VsgError
-from .model import (
-    MODEL_KINDS,
-    ModelConfig,
-    _pca_to_dict,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import MODEL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .planner import (
     COVERAGE,
     VSG_PLANNER,
@@ -127,29 +119,6 @@ def cmd_generate(args) -> int:
         f"generated {len(data.environments)} environments x "
         f"{cfg.scans_per_environment} scans -> {samples} samples at {args.out}"
     )
-    return 0
-
-
-def cmd_fit_pca(args) -> int:
-    bundle = load_dataset(_require_dir(args.data, "data"))
-    _echo_config("fit-pca", {"data": args.data, "d_v": args.d_v, "split": args.split, "out": args.out})
-    graphs = [
-        g
-        for env in bundle.environment_ids(args.split if args.split != "all" else None)
-        for g in bundle.environments[env]
-        if g.num_nodes
-    ]
-    if not graphs:
-        raise EvaluationError(f"no scans in split {args.split!r} to fit on")
-    vectors = np.vstack([encode_nodes(g, bundle.taxonomy) for g in graphs])
-    d_v = min(args.d_v, vectors.shape[1])
-    pca = fit_pca(vectors, d_v)
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump({"format_version": 1, "pca": _pca_to_dict(pca)}, f)
-        f.write("\n")
-    retained = float(pca.explained_variance_ratio.sum())
-    print(f"pca: {vectors.shape[0]} vectors, D={vectors.shape[1]} -> d_v={d_v}, "
-          f"variance retained {retained:.4f}")
     return 0
 
 
@@ -397,13 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, help="override the spec's seed")
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("fit-pca", help="fit the node-embedding PCA on a dataset split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--d-v", type=int, default=16, help="number of components to keep")
-    p.add_argument("--split", default="train", choices=["train", "val", "test", "all"])
-    p.add_argument("--out", required=True, help="output PCA JSON file")
-    p.set_defaults(func=cmd_fit_pca)
 
     p = sub.add_parser("train", help="train a variability model")
     p.add_argument("--data", required=True)

@@ -220,6 +220,17 @@ class SceneGraph:
         return np.array([n.position for n in self.nodes], dtype=np.float64)
 
 
+def distance(a, b) -> np.ndarray:
+    """Euclidean distance between a and b along the last axis, broadcast.
+
+    The one distance rule of the package: sqrt of a plain sum of squares,
+    the same bits as np.linalg.norm(a - b, axis=-1) and free of BLAS, whose
+    dot product rounds differently from build to build.
+    """
+    d = np.subtract(a, b, dtype=np.float64)
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def relative_position(g: SceneGraph, i: str, j: str) -> np.ndarray:
     """Position of object j minus position of object i, as a 3-vector."""
     pi = g.node(i).position

@@ -36,6 +36,7 @@ from .core_graph import (
     SemanticEdge,
     Taxonomy,
     _config_from_json,
+    distance,
     _parse_rows,
     _read_json,
     load_scene_graph,
@@ -126,10 +127,7 @@ def compute_labels(
     in the layout `Sample` documents.
 
     Objects are matched purely by id. Ids present only in `future` yield no
-    rows. Displacements are measured row-wise with np.linalg.norm(axis=1),
-    which can differ in the last bit from a 1-D norm of the same vector, so
-    a position label depends on the method only for a displacement within
-    one ulp of epsilon.
+    rows.
     """
     if current.environment_id != future.environment_id:
         raise PairingError(
@@ -145,8 +143,8 @@ def compute_labels(
     # Each node's counterpart in `future`; a vanished node is its own, so it neither
     # moves nor toggles.
     after = [future.node(n.id) if future.has_node(n.id) else n for n in current.nodes]
-    shift = np.array([n.position for n in after]).reshape(-1, 3) - current.positions()
-    moved = np.linalg.norm(shift, axis=1) >= cfg.epsilon
+    after_pos = np.array([n.position for n in after]).reshape(-1, 3)
+    moved = distance(after_pos, current.positions()) >= cfg.epsilon
     state = _state_indicators(current.nodes, tax)
     toggled = (state != _state_indicators(after, tax)).any(axis=1)
     has_state = state.any(axis=1) | (not cfg.require_state_attributes)
@@ -409,17 +407,6 @@ def _propensity(cfg: GeneratorConfig, specs: dict[str, ClassSpec], cls: str) -> 
     return cfg.propensity_overrides.get(cls, specs[cls].propensity)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between the rows of a and b.
-
-    Entry (i, j) is sqrt(d @ d) for d = a[i] - b[j], one BLAS dot per pair:
-    the same float as the 1-D np.linalg.norm(a[i] - b[j]). A sum of squares,
-    einsum, hypot or norm(axis=...) differs from it in the last bit.
-    """
-    d = a[:, None, :] - b[None, :, :]
-    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
-
-
 def _place(
     rng: np.random.Generator,
     cfg: GeneratorConfig,
@@ -436,7 +423,7 @@ def _place(
         else:
             offset = rng.uniform(-0.6 * cfg.support_radius, 0.6 * cfg.support_radius, size=2)
             p = np.array([*np.clip(near[:2] + offset, 0.3, (rx - 0.3, ry - 0.3)), z])
-        if (_distances(p[None, :2], np.reshape(taken, (-1, 3))[:, :2]) >= cfg.min_spacing).all():
+        if (distance(p[:2], np.reshape(taken, (-1, 3))[:, :2]) >= cfg.min_spacing).all():
             taken.append(p)
             return p
     raise GeneratorError(
@@ -478,7 +465,7 @@ def _semantic_edges(
     def nearest(rows, candidates, dims):
         """Per row, the candidate at the least (distance, id), and that distance."""
         candidates = candidates[np.argsort(rank[candidates])]
-        d = _distances(pos[rows, :dims], pos[candidates, :dims])
+        d = distance(pos[rows, None, :dims], pos[None, candidates, :dims])
         k = d.argmin(axis=1)
         return candidates[k], d[np.arange(len(rows)), k]
 
@@ -493,7 +480,7 @@ def _semantic_edges(
         for i, j in zip(placed[d < cfg.support_radius], s[d < cfg.support_radius]):
             by_node[i] = SemanticEdge(ids[i], ids[j], standing_on)
     m = np.flatnonzero(~structure)
-    close = _distances(pos[m, :2], pos[m, :2]) < cfg.next_to_radius
+    close = distance(pos[m, None, :2], pos[None, m, :2]) < cfg.next_to_radius
     pairs = zip(*np.nonzero(close & (rank[m][:, None] < rank[m][None, :])))
     return tuple(by_node[i] for i in sorted(by_node)) + tuple(
         SemanticEdge(ids[m[a]], ids[m[b]], next_to) for a, b in pairs
@@ -562,7 +549,7 @@ def _transition(
     rx, ry, _ = cfg.room_size
     xy = np.array([n.position for n in nodes]).reshape(-1, 3)[:, :2]
     support = np.array([specs[tax.classes[n.class_index]].is_support for n in nodes], dtype=bool)
-    near_support = (_distances(xy, xy[support]) < cfg.support_radius).any(axis=1)
+    near_support = (distance(xy[:, None], xy[None, support]) < cfg.support_radius).any(axis=1)
     moved: dict[str, float] = {}
     toggled: set[str] = set()
     vanished: set[str] = set()
@@ -586,7 +573,7 @@ def _transition(
                     [dist * math.cos(angle), dist * math.sin(angle), 0.0]
                 )
                 if 0.0 <= candidate[0] <= rx and 0.0 <= candidate[1] <= ry:
-                    moved[n.id] = float(np.linalg.norm(candidate - position))
+                    moved[n.id] = float(distance(candidate, position))
                     position = candidate
                     break
         elif not spec.is_structure and cfg.jitter_fraction > 0:

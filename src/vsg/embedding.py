@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_graph import ObjectNode, SceneGraph, Taxonomy
+from .core_graph import ObjectNode, SceneGraph, Taxonomy, distance
 from .errors import ConfigError, DimensionError
 
 # Singular values below this fraction of the largest are treated as zero rank.
@@ -120,14 +120,6 @@ def transform_pca(m: PcaModel, v: np.ndarray) -> np.ndarray:
     return (v - m.mean) @ m.components.T
 
 
-def inverse_transform_pca(m: PcaModel, y: np.ndarray) -> np.ndarray:
-    """Map PCA coordinates back to the original space (best rank-d_v guess)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1] != m.d_v:
-        raise DimensionError(f"coordinate length {y.shape[-1]} does not match d_v {m.d_v}")
-    return y @ m.components + m.mean
-
-
 @dataclass(frozen=True)
 class EdgeConfig:
     """Geometric edge threshold tau (meters) and semantic-edge switch."""
@@ -176,8 +168,7 @@ def build_edges(
     n = g.num_nodes
     num_rel = tax.num_relationships
     pos = g.positions()
-    delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = pos_j - pos_i
-    adjacent = np.linalg.norm(delta, axis=2) < cfg.tau
+    adjacent = distance(pos[:, None, :], pos[None, :, :]) < cfg.tau
     np.fill_diagonal(adjacent, False)
     semantic = np.array(
         [
@@ -193,7 +184,7 @@ def build_edges(
     edge_features = np.zeros((len(edge_index), num_rel + 3), dtype=np.float64)
     rows = np.searchsorted(src * n + tgt, semantic[:, 0] * n + semantic[:, 1])
     edge_features[rows, semantic[:, 2]] = 1.0
-    edge_features[:, num_rel:] = delta[src, tgt]
+    edge_features[:, num_rel:] = pos[tgt] - pos[src]
     return edge_index, edge_features
 
 
@@ -220,10 +211,8 @@ def pairwise_distance_percentile(graphs: Iterable[SceneGraph], percentile: float
         if g.num_nodes < 2:
             continue
         pos = g.positions()
-        delta = pos[None, :, :] - pos[:, None, :]
-        dist = np.linalg.norm(delta, axis=2)
-        iu = np.triu_indices(g.num_nodes, k=1)
-        distances.append(dist[iu])
+        i, j = np.triu_indices(g.num_nodes, k=1)
+        distances.append(distance(pos[i], pos[j]))
     if not distances:
         raise ConfigError("no graph with at least two nodes; tau percentile undefined")
     pooled = np.concatenate(distances)

@@ -8,7 +8,7 @@ on frozen parameters is safe to run concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -228,32 +228,3 @@ class Adam:
         v *= self.beta2
         v += (1.0 - self.beta2) * g**2
         self.store.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def numerical_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central finite differences of a scalar function, entry by entry."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for k in range(flat.shape[0]):
-        orig = flat[k]
-        flat[k] = orig + h
-        fp = f(x)
-        flat[k] = orig - h
-        fm = f(x)
-        flat[k] = orig
-        gflat[k] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
-    """max |a-b| / max(|a|, |b|, floor), the usual gradient-check metric."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / denom))

@@ -16,13 +16,6 @@ that coverage tours go to `heuristic_tsp` and phase-1 routes to
   a tour: of the 18 tours, the one of env001/scan01 is where taking the
   lowest-cost Or-opt move instead of the first improving one shows.
 
-Two of these outputs go through BLAS: the generator's object-to-object
-distances and each walk distance in `routes.csv` are 1-D `np.linalg.norm`,
-a BLAS `ddot`. The files were written on numpy 2.4.6 with scipy-openblas
-0.3.31 (Haswell kernel), where `ddot` is a chain of fused multiply-adds
-that differs from the plain sum of squares for 4,193 of 20,000
-standard-normal 3-vectors; another BLAS build can change those digits.
-
 `tests/test_golden.py` rebuilds them in process and compares byte for
 byte. A change that makes this script rewrite a file changes outputs: name
 the file and the reason in CHANGES.md.

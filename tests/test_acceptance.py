@@ -50,10 +50,10 @@ from vsg import (
     train,
     write_dataset,
 )
-from vsg.nn_core import max_relative_error, numerical_gradient
 from vsg.planner import changed_object_ids
 
 from conftest import build_tiny_tax, make_graph, make_node, random_embedded_graph
+from gradcheck import max_relative_error, numerical_gradient
 from test_model import jitter_params, make_layer, make_model, mp_conv_oracle
 
 # Change rates that depend strongly on the object's class and, for the

@@ -10,7 +10,6 @@ import os
 import shutil
 import subprocess
 
-import numpy as np
 import pytest
 
 from vsg import load_checkpoint, load_scene_graph, ranked_route, route_length, scene_graph_to_dict
@@ -73,8 +72,8 @@ class TestExitCodes:
         assert dispatch(["generate"]) == 2
 
     def test_missing_data_dir_is_domain_error(self, tmp_path, capsys):
-        rc = dispatch(["fit-pca", "--data", str(tmp_path / "nope"),
-                       "--out", str(tmp_path / "pca.json")])
+        rc = dispatch(["train", "--data", str(tmp_path / "nope"),
+                       "--out", str(tmp_path / "m.json")])
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ConfigError:")
@@ -144,19 +143,6 @@ class TestGenerate:
                 ours = os.path.join(dirpath, name)
                 theirs = os.path.join(again, rel, name)
                 assert read(ours) == read(theirs), os.path.join(rel, name)
-
-
-class TestFitPca:
-    def test_writes_orthonormal_components(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "pca.json"
-        assert dispatch(["fit-pca", "--data", str(pipeline["data"]),
-                         "--d-v", "6", "--out", str(out)]) == 0
-        assert "variance retained" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["format_version"] == 1
-        comps = np.array(payload["pca"]["components"])
-        assert comps.shape[0] == 6
-        np.testing.assert_allclose(comps @ comps.T, np.eye(6), atol=1e-6)
 
 
 class TestTrainEval:

@@ -1,8 +1,11 @@
 """Label computation, pair augmentation, importance sampling, the synthetic
 changing-scene generator with its oracle log, and dataset IO / ingestion."""
 
+import ast
 import json
 import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,9 +40,12 @@ from vsg import (
     write_dataset,
 )
 
-from vsg.dataset import _default_class_specs, _distances, _semantic_edges
+from vsg.core_graph import distance
+from vsg.dataset import _default_class_specs, _semantic_edges
 
 from conftest import build_tiny_tax, label_rows, make_graph, make_node, make_sample, tiny_graphs
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vsg"
 
 
 def label_of(y_p=0, y_s=0, y_i=0, m_p=1, m_s=1):
@@ -449,17 +455,22 @@ class TestGenerator:
         assert ds.splits == generate_dataset(cfg).splits
 
 
+def norm_loop(v) -> float:
+    """Square root of the plain sum of squares, added left to right in Python."""
+    return math.sqrt(sum(x * x for x in np.asarray(v).tolist()))
+
+
 def distances_loop(a, b):
-    """Reference for `_distances`: one 1-D np.linalg.norm per pair."""
+    """Reference for `distance`: one `norm_loop` per pair."""
     out = np.empty((len(a), len(b)))
     for i in range(len(a)):
         for j in range(len(b)):
-            out[i, j] = np.linalg.norm(a[i] - b[j])
+            out[i, j] = norm_loop(a[i] - b[j])
     return out
 
 
 def semantic_edges_loop(nodes, tax, specs, cfg):
-    """The generator's edges before `_distances`: a Python loop per pair."""
+    """The generator's edges as a Python loop per pair."""
     standing_on = tax.relationship_index("standing_on")
     next_to = tax.relationship_index("next_to")
     attached_to = tax.relationship_index("attached_to")
@@ -473,13 +484,13 @@ def semantic_edges_loop(nodes, tax, specs, cfg):
         if cls == "door" and walls:
             nearest = min(
                 walls,
-                key=lambda w: (np.linalg.norm(np.array(n.position) - np.array(w.position)), w.id),
+                key=lambda w: (norm_loop(np.array(n.position) - np.array(w.position)), w.id),
             )
             edges.append(SemanticEdge(n.id, nearest.id, attached_to))
         if spec.is_support or spec.is_structure or not supports:
             continue
         dists = [
-            (float(np.linalg.norm(np.array(n.position)[:2] - np.array(s.position)[:2])), s.id)
+            (norm_loop(np.array(n.position)[:2] - np.array(s.position)[:2]), s.id)
             for s in supports
         ]
         d, sid = min(dists)
@@ -490,7 +501,7 @@ def semantic_edges_loop(nodes, tax, specs, cfg):
         for b in movable:
             if a.id >= b.id:
                 continue
-            d = float(np.linalg.norm(np.array(a.position)[:2] - np.array(b.position)[:2]))
+            d = norm_loop(np.array(a.position)[:2] - np.array(b.position)[:2])
             if d < cfg.next_to_radius:
                 edges.append(SemanticEdge(a.id, b.id, next_to))
     return tuple(edges)
@@ -512,12 +523,36 @@ def point_pairs(draw):
     return a, b
 
 
+def _dot_product_sites(path: Path) -> list[tuple[str, str]]:
+    """(file, top-level definition) of each `linalg.norm`, `.dot`, `matmul`
+    or `@` in a module: the ways to measure a distance through BLAS."""
+    sites = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in ("norm", "dot", "matmul")
+                or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            ):
+                sites.append((path.name, getattr(top, "name", "<module>")))
+    return sites
+
+
 class TestGeometry:
+    def test_distances_go_through_the_one_rule(self):
+        # The generator, the labels, the edges and the planner measure every
+        # distance with core_graph.distance; the one matmul left is the PCA
+        # projection, which is no distance.
+        sites = [
+            site for name in ("dataset.py", "embedding.py", "planner.py")
+            for site in _dot_product_sites(SRC / name)
+        ]
+        assert sites == [("embedding.py", "transform_pca")]
+
     @settings(max_examples=300, deadline=None)
     @given(case=point_pairs())
     def test_distances_match_1d_norm_bit_for_bit(self, case):
         a, b = case
-        got, want = _distances(a, b), distances_loop(a, b)
+        got, want = distance(a[:, None, :], b[None, :, :]), distances_loop(a, b)
         assert got.shape == (len(a), len(b)) and got.dtype == np.float64
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

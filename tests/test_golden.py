@@ -1,15 +1,9 @@
 """The golden gate: generator files, labels, draw weights and oracle routes
 match the committed files in tests/golden byte for byte.
 
-None of these outputs depends on training, so they are compared on any
-numpy build. They are not wholly free of BLAS, though: the generator's
-object-to-object distances and every walk distance in `routes.csv` are 1-D
-`np.linalg.norm`, which is `sqrt(x.dot(x))`, a BLAS `ddot`. The files were
-written on numpy 2.4.6 with scipy-openblas 0.3.31 (Haswell kernel), whose
-`ddot` is a chain of fused multiply-adds; it differs from the plain sum of
-squares for 4,193 of 20,000 standard-normal 3-vectors. On a build whose
-`ddot` rounds otherwise, a walk distance can differ in its last digit and
-fail this gate with no fault in the code. `tests/golden/regenerate.py`
+None of these outputs depends on training or on BLAS: every distance
+goes through `core_graph.distance`, a plain sum of squares in numpy. So
+they are compared on any numpy build. `tests/golden/regenerate.py`
 documents the world and rewrites the files when an output change is
 intended.
 """

@@ -233,17 +233,17 @@ CLI_CASES = {
         "ParseError", ["edge 0"]),
     "scene-timestamp-not-a-number": (
         "predict", lambda w: _scene(w, timestamp="x"), "ParseError", ["timestamp"]),
-    "manifest-top-level-list": ("fit-pca", lambda w: _manifest(w, None), "ParseError", ["object"]),
+    "manifest-top-level-list": ("train --data", lambda w: _manifest(w, None), "ParseError", ["object"]),
     "manifest-entry-not-an-object": (
-        "fit-pca", lambda w: _manifest(w, [5]), "ParseError", ["environment 0"]),
+        "train --data", lambda w: _manifest(w, [5]), "ParseError", ["environment 0"]),
     "manifest-entry-without-scans": (
-        "fit-pca", lambda w: _manifest(w, [{"environment_id": "env000"}]), "ParseError",
+        "train --data", lambda w: _manifest(w, [{"environment_id": "env000"}]), "ParseError",
         ["environment 0", "scans"]),
     "manifest-scans-not-a-list": (
-        "fit-pca", lambda w: _manifest(w, [{"environment_id": "env000", "scans": 5}]),
+        "train --data", lambda w: _manifest(w, [{"environment_id": "env000", "scans": 5}]),
         "ParseError", ["environment 0"]),
     "manifest-entry-without-id": (
-        "fit-pca", lambda w: _manifest(w, [{"scans": ["scan00"]}]), "ParseError",
+        "train --data", lambda w: _manifest(w, [{"scans": ["scan00"]}]), "ParseError",
         ["environment 0", "environment_id"]),
     "generator-spec-list": ("generate", lambda w: [1, 2], "ConfigError", ["object"]),
     "generator-spec-nested-too-deeply": ("generate", lambda w: "[" * 100_000, "ConfigError", ["depth"]),
@@ -255,11 +255,11 @@ CLI_CASES = {
 @pytest.mark.parametrize("case", list(CLI_CASES))
 def test_malformed_file_is_one_error_line(world, tmp_path, case):
     command, content, kind, words = CLI_CASES[case]
-    if command == "fit-pca":
+    if command == "train --data":
         data = tmp_path / "data"
         shutil.copytree(world["data"], data)
         bad = data / "manifest.json"
-        argv = ["fit-pca", "--data", str(data), "--out", str(tmp_path / "pca.json")]
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]
     else:
         bad = tmp_path / "file.json"
         argv = {
@@ -283,7 +283,7 @@ def test_unreadable_file_is_the_callers_error_kind(world, tmp_path):
     (data / "manifest.json").mkdir()
     with pytest.raises(ParseError, match="manifest.json"):
         load_dataset(data)
-    argv = ["fit-pca", "--data", str(data), "--out", str(tmp_path / "pca.json")]
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]
     assert str(data / "manifest.json") in assert_one_error_line(*run_cli(argv), "ParseError:")
 
 

@@ -22,9 +22,10 @@ from vsg import (
     save_checkpoint,
 )
 from vsg.model import MpConv, _scatter_add
-from vsg.nn_core import Mlp, ParamStore, max_relative_error, numerical_gradient
+from vsg.nn_core import Mlp, ParamStore
 
 from conftest import identity_pca, random_embedded_graph
+from gradcheck import max_relative_error, numerical_gradient
 
 GRAD_TOL = 1e-4
 # Floor for full-model checks: sigmoid squashing leaves some weight

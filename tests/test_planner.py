@@ -407,6 +407,16 @@ class UniformScorer:
         return {oid: (self.value,) * 3 for oid in g.node_ids}
 
 
+class FixedScorer:
+    """Returns the same given probabilities for any graph."""
+
+    def __init__(self, probabilities):
+        self.probabilities = probabilities
+
+    def predict_probabilities(self, g, tax):
+        return self.probabilities
+
+
 def cluster_episode(tiny_tax, n=2):
     """Eight decoys clustered near the start, two changed objects far away."""
     nodes = [
@@ -518,6 +528,36 @@ class TestVsgPlanner:
                     total += float(np.linalg.norm(positions[oid] - pos))
                     pos = positions[oid]
                 assert result.distance_traveled == pytest.approx(total, abs=1e-12), trial
+
+    def test_distance_is_route_length_of_the_visited_prefix(self, tiny_tax):
+        # Random 8-object maps with 0-4 changes, n = 1-3, and random scores, so
+        # some guided walks need the fallback and some Coverage walks run out.
+        rng = np.random.default_rng(3)
+        fallbacks = 0
+        for trial in range(400):
+            points = rng.uniform(0, 8, size=(8, 3))
+            moved = rng.choice(8, size=int(rng.integers(0, 5)), replace=False)
+            after = points.copy()
+            after[moved, 1] += 1.0
+            ids = [f"o{k}" for k in range(8)]
+            ep = Episode(
+                make_graph([make_node(i, attrs=(1,), pos=tuple(p)) for i, p in zip(ids, points)], scan="s0"),
+                make_graph([make_node(i, attrs=(1,), pos=tuple(p)) for i, p in zip(ids, after)], scan="s1", t=1),
+                n=int(rng.integers(1, 4)),
+                start_position=tuple(rng.uniform(0, 8, size=3)) if trial % 2 else None,
+            )
+            scorer = FixedScorer({i: tuple(rng.random(3)) for i in ids})
+            begin = ep.start()
+            for result in (run_coverage(ep, tiny_tax), run_vsg_planner(ep, scorer, tiny_tax)):
+                order = [ep.previous_map.node_index(oid) for oid in result.visit_order]
+                # The fallback starts where the whole phase-1 route of n + 3 objects ended.
+                cut = ep.n + 3 if result.fallback_used else len(order)
+                want = route_length(points, begin, order[:cut])
+                if result.fallback_used:
+                    fallbacks += 1
+                    want += route_length(points, points[order[cut - 1]], order[cut:])
+                assert result.distance_traveled == want, (trial, result.planner)
+        assert fallbacks > 50
 
 
 def scan_pair_episodes(rng, num_objects, num_moved, n_values=(1, 2, 3)):

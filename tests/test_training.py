@@ -31,9 +31,10 @@ from vsg import (
 import vsg.model as model_module
 import vsg.training as training_module
 from vsg.model import MpConv, checkpoint_to_json
-from vsg.nn_core import Adam, Mlp, max_relative_error, numerical_gradient
+from vsg.nn_core import Adam, Mlp
 
 from conftest import make_graph, make_node, make_sample
+from gradcheck import max_relative_error, numerical_gradient
 from test_model import scatter_add_reference
 
 
