@@ -8,7 +8,6 @@ import tempfile
 from pathlib import Path
 
 from vsg import (
-    DatasetBundle,
     GeneratorConfig,
     LossConfig,
     ModelConfig,
@@ -30,8 +29,7 @@ def main():
         objects_max=16,
         seed=42,
     )
-    data = generate_dataset(cfg)
-    bundle = DatasetBundle(data.taxonomy, data.environments, data.splits)
+    bundle = generate_dataset(cfg)
     counts = {s: len(bundle.environment_ids(s)) for s in ("train", "val", "test")}
     print(f"{cfg.num_environments} environments split {counts}")
 

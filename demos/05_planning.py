@@ -15,7 +15,6 @@ import numpy as np
 
 from vsg import (
     ClassPropensity,
-    DatasetBundle,
     GeneratorConfig,
     LossConfig,
     ModelConfig,
@@ -50,8 +49,7 @@ def main():
         seed=7,
         propensity_overrides=RESTLESS,
     )
-    data = generate_dataset(cfg)
-    bundle = DatasetBundle(data.taxonomy, data.environments, data.splits)
+    bundle = generate_dataset(cfg)
     model, _ = train(
         bundle,
         ModelConfig(kind="deltavsg", d_v=20, hidden_dim=32, tau=2.0),

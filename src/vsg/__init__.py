@@ -29,7 +29,6 @@ from .dataset import (
     DatasetBundle,
     GeneratedDataset,
     GeneratorConfig,
-    IngestReport,
     LabelConfig,
     LabelStats,
     Sample,
@@ -56,7 +55,6 @@ from .embedding import (
     PcaModel,
     build_edges,
     embed,
-    encode_binary,
     encode_nodes,
     fit_pca,
     pairwise_distance_percentile,

@@ -44,8 +44,9 @@ from .planner import (
 from .training import (
     LossConfig,
     TrainConfig,
-    evaluate,
-    threshold_sweep,
+    _evaluate_at,
+    _probabilities,
+    _sweep_rows,
     train,
     write_eval_csv,
     write_sweep_csv,
@@ -212,10 +213,11 @@ def cmd_eval(args) -> int:
         },
     )
     samples = _split_samples(bundle, args.split, label_cfg)
-    report = evaluate(model, samples, bundle.taxonomy, threshold=args.threshold)
+    probs = _probabilities(model, samples, bundle.taxonomy)
+    report = _evaluate_at(probs, samples, args.threshold)
     write_eval_csv(report, args.report)
     if args.sweep:
-        write_sweep_csv(threshold_sweep(model, samples, bundle.taxonomy), args.sweep)
+        write_sweep_csv(_sweep_rows(probs, samples), args.sweep)
     for name in ("position", "state", "instance", "pooled"):
         m = report.metrics[name]
         print(

@@ -231,6 +231,14 @@ def distance(a, b) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=-1))
 
 
+def _attribute_indicators(nodes: Sequence[ObjectNode], tax: Taxonomy) -> np.ndarray:
+    """(N, |A|) bool: node i holds the a-th attribute of `tax`."""
+    held = np.zeros((len(nodes), tax.num_attributes), dtype=bool)
+    rows = [i for i, node in enumerate(nodes) for _ in node.attribute_indices]
+    held[rows, [a for node in nodes for a in node.attribute_indices]] = True
+    return held
+
+
 def relative_position(g: SceneGraph, i: str, j: str) -> np.ndarray:
     """Position of object j minus position of object i, as a 3-vector."""
     pi = g.node(i).position

@@ -13,11 +13,11 @@ and nodes without state-kind attributes carry no state supervision. Objects
 appearing in the later scan produce no rows at all; the input graph defines
 the node set.
 
-Three data sources are provided: a synthetic changing-scene generator whose
-oracle change log makes labels exactly checkable, a dataset directory format
-(one JSON scene graph per scan plus a manifest with scan order and an
-environment-level split), and an ingestion adapter for graph exports laid
-out in the 3RScan/3DSSG style.
+Three data sources are provided, and each gives a `DatasetBundle`: a
+synthetic changing-scene generator whose oracle change log makes labels
+exactly checkable, a dataset directory format (one JSON scene graph per scan
+plus a manifest with scan order and an environment-level split), and an
+ingestion adapter for graph exports laid out in the 3RScan/3DSSG style.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core_graph import (
     SceneGraph,
     SemanticEdge,
     Taxonomy,
+    _attribute_indicators,
     _config_from_json,
     distance,
     _parse_rows,
@@ -101,10 +102,7 @@ class Sample:
 
 def _state_indicators(nodes, tax: Taxonomy) -> np.ndarray:
     """(N, S) bool: node i holds the s-th state-kind attribute of `tax`."""
-    held = np.zeros((len(nodes), tax.num_attributes), dtype=bool)
-    rows = [i for i, node in enumerate(nodes) for _ in node.attribute_indices]
-    held[rows, [a for node in nodes for a in node.attribute_indices]] = True
-    return held[:, sorted(tax.state_attribute_indices)]
+    return _attribute_indicators(nodes, tax)[:, sorted(tax.state_attribute_indices)]
 
 
 def _label_arrays(vanished, moved, toggled, has_state) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +210,29 @@ def importance_sample(samples: list[Sample], stats: LabelStats | None = None) ->
         total_mask = s.masks.sum()
         weights[k] = element_w.sum() / total_mask if total_mask else 1.0
     return weights / weights.sum()
+
+
+@dataclass(frozen=True)
+class DatasetBundle:
+    """A dataset, generated, loaded or ingested: taxonomy, per-environment
+    scans (insertion-ordered by environment id) and environment splits."""
+
+    taxonomy: Taxonomy
+    environments: dict[str, list[SceneGraph]]
+    splits: dict[str, str]  # environment id -> train/val/test
+
+    def environment_ids(self, split: str | None = None) -> list[str]:
+        if split is None:
+            return list(self.environments)
+        if split not in SPLIT_NAMES:
+            raise ConfigError(f"unknown split {split!r}; expected one of {SPLIT_NAMES}")
+        return [e for e in self.environments if self.splits.get(e) == split]
+
+    def samples(self, split: str | None = None, cfg: LabelConfig = LabelConfig()) -> list[Sample]:
+        out: list[Sample] = []
+        for env in self.environment_ids(split):
+            out.extend(make_samples(self.environments[env], self.taxonomy, cfg))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +676,10 @@ def labels_from_log(
 
 
 @dataclass(frozen=True)
-class GeneratedDataset:
-    taxonomy: Taxonomy
-    environments: dict[str, list[SceneGraph]]  # insertion-ordered by env id
+class GeneratedDataset(DatasetBundle):
+    """A generated dataset, with the generator's change log per environment."""
+
     logs: dict[str, list[TransitionLog]]
-    splits: dict[str, str]  # environment id -> train/val/test
 
 
 def _assign_splits(env_ids: list[str], fractions: tuple[float, float, float], seed: int) -> dict[str, str]:
@@ -694,34 +714,12 @@ def generate_dataset(cfg: GeneratorConfig) -> GeneratedDataset:
         environments[scans[0].environment_id] = scans
         logs[scans[0].environment_id] = env_logs
     splits = _assign_splits(list(environments), cfg.split_fractions, cfg.seed)
-    return GeneratedDataset(tax, environments, logs, splits)
+    return GeneratedDataset(tax, environments, splits, logs)
 
 
 # ---------------------------------------------------------------------------
 # Dataset directory format
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatasetBundle:
-    """A loaded dataset directory: taxonomy, per-environment scans, splits."""
-
-    taxonomy: Taxonomy
-    environments: dict[str, list[SceneGraph]]
-    splits: dict[str, str]
-
-    def environment_ids(self, split: str | None = None) -> list[str]:
-        if split is None:
-            return list(self.environments)
-        if split not in SPLIT_NAMES:
-            raise ConfigError(f"unknown split {split!r}; expected one of {SPLIT_NAMES}")
-        return [e for e in self.environments if self.splits.get(e) == split]
-
-    def samples(self, split: str | None = None, cfg: LabelConfig = LabelConfig()) -> list[Sample]:
-        out: list[Sample] = []
-        for env in self.environment_ids(split):
-            out.extend(make_samples(self.environments[env], self.taxonomy, cfg))
-        return out
 
 
 def write_dataset(
@@ -773,6 +771,11 @@ def load_dataset(root) -> DatasetBundle:
     for env_id, split, scan_ids in entries:
         if split not in SPLIT_NAMES:
             raise ParseError(f"{manifest_path}: environment {env_id!r} has bad split {split!r}")
+        if env_id in environments:
+            raise ParseError(f"{manifest_path}: environment {env_id!r} is listed twice")
+        if len(set(scan_ids)) < len(scan_ids):
+            repeated = max(scan_ids, key=scan_ids.count)
+            raise ParseError(f"{manifest_path}: environment {env_id!r} lists scan {repeated!r} twice")
         environments[env_id] = [
             load_scene_graph(os.path.join(root, env_id, f"{scan_id}.json"), taxonomy)
             for scan_id in scan_ids
@@ -784,15 +787,6 @@ def load_dataset(root) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 # 3RScan/3DSSG-style layout ingestion
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    environments: int
-    scans: int
-    samples: int
-    skipped_environments: tuple[str, ...]
-    stats: LabelStats
 
 
 _KIND_MAP = {"state": "state", "dynamic": "state", "affordance": "affordance"}
@@ -846,7 +840,7 @@ def _object_attributes(obj: dict) -> list[tuple[str, str]]:
     return [(str(name), "static") for name in attrs]
 
 
-def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
+def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
     """Ingest a directory laid out in the 3RScan/3DSSG export style.
 
     Expected layout:
@@ -856,17 +850,18 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
       <root>/<scan>/relationships.json  optional {"relationships":
                                      [[source_id, target_id, name], ...]}
 
-    Environments whose mapping entry or scan files are missing or malformed
-    are skipped with a warning; a malformed index is a ParseError. The
-    taxonomy is built from the union of observed labels, attributes, and
-    relationship names.
+    Returns the bundle and the ids of the skipped environments. Environments
+    whose mapping entry or scan files are missing or malformed are skipped
+    with a warning; a malformed index is a ParseError. Every usable
+    environment is in the "train" split, in id order. The taxonomy is built
+    from the union of observed labels, attributes, and relationship names.
     """
-    # Returned, with an empty report, when nothing usable is found.
+    # The taxonomy of the empty bundle returned when nothing usable is found.
     placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
     index_path = os.path.join(root, "3RScan.json")
     if not os.path.isfile(index_path):
         logger.warning("%s: no 3RScan.json index; returning empty dataset", root)
-        return [], placeholder, IngestReport(0, 0, 0, (), label_statistics([]))
+        return DatasetBundle(placeholder, {}, {}), ()
     index = _read_json(index_path, "3RScan index", expect=list)
     scan_lists: dict[str, list[str]] = {}
     skipped: list[str] = []
@@ -900,7 +895,7 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
             relations.update(name for _, _, name in rels)
 
     if not usable:
-        return [], placeholder, IngestReport(0, 0, 0, tuple(skipped), label_statistics([]))
+        return DatasetBundle(placeholder, {}, {}), tuple(skipped)
 
     if not any(kind == "state" for kind in attributes.values()):
         attributes["unobserved_state"] = "state"  # placeholder; never assigned
@@ -913,8 +908,7 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
         relationships=tuple(sorted(relations)),
     )
 
-    samples: list[Sample] = []
-    total_scans = 0
+    environments: dict[str, list[SceneGraph]] = {}
     for env_id, scan_ids in sorted(usable.items()):
         scans = []
         for t, scan_id in enumerate(scan_ids):
@@ -944,14 +938,5 @@ def ingest_3rscan_layout(root) -> tuple[list[Sample], Taxonomy, IngestReport]:
                     semantic_edges=edges,
                 )
             )
-        total_scans += len(scans)
-        samples.extend(make_samples(scans, taxonomy))
-
-    report = IngestReport(
-        environments=len(usable),
-        scans=total_scans,
-        samples=len(samples),
-        skipped_environments=tuple(skipped),
-        stats=label_statistics(samples),
-    )
-    return samples, taxonomy, report
+        environments[env_id] = scans
+    return DatasetBundle(taxonomy, environments, dict.fromkeys(environments, "train")), tuple(skipped)

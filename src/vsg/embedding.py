@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_graph import ObjectNode, SceneGraph, Taxonomy, distance
+from .core_graph import SceneGraph, Taxonomy, _attribute_indicators, distance
 from .errors import ConfigError, DimensionError
 
 # Singular values below this fraction of the largest are treated as zero rank.
@@ -23,20 +23,10 @@ _RANK_TOL = 1e-12
 TAU_PERCENTILES = {"p25": 25.0, "p50": 50.0, "p75": 75.0, "p100": 100.0}
 
 
-def encode_binary(node: ObjectNode, tax: Taxonomy) -> np.ndarray:
-    """Binary vector [class one-hot | attribute multi-hot], length |O|+|A|."""
-    out = np.zeros(tax.num_classes + tax.num_attributes, dtype=np.float64)
-    out[node.class_index] = 1.0
-    for a in node.attribute_indices:
-        out[tax.num_classes + a] = 1.0
-    return out
-
-
 def encode_nodes(g: SceneGraph, tax: Taxonomy) -> np.ndarray:
-    """Stack encode_binary over all nodes, (N, |O|+|A|), in node order."""
-    if g.num_nodes == 0:
-        return np.zeros((0, tax.num_classes + tax.num_attributes))
-    return np.stack([encode_binary(n, tax) for n in g.nodes])
+    """Binary rows [class one-hot | attribute multi-hot], (N, |O|+|A|), in node order."""
+    classes = np.eye(tax.num_classes)[[n.class_index for n in g.nodes]]
+    return np.hstack([classes, _attribute_indicators(g.nodes, tax)])
 
 
 @dataclass(frozen=True)

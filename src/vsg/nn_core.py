@@ -147,13 +147,8 @@ class Mlp:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """x is (N, input_dim); returns (y, cache) with y (N, output_dim)."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"input width {x.shape[1]} does not match first layer size {self.input_dim}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(f"input shape {x.shape} is not (N, {self.input_dim})")
         cache = []
         h = x
         last = len(self.weights) - 1
@@ -165,23 +160,18 @@ class Mlp:
                 a = z
             cache.append((h, z))
             h = a
-        if squeeze:
-            return h[0], cache
         return h, cache
 
     def backward(self, cache: list, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Add parameter gradients (+=); return the input gradient, or None if not input_grad."""
         dy = np.asarray(dy, dtype=np.float64)
-        squeeze = dy.ndim == 1
-        if squeeze:
-            dy = dy[None, :]
         if len(cache) != len(self.weights):
             raise DimensionError("cache does not match this MLP")
         da = dy
         last = len(self.weights) - 1
         for l in range(last, -1, -1):
             h, z = cache[l]
-            if h.shape[0] != da.shape[0] or da.shape[1] != self.weights[l].value.shape[1]:
+            if da.shape != (h.shape[0], self.weights[l].value.shape[1]):
                 raise DimensionError("stale cache shape in MLP backward")
             if l < last:
                 dz = da * (z > 0)
@@ -192,8 +182,6 @@ class Mlp:
             if l == 0 and not input_grad:
                 return None
             da = dz @ self.weights[l].value.T
-        if squeeze:
-            return da[0]
         return da
 
 

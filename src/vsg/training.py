@@ -355,21 +355,15 @@ def _evaluate_at(probs: list[np.ndarray], samples: list[Sample], threshold: floa
     )
 
 
-def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalReport:
-    """Run the model over labeled samples and report per-variability metrics."""
-    if not samples:
-        raise EvaluationError("nothing to evaluate: empty sample set")
-    graphs = _embed_inputs(samples, tax, model.pca, model.edge_config)
-    return _evaluate_at(_eval_probabilities(model, graphs), samples, threshold)
+SWEEP_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
-def threshold_sweep(
-    model, samples: list[Sample], tax, thresholds: list[float] | None = None
-) -> list[dict]:
-    """Precision/recall per variability type across decision thresholds."""
-    if thresholds is None:
-        thresholds = [round(0.05 * k, 2) for k in range(1, 20)]
-    probs = _eval_probabilities(model, _embed_inputs(samples, tax, model.pca, model.edge_config))
+def _probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
+    """The model's eval-mode probabilities for each sample, embedding every scan once."""
+    return _eval_probabilities(model, _embed_inputs(samples, tax, model.pca, model.edge_config))
+
+
+def _sweep_rows(probs, samples: list[Sample], thresholds=SWEEP_THRESHOLDS) -> list[dict]:
     rows = []
     for th in thresholds:
         rep = _evaluate_at(probs, samples, th)
@@ -385,6 +379,23 @@ def threshold_sweep(
                 }
             )
     return rows
+
+
+def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalReport:
+    """Run the model over labeled samples and report per-variability metrics."""
+    if not samples:
+        raise EvaluationError("nothing to evaluate: empty sample set")
+    return _evaluate_at(_probabilities(model, samples, tax), samples, threshold)
+
+
+def threshold_sweep(
+    model, samples: list[Sample], tax, thresholds: list[float] | None = None
+) -> list[dict]:
+    """Precision/recall per variability type across decision thresholds
+    (SWEEP_THRESHOLDS by default)."""
+    if thresholds is None:
+        thresholds = SWEEP_THRESHOLDS
+    return _sweep_rows(_probabilities(model, samples, tax), samples, thresholds)
 
 
 def write_eval_csv(report: EvalReport, path) -> None:

@@ -108,8 +108,7 @@ def benchmark_world():
         propensity_overrides=HOT,
     )
     t0 = time.monotonic()
-    data = generate_dataset(cfg)
-    bundle = DatasetBundle(data.taxonomy, data.environments, data.splits)
+    bundle = generate_dataset(cfg)
     train_cfg = TrainConfig(
         epochs=80, batch_size=8, learning_rate=1.5e-3,
         dropout_rate=0.1, seed=0, patience=None,
@@ -458,14 +457,13 @@ def test_10_identical_configs_reproduce_bit_identical_artifacts(tmp_path):
     for rel in files_a:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
-    bundle = DatasetBundle(first.taxonomy, first.environments, first.splits)
     model_cfg = ModelConfig(kind="deltavsg", d_v=8, hidden_dim=8, tau=2.0)
     train_cfg = TrainConfig(epochs=3, batch_size=4, seed=0, patience=None)
-    model_one, report_one = train(bundle, model_cfg, train_cfg)
-    model_two, report_two = train(bundle, model_cfg, train_cfg)
+    model_one, report_one = train(first, model_cfg, train_cfg)
+    model_two, report_two = train(first, model_cfg, train_cfg)
     assert report_one.to_json() == report_two.to_json()
-    save_checkpoint(model_one, bundle.taxonomy, tmp_path / "one.json")
-    save_checkpoint(model_two, bundle.taxonomy, tmp_path / "two.json")
+    save_checkpoint(model_one, first.taxonomy, tmp_path / "one.json")
+    save_checkpoint(model_two, first.taxonomy, tmp_path / "two.json")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
     # Round trips through load/save and dict/JSON are byte-exact.
@@ -486,8 +484,7 @@ def test_11_real_scan_ingest_statistics():
     """Against real scan exports the adapter yields about 3650 samples
     with positive rates near 21/17/13 percent for position, state and
     instance changes."""
-    samples, _, report = ingest_3rscan_layout(os.environ["VSG_3RSCAN_ROOT"])
-    assert report.samples == len(samples)
+    samples = ingest_3rscan_layout(os.environ["VSG_3RSCAN_ROOT"])[0].samples()
     assert abs(len(samples) - 3650) <= 0.05 * 3650
     stats = label_statistics(samples)
     rates = np.asarray(stats.positives, dtype=np.float64) / np.asarray(

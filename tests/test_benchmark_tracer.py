@@ -11,7 +11,6 @@ import importlib.util
 from pathlib import Path
 
 from vsg import (
-    DatasetBundle,
     GeneratorConfig,
     ModelConfig,
     TrainConfig,
@@ -45,14 +44,13 @@ def test_span_table_installs_and_sees_the_pipeline():
     data = generate_dataset(
         GeneratorConfig(num_environments=3, scans_per_environment=2, objects_min=5, objects_max=6)
     )
-    bundle = DatasetBundle(data.taxonomy, data.environments, data.splits)
     episodes = make_episodes(data.environments, [1, 2])
 
     tracer = tracer_module.Tracer()
     # Entry points by module attribute, as the benchmark calls them.
     with tracer.installed():
         model, _ = training.train(
-            bundle, ModelConfig(d_v=4, hidden_dim=4), TrainConfig(epochs=1, batch_size=4)
+            data, ModelConfig(d_v=4, hidden_dim=4), TrainConfig(epochs=1, batch_size=4)
         )
         planner.run_benchmark(episodes, model, data.taxonomy)
 

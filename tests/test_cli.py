@@ -12,7 +12,20 @@ import subprocess
 
 import pytest
 
-from vsg import load_checkpoint, load_scene_graph, ranked_route, route_length, scene_graph_to_dict
+from vsg import (
+    embed,
+    evaluate,
+    load_checkpoint,
+    load_dataset,
+    load_scene_graph,
+    ranked_route,
+    route_length,
+    scene_graph_to_dict,
+    threshold_sweep,
+    training,
+    write_eval_csv,
+    write_sweep_csv,
+)
 from vsg.cli import dispatch
 
 GEN_SPEC = {
@@ -166,6 +179,29 @@ class TestTrainEval:
         lines = sweep.read_text().strip().splitlines()
         assert lines[0] == "threshold,variability,precision,recall,f1"
         assert len(lines) > 1
+
+    def test_eval_sweep_embeds_each_scan_once(self, pipeline, tmp_path, monkeypatch):
+        embedded = []
+
+        def counting_embed(g, *args):
+            embedded.append((g.environment_id, g.scan_id))
+            return embed(g, *args)
+
+        monkeypatch.setattr(training, "embed", counting_embed)
+        report, sweep = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+        rc = dispatch(["eval", "--ckpt", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                       "--report", str(report), "--sweep", str(sweep)])
+        assert rc == 0
+        bundle = load_dataset(pipeline["data"])
+        scans = [(e, s.scan_id) for e in bundle.environment_ids("test") for s in bundle.environments[e]]
+        assert scans and sorted(embedded) == sorted(scans)
+        # The one pass writes what evaluate and threshold_sweep each compute alone.
+        model, tax = load_checkpoint(pipeline["ckpt"])
+        samples = bundle.samples("test")
+        write_eval_csv(evaluate(model, samples, tax), tmp_path / "alone.csv")
+        write_sweep_csv(threshold_sweep(model, samples, tax), tmp_path / "alone-sweep.csv")
+        assert read(report) == read(tmp_path / "alone.csv")
+        assert read(sweep) == read(tmp_path / "alone-sweep.csv")
 
     def test_training_is_deterministic(self, pipeline, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

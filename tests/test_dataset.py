@@ -20,9 +20,11 @@ from vsg import (
     GeneratorError,
     LabelConfig,
     LabelStats,
+    ModelConfig,
     PairingError,
     ParseError,
     SemanticEdge,
+    TrainConfig,
     augment_pairs,
     compute_labels,
     default_taxonomy,
@@ -37,6 +39,7 @@ from vsg import (
     load_dataset,
     make_samples,
     scene_graph_to_json,
+    train,
     write_dataset,
 )
 
@@ -717,10 +720,13 @@ class TestIngest:
 
     def test_two_environments(self, tmp_path):
         self.build_layout(tmp_path)
-        samples, tax, report = ingest_3rscan_layout(tmp_path)
-        assert (report.environments, report.scans, report.samples) == (2, 4, 4)
-        assert report.skipped_environments == ()
-        assert len(samples) == 4
+        bundle, skipped = ingest_3rscan_layout(tmp_path)
+        tax = bundle.taxonomy
+        assert len(bundle.environments) == 2
+        assert sum(len(scans) for scans in bundle.environments.values()) == 4
+        assert len(bundle.samples()) == 4
+        assert skipped == ()
+        assert bundle.splits == {"envA-ref": "train", "envB-ref": "train"}
         assert tax.classes == ("chair", "lamp", "sofa", "table")
         assert ("open", "state") in tax.attributes
         assert ("wooden", "static") in tax.attributes
@@ -728,7 +734,7 @@ class TestIngest:
 
     def test_ingested_labels(self, tmp_path):
         self.build_layout(tmp_path)
-        samples, tax, report = ingest_3rscan_layout(tmp_path)
+        samples = ingest_3rscan_layout(tmp_path)[0].samples()
         by_pair = {(s.environment_id, s.pair_id): s for s in samples}
         forward = by_pair[("envA-ref", ("envA-ref", "envA-re1"))]
         assert sample_rows(forward)["1"][0] == 1  # moved 1.5m
@@ -736,12 +742,13 @@ class TestIngest:
         assert sample_rows(forward)["2"] == label_of(m_s=0)
         gone = by_pair[("envB-ref", ("envB-ref", "envB-re1"))]
         assert sample_rows(gone)["4"] == VANISHED
-        assert report.stats.positives[2] == 1
+        assert label_statistics(samples).positives[2] == 1
 
     def test_relationships_become_semantic_edges(self, tmp_path):
         self.build_layout(tmp_path)
-        samples, tax, _ = ingest_3rscan_layout(tmp_path)
-        ref = next(s.input for s in samples if s.input.scan_id == "envA-ref")
+        bundle, _ = ingest_3rscan_layout(tmp_path)
+        tax = bundle.taxonomy
+        ref = next(s.input for s in bundle.samples() if s.input.scan_id == "envA-ref")
         assert ref.semantic_edges
         edge = ref.semantic_edges[0]
         assert (edge.source_id, edge.target_id) == ("1", "2")
@@ -753,10 +760,10 @@ class TestIngest:
         index.append({"reference": "envC-ref", "scans": [{"reference": "envC-re1"}]})
         (tmp_path / "3RScan.json").write_text(json.dumps(index))
         with caplog.at_level(logging.WARNING):
-            samples, _, report = ingest_3rscan_layout(tmp_path)
-        assert "envC-ref" in report.skipped_environments
-        assert report.environments == 2
-        assert len(samples) == 4
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert "envC-ref" in skipped
+        assert len(bundle.environments) == 2
+        assert len(bundle.samples()) == 4
         assert "skipping" in caplog.text
 
     def test_object_without_position_skips_environment(self, tmp_path, caplog):
@@ -764,22 +771,39 @@ class TestIngest:
         bad = [{"id": "9", "label": "box"}]
         write_scan(tmp_path, "envB-re1", bad)
         with caplog.at_level(logging.WARNING):
-            samples, _, report = ingest_3rscan_layout(tmp_path)
-        assert "envB-ref" in report.skipped_environments
-        assert {s.environment_id for s in samples} == {"envA-ref"}
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert "envB-ref" in skipped
+        assert {s.environment_id for s in bundle.samples()} == {"envA-ref"}
 
     def test_state_attribute_synthesized_when_absent(self, tmp_path):
         index = [{"reference": "envA-ref", "scans": [{"reference": "envA-re1"}]}]
         (tmp_path / "3RScan.json").write_text(json.dumps(index))
         write_scan(tmp_path, "envA-ref", [obj("1", "box", (0, 0, 0), ["red"])])
         write_scan(tmp_path, "envA-re1", [obj("1", "box", (0, 0, 0), ["red"])])
-        samples, tax, _ = ingest_3rscan_layout(tmp_path)
-        assert ("unobserved_state", "state") in tax.attributes
-        assert sample_rows(samples[0])["1"][4] == 0
+        bundle, _ = ingest_3rscan_layout(tmp_path)
+        assert ("unobserved_state", "state") in bundle.taxonomy.attributes
+        assert sample_rows(bundle.samples()[0])["1"][4] == 0
 
     def test_empty_directory(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
-            samples, tax, report = ingest_3rscan_layout(tmp_path)
-        assert samples == []
-        assert report == type(report)(0, 0, 0, (), LabelStats((0, 0, 0), (0, 0, 0)))
-        assert tax.num_classes >= 1
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert bundle.samples() == []
+        assert (bundle.environments, bundle.splits, skipped) == ({}, {}, ())
+        assert label_statistics(bundle.samples()) == LabelStats((0, 0, 0), (0, 0, 0))
+        assert bundle.taxonomy.num_classes >= 1
+
+    def test_ingested_bundle_writes_loads_and_trains(self, tmp_path):
+        (tmp_path / "layout").mkdir()
+        self.build_layout(tmp_path / "layout")
+        bundle, _ = ingest_3rscan_layout(tmp_path / "layout")
+        write_dataset(tmp_path / "data", bundle.taxonomy, bundle.environments, bundle.splits)
+        loaded = load_dataset(tmp_path / "data")
+        assert loaded == bundle
+
+        def rows(b):
+            return [(s.pair_id, s.input, s.labels.tolist(), s.masks.tolist()) for s in b.samples()]
+
+        assert rows(loaded) == rows(bundle)
+        _, report = train(loaded, ModelConfig(d_v=4, hidden_dim=4, tau=2.0),
+                          TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert report.num_train_samples == 4 and report.epochs_run == 2

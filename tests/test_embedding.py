@@ -12,12 +12,13 @@ from vsg import (
     ConfigError,
     DimensionError,
     EdgeConfig,
+    GeneratorConfig,
     SemanticEdge,
     build_edges,
     embed,
-    encode_binary,
     encode_nodes,
     fit_pca,
+    generate_dataset,
     pairwise_distance_percentile,
     resolve_tau,
     transform_pca,
@@ -41,9 +42,8 @@ def eig_pca_oracle(data: np.ndarray, d_v: int):
 
 class TestBinaryEncoding:
     def test_layout(self, tiny_tax):
-        node = make_node("a", cls=1, attrs=(0, 3))
-        v = encode_binary(node, tiny_tax)
-        npt.assert_array_equal(v, [0, 1, 0, 1, 0, 0, 1])
+        g = make_graph([make_node("a", cls=1, attrs=(0, 3))])
+        npt.assert_array_equal(encode_nodes(g, tiny_tax), [[0, 1, 0, 1, 0, 0, 1]])
 
     def test_width_is_classes_plus_attributes(self, tiny_tax, small_graph):
         m = encode_nodes(small_graph, tiny_tax)
@@ -53,6 +53,17 @@ class TestBinaryEncoding:
     def test_empty_graph(self, tiny_tax):
         g = make_graph([])
         assert encode_nodes(g, tiny_tax).shape == (0, 7)
+
+    def test_matches_per_node_loop(self):
+        data = generate_dataset(GeneratorConfig(num_environments=3, seed=2))
+        tax = data.taxonomy
+        for g in (g for scans in data.environments.values() for g in scans):
+            loop = np.zeros((g.num_nodes, tax.num_classes + tax.num_attributes))
+            for i, node in enumerate(g.nodes):
+                loop[i, node.class_index] = 1.0
+                for a in node.attribute_indices:
+                    loop[i, tax.num_classes + a] = 1.0
+            npt.assert_array_equal(encode_nodes(g, tax), loop)
 
 
 class TestPca:

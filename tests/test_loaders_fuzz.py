@@ -217,6 +217,10 @@ def _scene(world, **changes):
     return raw | changes
 
 
+def _entries(world):
+    return json.loads((world["data"] / "manifest.json").read_text())["environments"]
+
+
 def _manifest(world, environments):
     raw = json.loads((world["data"] / "manifest.json").read_text())
     return [] if environments is None else raw | {"environments": environments}
@@ -245,6 +249,13 @@ CLI_CASES = {
     "manifest-entry-without-id": (
         "train --data", lambda w: _manifest(w, [{"scans": ["scan00"]}]), "ParseError",
         ["environment 0", "environment_id"]),
+    "manifest-environment-twice": (
+        "train --data", lambda w: _manifest(w, _entries(w) + [_entries(w)[0] | {"split": "test"}]),
+        "ParseError", ["'env000'", "twice"]),
+    "manifest-scan-twice": (
+        "train --data",
+        lambda w: _manifest(w, [_entries(w)[0] | {"scans": ["scan00", "scan01", "scan00"]}]),
+        "ParseError", ["'env000'", "'scan00'", "twice"]),
     "generator-spec-list": ("generate", lambda w: [1, 2], "ConfigError", ["object"]),
     "generator-spec-nested-too-deeply": ("generate", lambda w: "[" * 100_000, "ConfigError", ["depth"]),
     "train-config-section-not-an-object": (
@@ -314,9 +325,9 @@ class TestIngestFaults:
         shutil.copytree(world["layout"], layout)
         (layout / "envB-re1" / name).write_text(json.dumps(content))
         with caplog.at_level(logging.WARNING):
-            samples, _, report = ingest_3rscan_layout(layout)
-        assert report.skipped_environments == ("envB-ref",)
-        assert {s.environment_id for s in samples} == {"envA-ref"}
+            bundle, skipped = ingest_3rscan_layout(layout)
+        assert skipped == ("envB-ref",)
+        assert {s.environment_id for s in bundle.samples()} == {"envA-ref"}
         assert "envB-ref" in caplog.text and "skipping" in caplog.text
 
 

@@ -52,12 +52,12 @@ def mp_conv_oracle(layer: MpConv, z, edge_index, edge_features):
     n = z.shape[0]
     out = np.zeros((n, layer.dim))
     for i in range(n):
-        out[i], _ = layer.f.forward(z[i])
+        out[i] = layer.f.forward(z[i : i + 1])[0][0]
         for e in range(edge_index.shape[0]):
             src, tgt = int(edge_index[e, 0]), int(edge_index[e, 1])
             if tgt != i:
                 continue
-            gate, _ = layer.h.forward(edge_features[e])
+            gate = layer.h.forward(edge_features[e : e + 1])[0][0]
             out[i] = out[i] + z[src] * gate
     return out
 
@@ -114,7 +114,7 @@ class TestMpConv:
         idx = np.array([[1, 0]], dtype=np.int64)
         feat = rng.normal(size=(1, 5))
         out1, _ = layer.forward(z, idx, feat)
-        self_part, _ = layer.f.forward(z[0])
+        self_part = layer.f.forward(z[:1])[0][0]
         z2 = z.copy()
         z2[1] *= 2.0
         out2, _ = layer.forward(z2, idx, feat)
@@ -239,7 +239,7 @@ class TestSkippedInputGradient:
             rng = np.random.default_rng(seed)
             store = ParamStore()
             net = Mlp(sizes, store, "net", rng)
-            for x in (rng.normal(size=(7, 4)), rng.normal(size=4)):
+            for x in (rng.normal(size=(7, 4)), rng.normal(size=(1, 4))):
                 y, cache = net.forward(x)
                 dy = rng.normal(size=y.shape)
                 dx = self._both_ways(store, lambda g: net.backward(cache, dy, input_grad=g))

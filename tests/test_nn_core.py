@@ -148,15 +148,6 @@ class TestMlp:
             oracle = mlp_oracle(x, [w.value for w in net.weights], [b.value for b in net.biases])
             npt.assert_allclose(out, oracle, atol=1e-12)
 
-    def test_single_vector_squeeze(self):
-        store = ParamStore()
-        net = Mlp([3, 4, 2], store, "net", np.random.default_rng(0))
-        x = np.array([1.0, -1.0, 0.5])
-        out, _ = net.forward(x)
-        assert out.shape == (2,)
-        batch_out, _ = net.forward(x[None, :])
-        npt.assert_allclose(out, batch_out[0])
-
     def test_kaiming_uniform_bounds_and_zero_biases(self):
         store = ParamStore()
         net = Mlp([100, 50, 10], store, "net", np.random.default_rng(0))
@@ -169,6 +160,15 @@ class TestMlp:
         net = Mlp([3, 2], store, "net", np.random.default_rng(0))
         with pytest.raises(DimensionError):
             net.forward(np.zeros((4, 5)))
+
+    def test_one_dimensional_arrays_raise(self):
+        store = ParamStore()
+        net = Mlp([3, 2], store, "net", np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            net.forward(np.zeros(3))
+        _, cache = net.forward(np.zeros((1, 3)))
+        with pytest.raises(DimensionError):
+            net.backward(cache, np.zeros(2))
 
     def test_gradients_match_finite_differences(self):
         # The load-bearing check: every parameter and the input, many seeds.
