@@ -33,6 +33,7 @@ from .planner import (
     COVERAGE,
     VSG_PLANNER,
     Episode,
+    changed_object_ids,
     make_episodes,
     ranked_route,
     route_length,
@@ -271,16 +272,18 @@ def cmd_plan(args) -> int:
     start_vec = (
         np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
     )
-    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec)
+    probabilities = model.predict_probabilities(scene, tax)
+    route = ranked_route(scene, probabilities, args.n, start_vec)
     total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
 
     if realized is not None:
         ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
+        changed = changed_object_ids(ep, tax)
         for name, result in (
-            (COVERAGE, run_coverage(ep, tax)),
-            (VSG_PLANNER, run_vsg_planner(ep, model, tax)),
+            (COVERAGE, run_coverage(ep, tax, changed=changed)),
+            (VSG_PLANNER, run_vsg_planner(ep, model, tax, probabilities=probabilities, changed=changed)),
         ):
             flags = []
             if result.fallback_used:

@@ -852,7 +852,8 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
 
     Returns the bundle and the ids of the skipped environments. Environments
     whose mapping entry or scan files are missing or malformed are skipped
-    with a warning; a malformed index is a ParseError. Every usable
+    with a warning, as is an entry that lists one scan twice (its reference
+    among the rescans counts); a malformed index is a ParseError. Every usable
     environment is in the "train" split, in id order. The taxonomy is built
     from the union of observed labels, attributes, and relationship names.
     """
@@ -869,6 +870,13 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
         if ids is None:
             logger.warning("%s: entry %d has no reference mapping; skipping", index_path, k)
             skipped.append(ref or f"<entry {k}>")
+            continue
+        repeated = sorted({scan_id for scan_id in ids if ids.count(scan_id) > 1})
+        if repeated:
+            logger.warning(
+                "%s: entry %d (%s) lists scan %s twice; skipping", index_path, k, ref, ", ".join(repeated)
+            )
+            skipped.append(ref)
             continue
         scan_lists[ref] = ids
 

@@ -17,7 +17,6 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from itertools import compress
 
@@ -26,8 +25,6 @@ import numpy as np
 from .core_graph import SceneGraph, Taxonomy, distance
 from .dataset import LabelConfig, compute_labels
 from .errors import ConfigError, EvaluationError
-
-logger = logging.getLogger(__name__)
 
 COVERAGE = "coverage"
 VSG_PLANNER = "vsg"
@@ -55,17 +52,18 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     size k - 1: every endpoint j is held by C(n - 1, k - 1) size-k masks, so
     the (j, mask) pairs form an (n, C(n - 1, k - 1)) block, row j in
     ascending mask order, and `cost[mask ^ (1 << j), i] + dist[i, j]` is
-    computed for every pair and predecessor i at once.
+    computed for every pair and predecessor i at once. Both tables are flat
+    (entry `mask * n + j`), so a layer writes them through one index array.
 
     Ties are broken by taking the lowest point index at every argmin (each
     predecessor choice and the final endpoint), so the result is deterministic:
     between equal-length routes the one ending at the lower index wins.
 
     Memory: an n * 2**n float64 cost table and an int8 parent table of the
-    same shape, plus one layer block of n * C(n - 1, k - 1) * n float64s at
+    same size, plus one layer block of n * C(n - 1, k - 1) * n float64s at
     a time. `solve_tsp` never calls this with more than EXACT_TSP_LIMIT = 15
-    points; called directly past it, the tracemalloc peak is 25.3, 55.2 and
-    116 MiB at 16, 17 and 18 points.
+    points; called directly past it, the tracemalloc peak is 26.0, 56.8 and
+    119 MiB at 16, 17 and 18 points.
     """
     n = len(points)
     if n == 0:
@@ -78,27 +76,28 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     masks = np.arange(full)
     # Subset sizes by shifting, not np.bitwise_count, which needs numpy 2.
     sizes = sum((masks >> b) & 1 for b in range(n))
-    cost = np.full((full, n), np.inf)
-    parent = np.full((full, n), -1, dtype=np.int8)  # a 2**n table keeps n far below 128
+    cost = np.full(full * n, np.inf)
+    parent = np.full(full * n, -1, dtype=np.int8)  # a 2**n table keeps n far below 128
     points_idx = np.arange(n)
     end = points_idx[:, None]  # row j of a layer block ends at point j
-    cost[1 << points_idx, points_idx] = d_start
+    into = np.where(points_idx == end, np.inf, dist.T)  # [j, i] = dist[i, j], inf if i == j
+    cost[(1 << points_idx) * n + points_idx] = d_start
     for k in range(2, n + 1):
         layer = masks[sizes == k]
         holds = (layer >> end) & 1 == 1
         ending = np.broadcast_to(layer, holds.shape)[holds].reshape(n, -1)
-        # candidates[j, m, i], inf for i outside prev; i == j is masked whatever dist[j, j] is
-        candidates = cost[ending ^ (1 << end)]
-        candidates += dist.T[:, None, :]
-        candidates[points_idx, :, points_idx] = np.inf
-        best = np.argmin(candidates, axis=2)  # argmin takes the lowest index on ties
-        cost[ending, end] = np.take_along_axis(candidates, best[..., None], 2)[..., 0]
-        parent[ending, end] = best
+        # candidates[j, m, i], inf for i outside prev (so for i == j too)
+        candidates = cost.reshape(full, n)[ending ^ (1 << end)]
+        candidates += into[:, None, :]
+        best = np.argmin(candidates, axis=2).ravel()  # argmin takes the lowest index on ties
+        ending = ending * n + end  # now the flat entries mask * n + j
+        cost[ending.ravel()] = candidates.ravel()[np.arange(0, best.size * n, n) + best]
+        parent[ending.ravel()] = best
         del candidates  # free this layer's block before the next is gathered
     mask = full - 1
-    last = int(np.argmin(cost[mask]))
+    last = int(np.argmin(cost[-n:]))  # the full mask's row
     order = [last]
-    while (prev := int(parent[mask, last])) >= 0:
+    while (prev := int(parent[mask * n + last])) >= 0:
         mask ^= 1 << last
         order.append(prev)
         last = prev
@@ -305,20 +304,22 @@ def _walk(route: list[int], changed: set[int], need: int) -> tuple[list[int], in
 
 
 def _tour_and_walk(
-    ep: Episode, tax: Taxonomy, planner: str, first: list[str], tour: list[int] | None = None
+    ep: Episode, tax: Taxonomy, planner: str, first: list[str],
+    tour: list[int] | None, changed: frozenset[str] | None,
 ) -> EpisodeResult:
     """Walk the route `first`, then, if fewer than n changes were found, a
     TSP tour over the objects not yet visited, from where the first walk
     stopped.
 
     Coverage is this with an empty first route; for the guided planner the
-    tour is the Coverage fallback after its phase-1 route. `tour` is that
-    tour's solve_tsp order, if the caller has already solved it. Each walk's
-    distance is the `route_length` of the prefix it visited.
+    tour is the Coverage fallback after its phase-1 route. `tour` (that
+    tour's solve_tsp order) and `changed` (`changed_object_ids`) are the
+    caller's, or None. A walk's distance is the `route_length` of its prefix.
     """
     graph = ep.previous_map
     ids, positions, start = graph.node_ids, graph.positions(), ep.start()
-    changed = {graph.node_index(oid) for oid in changed_object_ids(ep, tax)}
+    changed = changed_object_ids(ep, tax) if changed is None else changed
+    changed = {graph.node_index(oid) for oid in changed}
     visited, found = _walk([graph.node_index(oid) for oid in first], changed, ep.n)
     walked = route_length(positions, start, visited)
     fallback = False
@@ -342,10 +343,13 @@ def _tour_and_walk(
     )
 
 
-def run_coverage(ep: Episode, tax: Taxonomy, *, tour: list[int] | None = None) -> EpisodeResult:
+def run_coverage(
+    ep: Episode, tax: Taxonomy, *, tour: list[int] | None = None, changed: frozenset[str] | None = None
+) -> EpisodeResult:
     """TSP tour over every previous-map object, walked until n changes.
-    `tour`, if given, is `solve_tsp(ep.previous_map.positions(), ep.start())`."""
-    return _tour_and_walk(ep, tax, COVERAGE, [], tour)
+    `tour`, if given, is `solve_tsp(ep.previous_map.positions(), ep.start())`
+    and `changed`, if given, is `changed_object_ids(ep, tax)`."""
+    return _tour_and_walk(ep, tax, COVERAGE, [], tour, changed)
 
 
 def ranked_route(
@@ -368,15 +372,20 @@ def ranked_route(
     return [ids[k] for k in solve_tsp(points, start)]
 
 
-def run_vsg_planner(ep: Episode, model, tax: Taxonomy) -> EpisodeResult:
+def run_vsg_planner(
+    ep: Episode, model, tax: Taxonomy, *,
+    probabilities: dict[str, tuple[float, float, float]] | None = None, changed: frozenset[str] | None = None,
+) -> EpisodeResult:
     """Tour the n+3 most change-prone objects first, Coverage as fallback.
 
     `model` is anything with predict_probabilities(graph, taxonomy); the
-    first tour is `ranked_route` of its probabilities.
+    first tour is `ranked_route` of its probabilities, or of `probabilities`
+    if given. `changed` is as in `run_coverage`.
     """
-    probabilities = model.predict_probabilities(ep.previous_map, tax)
+    if probabilities is None:
+        probabilities = model.predict_probabilities(ep.previous_map, tax)
     first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
-    return _tour_and_walk(ep, tax, VSG_PLANNER, first)
+    return _tour_and_walk(ep, tax, VSG_PLANNER, first, None, changed)
 
 
 class OracleScorer:
@@ -422,19 +431,29 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
 
     The Coverage tour depends on neither n nor the realized scene, so it is
     solved once per (map, start) and shared by the episodes that have both.
+    Labels are found once per scan pair and predictions once per map, so a
+    model's predict_probabilities must depend on (graph, taxonomy) alone.
     """
     by_n: dict[int, list[tuple[float, float]]] = {}
     infeasible = 0
     tours: dict[tuple[bytes, bytes], list[int]] = {}
+    # By graph identity (`episodes` keeps each alive); compare-planners sorts by n.
+    changed: dict[tuple[int, int, LabelConfig], frozenset[str]] = {}
+    predicted: dict[int, dict[str, tuple[float, float, float]]] = {}
     for ep in episodes:
         key = (ep.previous_map.positions().tobytes(), ep.start().tobytes())
         if key not in tours:
             tours[key] = solve_tsp(ep.previous_map.positions(), ep.start())
-        cov = run_coverage(ep, tax, tour=tours[key])
+        pair = (id(ep.previous_map), id(ep.realized_scene), ep.label_cfg)
+        if pair not in changed:
+            changed[pair] = changed_object_ids(ep, tax)
+        cov = run_coverage(ep, tax, tour=tours[key], changed=changed[pair])
         if cov.infeasible:
             infeasible += 1
             continue
-        vsg = run_vsg_planner(ep, model, tax)
+        if pair[0] not in predicted:
+            predicted[pair[0]] = model.predict_probabilities(ep.previous_map, tax)
+        vsg = run_vsg_planner(ep, model, tax, probabilities=predicted[pair[0]], changed=changed[pair])
         by_n.setdefault(ep.n, []).append((cov.distance_traveled, vsg.distance_traveled))
     if not by_n:
         raise EvaluationError("no feasible episodes: every realized scene had too few changes")

@@ -26,7 +26,9 @@ from vsg import (
     write_eval_csv,
     write_sweep_csv,
 )
+from vsg import planner
 from vsg.cli import dispatch
+from vsg.model import _VariabilityModel
 
 GEN_SPEC = {
     "num_environments": 5,
@@ -378,6 +380,28 @@ class TestPlan:
         out = capsys.readouterr().out
         assert any(l.startswith("coverage: distance ") for l in out.splitlines())
         assert any(l.startswith("vsg: distance ") for l in out.splitlines())
+
+    def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):
+        calls = []
+        predict, labels = _VariabilityModel.predict_probabilities, planner.compute_labels
+
+        def counting_predict(self, *args):
+            calls.append("predict")
+            return predict(self, *args)
+
+        def counting_labels(*args):
+            calls.append("labels")
+            return labels(*args)
+
+        monkeypatch.setattr(_VariabilityModel, "predict_probabilities", counting_predict)
+        monkeypatch.setattr(planner, "compute_labels", counting_labels)
+        realized = pipeline["data"] / "env000" / "scan01.json"
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
+                       "--scene", str(pipeline["scene"]), "--n", "2",
+                       "--realized", str(realized)])
+        assert rc == 0
+        assert sorted(calls) == ["labels", "predict"]
+        capsys.readouterr()
 
     def test_bad_start_is_usage_error(self, pipeline, capsys):
         rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),

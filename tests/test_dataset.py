@@ -766,6 +766,31 @@ class TestIngest:
         assert len(bundle.samples()) == 4
         assert "skipping" in caplog.text
 
+    @pytest.mark.parametrize(
+        "scans",
+        [
+            [{"reference": "envC-re1"}, {"reference": "envC-re1"}],
+            [{"reference": "envC-re1"}, {"reference": "envC-ref"}],
+        ],
+        ids=["rescan-twice", "reference-as-rescan"],
+    )
+    def test_entry_listing_a_scan_twice_skipped(self, tmp_path, caplog, scans):
+        self.build_layout(tmp_path)
+        index = json.loads((tmp_path / "3RScan.json").read_text())
+        index.append({"reference": "envC-ref", "scans": scans})
+        (tmp_path / "3RScan.json").write_text(json.dumps(index))
+        write_scan(tmp_path, "envC-ref", [obj("5", "lamp", (0, 0, 0))])
+        write_scan(tmp_path, "envC-re1", [obj("5", "lamp", (1, 0, 0))])
+        with caplog.at_level(logging.WARNING):
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert skipped == ("envC-ref",)
+        repeated = "envC-re1" if scans[1]["reference"] == "envC-re1" else "envC-ref"
+        assert f"lists scan {repeated} twice; skipping" in caplog.text
+        assert sorted(bundle.environments) == ["envA-ref", "envB-ref"]
+        assert len(bundle.samples()) == 4
+        write_dataset(tmp_path / "data", bundle.taxonomy, bundle.environments, bundle.splits)
+        assert load_dataset(tmp_path / "data") == bundle
+
     def test_object_without_position_skips_environment(self, tmp_path, caplog):
         self.build_layout(tmp_path)
         bad = [{"id": "9", "label": "box"}]

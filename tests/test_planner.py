@@ -417,6 +417,14 @@ class FixedScorer:
         return self.probabilities
 
 
+class PositionScorer:
+    """Probabilities from each object's position in the 8 m cube: they
+    depend on the graph alone and differ between objects."""
+
+    def predict_probabilities(self, g, tax):
+        return dict(zip(g.node_ids, map(tuple, (g.positions() / 8.0).tolist())))
+
+
 def cluster_episode(tiny_tax, n=2):
     """Eight decoys clustered near the start, two changed objects far away."""
     nodes = [
@@ -611,13 +619,56 @@ class TestBenchmark:
         cov_calls = []
         coverage = planner.run_coverage
 
-        def coverage_without_tour(ep, tax, *, tour=None):
+        def coverage_without_tour(ep, tax, *, tour=None, changed=None):
             cov_calls.append(ep)
             return coverage(ep, tax)
 
         monkeypatch.setattr(planner, "run_coverage", coverage_without_tour)
         assert run_benchmark(episodes, model, tiny_tax) == summary
         assert cov_calls == episodes
+
+    def test_labels_once_per_pair_and_predictions_once_per_map(self, tiny_tax, monkeypatch):
+        # Three scan pairs with 3, 2 and 1 moved objects, n = 1..3, in
+        # compare-planners' by-n order, so some episodes are infeasible.
+        rng = np.random.default_rng(24)
+        episodes = [ep for moved in (3, 2, 1) for ep in scan_pair_episodes(rng, 9, moved)]
+        episodes.sort(key=lambda ep: ep.n)
+        labelled, predicted = [], []
+        labels = planner.compute_labels
+
+        def counting_labels(current, future, tax, cfg):
+            labelled.append((id(current), id(future)))
+            return labels(current, future, tax, cfg)
+
+        class CountingScorer(PositionScorer):
+            def predict_probabilities(self, g, tax):
+                predicted.append(id(g))
+                return super().predict_probabilities(g, tax)
+
+        monkeypatch.setattr(planner, "compute_labels", counting_labels)
+        summary = run_benchmark(episodes, CountingScorer(), tiny_tax)
+        assert (summary.feasible_episodes, summary.infeasible_episodes) == (6, 3)
+        assert len(labelled) == len(set(labelled)) == 3
+        assert len(predicted) == len(set(predicted)) == 3
+
+    def test_runners_with_precomputed_inputs_are_unchanged(self, tiny_tax):
+        rng = np.random.default_rng(25)
+        scorer = PositionScorer()
+        fallbacks = 0
+        for moved in (4, 2, 1, 0):
+            for ep in scan_pair_episodes(rng, 10, moved):
+                changed = planner.changed_object_ids(ep, tiny_tax)
+                probabilities = scorer.predict_probabilities(ep.previous_map, tiny_tax)
+                cov = run_coverage(ep, tiny_tax)
+                vsg = run_vsg_planner(ep, scorer, tiny_tax)
+                fallbacks += vsg.fallback_used
+                assert run_coverage(ep, tiny_tax, changed=changed) == cov
+                assert run_vsg_planner(ep, scorer, tiny_tax, changed=changed) == vsg
+                assert run_vsg_planner(ep, scorer, tiny_tax, probabilities=probabilities) == vsg
+                assert run_vsg_planner(
+                    ep, scorer, tiny_tax, probabilities=probabilities, changed=changed
+                ) == vsg
+        assert fallbacks > 0
 
     def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
         rng = np.random.default_rng(23)
