@@ -82,7 +82,6 @@ from .model import (
     MlpBaseline,
     ModelConfig,
     MpConv,
-    build_model,
     load_checkpoint,
     save_checkpoint,
 )

@@ -53,8 +53,6 @@ from .training import (
     write_sweep_csv,
 )
 
-logger = logging.getLogger(__name__)
-
 
 def _echo_config(command: str, resolved: dict) -> None:
     print(f"resolved-config: {json.dumps({'command': command, **resolved}, sort_keys=True)}")

@@ -26,6 +26,7 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -852,10 +853,11 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
 
     Returns the bundle and the ids of the skipped environments. Environments
     whose mapping entry or scan files are missing or malformed are skipped
-    with a warning, as is an entry that lists one scan twice (its reference
-    among the rescans counts); a malformed index is a ParseError. Every usable
-    environment is in the "train" split, in id order. The taxonomy is built
-    from the union of observed labels, attributes, and relationship names.
+    with a warning, as are an entry that lists one scan twice (its reference
+    among the rescans counts) and a reference that two entries list; a
+    malformed index is a ParseError. Every usable environment is in the
+    "train" split, in id order. The taxonomy is built from the union of
+    observed labels, attributes, and relationship names.
     """
     # The taxonomy of the empty bundle returned when nothing usable is found.
     placeholder = Taxonomy("3rscan", ("object",), (("present", "state"),), ("near",))
@@ -866,7 +868,16 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
     index = _read_json(index_path, "3RScan index", expect=list)
     scan_lists: dict[str, list[str]] = {}
     skipped: list[str] = []
-    for k, (ref, ids) in enumerate(_parse_rows(index_path, index, "entry", _index_entry)):
+    rows = _parse_rows(index_path, index, "entry", _index_entry)
+    listed = Counter(ref for ref, _ in rows)
+    for k, (ref, ids) in enumerate(rows):
+        if ref and listed[ref] > 1:
+            if ref not in skipped:
+                logger.warning(
+                    "%s: reference %s is listed by %d entries; skipping", index_path, ref, listed[ref]
+                )
+                skipped.append(ref)
+            continue
         if ids is None:
             logger.warning("%s: entry %d has no reference mapping; skipping", index_path, k)
             skipped.append(ref or f"<entry {k}>")

@@ -36,10 +36,6 @@ from .nn_core import Mlp, ParamStore, dropout, dropout_backward, relu, sigmoid
 
 CHECKPOINT_VERSION = 1
 
-KIND_DELTAVSG = "deltavsg"
-KIND_MLP_BASELINE = "mlp_baseline"
-MODEL_KINDS = (KIND_DELTAVSG, KIND_MLP_BASELINE)
-
 
 def _scatter_add(base: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``base`` (n, d) with ``rows[k]`` added to row ``index[k]`` in k order: one
@@ -116,7 +112,7 @@ class MpConv:
 class ModelConfig:
     """Architecture knobs; tau may be meters or a percentile preset name."""
 
-    kind: str = KIND_DELTAVSG
+    kind: str = "deltavsg"
     d_v: int = 16
     hidden_dim: int = 64
     scalar_gate: bool = False
@@ -132,7 +128,14 @@ class ModelConfig:
 
 
 class _VariabilityModel:
-    """Shared surface of the graph model and the per-node MLP baseline."""
+    """Shared constructor and surface of the graph model and the per-node MLP baseline.
+
+    This is the only constructor: it keeps the shared settings, seeds the
+    parameter store, and calls `_add_layers` with an rng seeded the same way.
+    A subclass adds its layers there, in a fixed order, and declares its
+    `kind`, its checkpointed `_HYPERPARAMETERS`, `forward` and `backward`.
+    Only DeltaVSG reads `scalar_gate`.
+    """
 
     kind: str
     # Checkpointed in this order, followed by the parameter store's rng_seed.
@@ -147,6 +150,7 @@ class _VariabilityModel:
         hidden_dim: int,
         dropout_rate: float,
         seed: int,
+        scalar_gate: bool = False,
     ):
         self.taxonomy_name = taxonomy_name
         self.num_relationships = num_relationships
@@ -155,7 +159,9 @@ class _VariabilityModel:
         self.d_v = pca.d_v
         self.hidden_dim = hidden_dim
         self.dropout_rate = dropout_rate
+        self.scalar_gate = scalar_gate
         self.store = ParamStore(rng_seed=seed)
+        self._add_layers(np.random.default_rng(seed))
 
     def hyperparameters(self) -> dict:
         return {k: getattr(self, k) for k in self._HYPERPARAMETERS} | {"rng_seed": self.store.rng_seed}
@@ -190,38 +196,17 @@ class _VariabilityModel:
             for oid, p in zip(eg.node_ids, probs)
         }
 
-    def forward(self, eg, mode="eval", rng=None):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def backward(self, cache, dprobs):  # pragma: no cover - interface
-        raise NotImplementedError
-
 
 class DeltaVsgModel(_VariabilityModel):
     """Two message-passing layers, ReLU + dropout between, 3-sigmoid head."""
 
-    kind = KIND_DELTAVSG
+    kind = "deltavsg"
     _HYPERPARAMETERS = ("d_v", "hidden_dim", "dropout_rate", "scalar_gate", "num_relationships")
 
-    def __init__(
-        self,
-        taxonomy_name: str,
-        num_relationships: int,
-        pca: PcaModel,
-        edge_config: EdgeConfig,
-        hidden_dim: int = 64,
-        dropout_rate: float = 0.2,
-        scalar_gate: bool = False,
-        seed: int = 0,
-    ):
-        super().__init__(
-            taxonomy_name, num_relationships, pca, edge_config, hidden_dim, dropout_rate, seed
-        )
-        self.scalar_gate = scalar_gate
-        rng = np.random.default_rng(seed)
-        edge_dim = num_relationships + 3
-        self.conv1 = MpConv(self.d_v, edge_dim, hidden_dim, self.store, "conv1", rng, scalar_gate)
-        self.conv2 = MpConv(self.d_v, edge_dim, hidden_dim, self.store, "conv2", rng, scalar_gate)
+    def _add_layers(self, rng: np.random.Generator) -> None:
+        conv = (self.d_v, self.num_relationships + 3, self.hidden_dim, self.store)
+        self.conv1 = MpConv(*conv, "conv1", rng, self.scalar_gate)
+        self.conv2 = MpConv(*conv, "conv2", rng, self.scalar_gate)
         self.head = Mlp([self.d_v, 3], self.store, "head", rng)
 
     def forward(
@@ -253,25 +238,12 @@ class DeltaVsgModel(_VariabilityModel):
 
 
 class MlpBaseline(_VariabilityModel):
-    """Per-node MLP on node features only; edges are ignored entirely."""
+    """Per-node MLP on node features only; edges and scalar_gate are ignored."""
 
-    kind = KIND_MLP_BASELINE
+    kind = "mlp_baseline"
 
-    def __init__(
-        self,
-        taxonomy_name: str,
-        num_relationships: int,
-        pca: PcaModel,
-        edge_config: EdgeConfig,
-        hidden_dim: int = 64,
-        dropout_rate: float = 0.0,
-        seed: int = 0,
-    ):
-        super().__init__(
-            taxonomy_name, num_relationships, pca, edge_config, hidden_dim, dropout_rate, seed
-        )
-        rng = np.random.default_rng(seed)
-        self.net = Mlp([self.d_v, hidden_dim, hidden_dim, 3], self.store, "net", rng)
+    def _add_layers(self, rng: np.random.Generator) -> None:
+        self.net = Mlp([self.d_v, self.hidden_dim, self.hidden_dim, 3], self.store, "net", rng)
 
     def forward(
         self, eg: EmbeddedGraph, mode: str = "eval", rng: np.random.Generator | None = None
@@ -289,36 +261,9 @@ class MlpBaseline(_VariabilityModel):
         self.net.backward(c, dlogits, input_grad=False)
 
 
-def build_model(
-    cfg: ModelConfig,
-    taxonomy_name: str,
-    num_relationships: int,
-    pca: PcaModel,
-    edge_config: EdgeConfig,
-    dropout_rate: float,
-    seed: int,
-) -> _VariabilityModel:
-    if cfg.kind == KIND_DELTAVSG:
-        return DeltaVsgModel(
-            taxonomy_name,
-            num_relationships,
-            pca,
-            edge_config,
-            hidden_dim=cfg.hidden_dim,
-            dropout_rate=dropout_rate,
-            scalar_gate=cfg.scalar_gate,
-            seed=seed,
-        )
-    # ModelConfig admits no kind but these two.
-    return MlpBaseline(
-        taxonomy_name,
-        num_relationships,
-        pca,
-        edge_config,
-        hidden_dim=cfg.hidden_dim,
-        dropout_rate=dropout_rate,
-        seed=seed,
-    )
+# kind -> class; `train` and `load_checkpoint` both build their model from here.
+MODEL_CLASSES = {cls.kind: cls for cls in (DeltaVsgModel, MlpBaseline)}
+MODEL_KINDS = tuple(MODEL_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +331,12 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
     try:
         kind = data["model_kind"]
         hp = data["hyperparameters"]
+        cls = MODEL_CLASSES.get(kind)
+        if cls is None:
+            raise CheckpointError(f"{path}: unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        missing = sorted({*cls._HYPERPARAMETERS, "rng_seed"} - set(hp))
+        if missing:
+            raise CheckpointError(f"{path}: checkpoint is missing hyperparameters {missing}")
         taxonomy = taxonomy_from_dict(data["taxonomy"], source=str(path))
         if taxonomy.name != data["taxonomy_name"]:
             raise CheckpointError(
@@ -393,29 +344,30 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
                 f"taxonomy_name {data['taxonomy_name']!r}"
             )
         pca = _pca_from_dict(data["pca"])
-        for field in ("mean", "components", "explained_variance_ratio"):
-            _require_finite(path, f"pca {field}", getattr(pca, field))
+        width = taxonomy.num_classes + taxonomy.num_attributes
+        shapes = {"mean": (width,), "components": (pca.d_v, width), "explained_variance_ratio": (pca.d_v,)}
+        for field, shape in shapes.items():
+            values = getattr(pca, field)
+            _require_finite(path, f"pca {field}", values)
+            if values.shape != shape:
+                raise CheckpointError(f"{path}: pca {field} has shape {values.shape}, expected {shape}")
+        for name, value in (("d_v", pca.d_v), ("num_relationships", taxonomy.num_relationships)):
+            if hp[name] != value:
+                raise CheckpointError(f"{path}: hyperparameter {name} is {hp[name]!r}, expected {value}")
         edge_config = EdgeConfig(
             tau=float(data["edge_config"]["tau"]),
             include_semantic_edges=bool(data["edge_config"]["include_semantic_edges"]),
         )
-        cfg = ModelConfig(
-            kind=kind,
-            hidden_dim=int(hp["hidden_dim"]),
-            scalar_gate=bool(hp.get("scalar_gate", False)),
-        )
-        model = build_model(
-            cfg,
-            data["taxonomy_name"],
-            int(hp["num_relationships"]),
+        model = cls(
+            taxonomy.name,
+            taxonomy.num_relationships,
             pca,
             edge_config,
+            hidden_dim=int(hp["hidden_dim"]),
             dropout_rate=float(hp["dropout_rate"]),
             seed=int(hp["rng_seed"]),
+            scalar_gate=bool(hp.get("scalar_gate", False)),
         )
-        missing = sorted(set(model.hyperparameters()) - set(hp))
-        if missing:
-            raise CheckpointError(f"{path}: checkpoint is missing hyperparameters {missing}")
         params = data["parameters"]
         for name in model.store.names():
             if name not in params:

@@ -47,7 +47,7 @@ from .dataset import (
 )
 from .embedding import EdgeConfig, EmbeddedGraph, embed, encode_nodes, fit_pca, resolve_tau
 from .errors import ConfigError, EvaluationError, TrainingError
-from .model import ModelConfig, build_model
+from .model import MODEL_CLASSES, ModelConfig
 from .nn_core import Adam
 
 logger = logging.getLogger(__name__)
@@ -222,9 +222,9 @@ def train(
 
     if loss_cfg is None:
         loss_cfg = LossConfig(class_weights=class_weights_from_samples(train_samples))
-    model = build_model(
-        model_cfg, tax.name, tax.num_relationships, pca, edge_cfg,
-        dropout_rate=train_cfg.dropout_rate, seed=train_cfg.seed,
+    model = MODEL_CLASSES[model_cfg.kind](
+        tax.name, tax.num_relationships, pca, edge_cfg, hidden_dim=model_cfg.hidden_dim,
+        dropout_rate=train_cfg.dropout_rate, seed=train_cfg.seed, scalar_gate=model_cfg.scalar_gate,
     )
     optimizer = Adam(model.store, lr=train_cfg.learning_rate)
 

@@ -320,6 +320,20 @@ class TestPredict:
         assert "head.W0" in captured.err
         assert not out.exists()
 
+    def test_too_wide_pca_components_is_one_error_line(self, pipeline, tmp_path, capsys):
+        data = json.loads(pipeline["ckpt"].read_text())
+        for row in data["pca"]["components"]:
+            row.append(0.0)
+        ckpt = tmp_path / "wide.json"
+        ckpt.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = dispatch(["predict", "--ckpt", str(ckpt),
+                       "--scene", str(pipeline["scene"]), "--out", str(tmp_path / "pred.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: CheckpointError:") and len(err.strip().splitlines()) == 1
+        assert str(ckpt) in err and "components" in err
+
 
 # plan-realized is `plan` with a good --scene and the malformed file as --realized.
 @pytest.mark.parametrize("command", ["predict", "plan", "plan-realized"])

@@ -791,6 +791,21 @@ class TestIngest:
         write_dataset(tmp_path / "data", bundle.taxonomy, bundle.environments, bundle.splits)
         assert load_dataset(tmp_path / "data") == bundle
 
+    def test_reference_listed_by_two_entries_skipped(self, tmp_path, caplog):
+        self.build_layout(tmp_path)
+        index = json.loads((tmp_path / "3RScan.json").read_text())
+        index += [{"reference": "envC-ref", "scans": [{"reference": "envC-re1"}]},
+                  {"reference": "envC-ref", "scans": [{"reference": "envC-re2"}]}]
+        (tmp_path / "3RScan.json").write_text(json.dumps(index))
+        for t, scan in enumerate(("envC-ref", "envC-re1", "envC-re2")):
+            write_scan(tmp_path, scan, [obj("5", "lamp", (t, 0, 0))])
+        with caplog.at_level(logging.WARNING):
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert skipped == ("envC-ref",)
+        assert "reference envC-ref is listed by 2 entries; skipping" in caplog.text
+        assert sorted(bundle.environments) == ["envA-ref", "envB-ref"]
+        assert len(bundle.samples()) == 4
+
     def test_object_without_position_skips_environment(self, tmp_path, caplog):
         self.build_layout(tmp_path)
         bad = [{"id": "9", "label": "box"}]

@@ -28,7 +28,6 @@ from vsg import (
     ParseError,
     VsgError,
     ingest_3rscan_layout,
-    load_checkpoint,
     load_dataset,
     load_scene_graph,
     load_taxonomy,
@@ -135,7 +134,9 @@ LOADERS = {
     "3rscan": (["layout/3RScan.json", "layout/envA-ref/objects.json",
                 "layout/envB-re1/relationships.json"],
                lambda w: _load_library(lambda: ingest_3rscan_layout(w["layout"]))),
-    "checkpoint": (["model.json"], lambda w: _load_library(lambda: load_checkpoint(w["ckpt"]))),
+    "checkpoint": (["model.json"], lambda w: _load_cli(
+        ["predict", "--ckpt", str(w["ckpt"]), "--scene", str(w["data"] / "env000" / "scan00.json"),
+         "--out", str(w["root"] / "fuzz-pred.json")])),
     "generator-spec": (["spec.json"], lambda w: _load_cli(
         ["generate", "--spec", str(w["spec"]), "--out", str(w["root"] / "gen-out")])),
     "train-config": (["train.json"], lambda w: _load_cli(

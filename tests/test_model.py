@@ -435,8 +435,13 @@ class TestCheckpoints:
             return DeltaVsgModel(scalar_gate=scalar_gate, **args)
         return MlpBaseline(**args)
 
-    def test_round_trip_bit_exact(self, tiny_tax, tmp_path):
-        model = self._fitted_model(tiny_tax)
+    @pytest.mark.parametrize(
+        "scalar_gate, kind",
+        [(False, "graph"), (True, "graph"), (False, "mlp")],
+        ids=["deltavsg", "deltavsg-scalar-gate", "mlp_baseline"],
+    )
+    def test_round_trip_bit_exact(self, tiny_tax, tmp_path, scalar_gate, kind):
+        model = self._fitted_model(tiny_tax, scalar_gate=scalar_gate, kind=kind)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model, tiny_tax, p1)
         loaded, tax = load_checkpoint(p1)
@@ -539,6 +544,29 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="non-finite") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value) and field in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("mean", lambda d: d["pca"]["mean"].append(0.0)),
+            ("components", lambda d: [row.append(0.0) for row in d["pca"]["components"]]),
+            ("explained_variance_ratio", lambda d: d["pca"]["explained_variance_ratio"].pop()),
+            ("d_v", lambda d: d["hyperparameters"].update(d_v=99)),
+            ("num_relationships", lambda d: d["hyperparameters"].update(
+                num_relationships=d["hyperparameters"]["num_relationships"] + 1)),
+        ],
+        ids=["mean", "components", "explained_variance_ratio", "d_v", "num_relationships"],
+    )
+    def test_shape_disagreeing_with_taxonomy_rejected(self, tiny_tax, tmp_path, field, edit):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match=field) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_scalar_gate_round_trip(self, tiny_tax, tmp_path):
         model = self._fitted_model(tiny_tax, scalar_gate=True)
