@@ -64,13 +64,6 @@ def _require_dir(path, what: str) -> str:
     return path
 
 
-def _parse_tau(text: str) -> float | str:
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _check_taxonomy(tax, name, source: str) -> None:
     """The checkpoint's taxonomy must be the one `source` was written in."""
     if name != tax.name:
@@ -122,66 +115,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_TRAIN_SECTIONS = ("model", "train", "loss", "label")
+# Each section's config class; a train flag sets the field named like its dest.
+_TRAIN_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossConfig, "label": LabelConfig}
 
 
 def cmd_train(args) -> int:
     bundle = load_dataset(_require_dir(args.data, "data"))
-    file_cfg: dict = {}
+    file_cfg = _read_json(args.config, "config", ConfigError) if args.config else {}
     where = f"{args.config}: config section" if args.config else "config section"
-    if args.config:
-        file_cfg = _read_json(args.config, "config", ConfigError)
-        unknown = set(file_cfg) - set(_TRAIN_SECTIONS)
-        if unknown:
-            raise ConfigError(f"unknown config sections {sorted(unknown)}; expected {_TRAIN_SECTIONS}")
-
-    def merged(section: str, flag_values: dict) -> dict:
-        out = file_cfg.get(section, {})
-        if not isinstance(out, dict):
+    unknown = set(file_cfg) - set(_TRAIN_SECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config sections {sorted(unknown)}; expected {tuple(_TRAIN_SECTIONS)}")
+    configs, resolved = [], {"data": args.data, "out": args.out}
+    for section, cls in _TRAIN_SECTIONS.items():
+        values = file_cfg.get(section, {})
+        if not isinstance(values, dict):
             raise ConfigError(f"{where} {section!r} must be a JSON object")
-        return {**out, **{k: v for k, v in flag_values.items() if v is not None}}
-
-    model_kwargs = merged(
-        "model",
-        {
-            "kind": args.kind,
-            "d_v": args.d_v,
-            "hidden_dim": args.hidden_dim,
-            "scalar_gate": args.scalar_gate,
-            "tau": _parse_tau(args.tau) if args.tau is not None else None,
-        },
-    )
-    train_kwargs = merged(
-        "train",
-        {
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "dropout_rate": args.dropout_rate,
-            "seed": args.seed,
-            "patience": args.patience,
-        },
-    )
-    loss_kwargs = merged("loss", {"gamma": args.gamma})
-    label_kwargs = merged("label", {"epsilon": args.epsilon})
-    if isinstance(model_kwargs.get("tau"), str):
-        model_kwargs["tau"] = _parse_tau(model_kwargs["tau"])
-    model_cfg = _config_from_json(ModelConfig, model_kwargs, f"{where} 'model'")
-    train_cfg = _config_from_json(TrainConfig, train_kwargs, f"{where} 'train'")
-    loss_cfg = _config_from_json(LossConfig, loss_kwargs, f"{where} 'loss'") if loss_kwargs else None
-    label_cfg = _config_from_json(LabelConfig, label_kwargs, f"{where} 'label'")
-    resolved = {
-        "data": args.data,
-        "out": args.out,
-        "model": dataclasses.asdict(model_cfg),
-        "train": dataclasses.asdict(train_cfg),
-        "loss": dataclasses.asdict(loss_cfg)
-        if loss_cfg
-        else {"gamma": LossConfig().gamma, "class_weights": "from-train-split"},
-        "label": dataclasses.asdict(label_cfg),
-    }
+        for field in dataclasses.fields(cls):
+            if getattr(args, field.name, None) is not None:
+                values = values | {field.name: getattr(args, field.name)}
+        if values or cls is not LossConfig:
+            cfg = _config_from_json(cls, values, f"{where} {section!r}")
+            resolved[section] = dataclasses.asdict(cfg)
+        else:  # no loss values at all: `train` weighs the classes by the train split
+            cfg = None
+            resolved[section] = {"gamma": LossConfig.gamma, "class_weights": "from-train-split"}
+        configs.append(cfg)
     _echo_config("train", resolved)
-    model, report = train(bundle, model_cfg, train_cfg, loss_cfg, label_cfg)
+    model, report = train(bundle, *configs)
     save_checkpoint(model, bundle.taxonomy, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -435,10 +396,7 @@ def dispatch(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except VsgError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (VsgError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -244,8 +244,6 @@ _STATE_PAIRS = (("open", "closed"), ("on", "off"))
 
 _SUPPORT_CLASSES = ("table", "shelf", "cabinet")
 
-_STRUCTURE_CLASSES = ("wall", "floor")
-
 
 @dataclass(frozen=True)
 class ClassPropensity:

@@ -210,14 +210,12 @@ def pairwise_distance_percentile(graphs: Iterable[SceneGraph], percentile: float
 
 
 def resolve_tau(tau_spec: float | str, training_graphs: Iterable[SceneGraph]) -> float:
-    """Accept either an explicit tau in meters or a percentile preset name."""
+    """An explicit tau in meters as a float, or a percentile preset's value over
+    the training graphs; `ModelConfig` and `EdgeConfig` check the range."""
     if isinstance(tau_spec, str):
         if tau_spec not in TAU_PERCENTILES:
             raise ConfigError(
                 f"unknown tau preset {tau_spec!r}; expected one of {sorted(TAU_PERCENTILES)}"
             )
         return pairwise_distance_percentile(training_graphs, TAU_PERCENTILES[tau_spec])
-    tau = float(tau_spec)
-    if tau < 0:
-        raise ConfigError(f"tau must be >= 0, got {tau}")
-    return tau
+    return float(tau_spec)

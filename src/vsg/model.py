@@ -18,7 +18,8 @@ it was trained to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,11 +27,13 @@ from .core_graph import (
     _BAD_FIELD,
     SceneGraph,
     Taxonomy,
+    _config_from_json,
+    _fits,
     _read_json,
     taxonomy_from_dict,
     taxonomy_to_dict,
 )
-from .embedding import EdgeConfig, EmbeddedGraph, PcaModel, embed
+from .embedding import TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed
 from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
 from .nn_core import Mlp, ParamStore, dropout, dropout_backward, relu, sigmoid
 
@@ -110,7 +113,8 @@ class MpConv:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs; tau may be meters or a percentile preset name."""
+    """Architecture knobs; tau is a percentile preset name, kept as it is, or
+    meters, stored as a float (a number or a string holding one)."""
 
     kind: str = "deltavsg"
     d_v: int = 16
@@ -125,6 +129,19 @@ class ModelConfig:
         for name in ("d_v", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.scalar_gate and "scalar_gate" not in MODEL_CLASSES[self.kind]._HYPERPARAMETERS:
+            raise ConfigError(f"scalar_gate does not apply to model kind {self.kind!r}")
+        if isinstance(self.tau, str) and self.tau in TAU_PERCENTILES:
+            return
+        try:
+            tau = float(self.tau)
+        except (TypeError, ValueError):
+            tau = math.nan
+        if isinstance(self.tau, bool) or not 0 <= tau < math.inf:
+            raise ConfigError(
+                f"tau must be finite meters >= 0 or a preset {list(TAU_PERCENTILES)}, got {self.tau!r}"
+            )
+        object.__setattr__(self, "tau", tau)
 
 
 class _VariabilityModel:
@@ -158,7 +175,7 @@ class _VariabilityModel:
         self.edge_config = edge_config
         self.d_v = pca.d_v
         self.hidden_dim = hidden_dim
-        self.dropout_rate = dropout_rate
+        self.dropout_rate = float(dropout_rate)
         self.scalar_gate = scalar_gate
         self.store = ParamStore(rng_seed=seed)
         self._add_layers(np.random.default_rng(seed))
@@ -272,6 +289,13 @@ MODEL_KINDS = tuple(MODEL_CLASSES)
 # ---------------------------------------------------------------------------
 
 
+# The JSON type a checkpoint must give each hyperparameter.
+_HYPERPARAMETER_TYPES = {
+    "d_v": "int", "hidden_dim": "int", "dropout_rate": "float", "scalar_gate": "bool",
+    "num_relationships": "int", "rng_seed": "int",
+}
+
+
 def _pca_to_dict(pca: PcaModel) -> dict:
     return {
         "mean": pca.mean.tolist(),
@@ -287,8 +311,8 @@ def _pca_from_dict(d: dict) -> PcaModel:
         mean=np.array(d["mean"], dtype=np.float64),
         components=np.array(d["components"], dtype=np.float64),
         explained_variance_ratio=np.array(d["explained_variance_ratio"], dtype=np.float64),
-        d_v=int(d["d_v"]),
-        rank=int(d["rank"]),
+        d_v=d["d_v"],
+        rank=d["rank"],
     )
 
 
@@ -303,10 +327,7 @@ def checkpoint_to_json(model: _VariabilityModel, taxonomy: Taxonomy) -> str:
         "taxonomy_name": model.taxonomy_name,
         "taxonomy": taxonomy_to_dict(taxonomy),
         "pca": _pca_to_dict(model.pca),
-        "edge_config": {
-            "tau": model.edge_config.tau,
-            "include_semantic_edges": model.edge_config.include_semantic_edges,
-        },
+        "edge_config": asdict(model.edge_config),
         "hyperparameters": model.hyperparameters(),
         "parameters": {n: model.store[n].value.tolist() for n in model.store.names()},
     }
@@ -334,9 +355,15 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
         cls = MODEL_CLASSES.get(kind)
         if cls is None:
             raise CheckpointError(f"{path}: unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-        missing = sorted({*cls._HYPERPARAMETERS, "rng_seed"} - set(hp))
-        if missing:
-            raise CheckpointError(f"{path}: checkpoint is missing hyperparameters {missing}")
+        names = (*cls._HYPERPARAMETERS, "rng_seed")
+        for section, keys in (("hyperparameters", names), ("edge_config", asdict(EdgeConfig()))):
+            missing = sorted(set(keys) - set(data[section]))
+            if missing:
+                raise CheckpointError(f"{path}: checkpoint is missing {section} {missing}")
+        bad = [f"hyperparameter {k}" for k in names if not _fits(hp[k], _HYPERPARAMETER_TYPES[k], None)]
+        bad += [f"pca {k}" for k in ("d_v", "rank") if not _fits(data["pca"][k], "int", None)]
+        if bad:
+            raise CheckpointError(f"{path}: wrong JSON type for {', '.join(bad)}")
         taxonomy = taxonomy_from_dict(data["taxonomy"], source=str(path))
         if taxonomy.name != data["taxonomy_name"]:
             raise CheckpointError(
@@ -354,19 +381,16 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
         for name, value in (("d_v", pca.d_v), ("num_relationships", taxonomy.num_relationships)):
             if hp[name] != value:
                 raise CheckpointError(f"{path}: hyperparameter {name} is {hp[name]!r}, expected {value}")
-        edge_config = EdgeConfig(
-            tau=float(data["edge_config"]["tau"]),
-            include_semantic_edges=bool(data["edge_config"]["include_semantic_edges"]),
-        )
+        edge_config = _config_from_json(EdgeConfig, data["edge_config"], f"{path}: edge_config")
         model = cls(
             taxonomy.name,
             taxonomy.num_relationships,
             pca,
             edge_config,
-            hidden_dim=int(hp["hidden_dim"]),
-            dropout_rate=float(hp["dropout_rate"]),
-            seed=int(hp["rng_seed"]),
-            scalar_gate=bool(hp.get("scalar_gate", False)),
+            hidden_dim=hp["hidden_dim"],
+            dropout_rate=hp["dropout_rate"],
+            seed=hp["rng_seed"],
+            scalar_gate=hp.get("scalar_gate", False),
         )
         params = data["parameters"]
         for name in model.store.names():

@@ -54,9 +54,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -139,10 +136,6 @@ class Mlp:
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """x is (N, input_dim); returns (y, cache) with y (N, output_dim)."""

@@ -110,11 +110,9 @@ def focal_loss(
     log_pt = np.log(p_t)
     loss_elements = -w * one_minus**cfg.gamma * log_pt
     loss = float((loss_elements * masks).sum() / count)
-    # d/dp_t of -w (1-p_t)^g log p_t; the g=0 focusing term vanishes exactly.
-    if cfg.gamma == 0.0:
-        dpt = -w / p_t
-    else:
-        dpt = w * cfg.gamma * one_minus ** (cfg.gamma - 1.0) * log_pt - w * one_minus**cfg.gamma / p_t
+    # d/dp_t of -w (1-p_t)^g log p_t. The clamp keeps 1 - p_t > 0, so at g = 0
+    # the first term is a signed zero and this is exactly -w / p_t.
+    dpt = w * cfg.gamma * one_minus ** (cfg.gamma - 1.0) * log_pt - w * one_minus**cfg.gamma / p_t
     sign = np.where(positive, 1.0, -1.0)
     inside = (probs > _CLAMP_LO) & (probs < _CLAMP_HI)
     dprobs = dpt * sign * masks * inside / count

@@ -5,6 +5,7 @@ are observable without subprocesses; one smoke test exercises the installed
 `vsg` entry point for real.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -20,6 +21,7 @@ from vsg import (
     load_scene_graph,
     ranked_route,
     route_length,
+    save_checkpoint,
     scene_graph_to_dict,
     threshold_sweep,
     training,
@@ -27,7 +29,7 @@ from vsg import (
     write_sweep_csv,
 )
 from vsg import planner
-from vsg.cli import dispatch
+from vsg.cli import _TRAIN_SECTIONS, build_parser, dispatch
 from vsg.model import _VariabilityModel
 
 GEN_SPEC = {
@@ -263,6 +265,59 @@ class TestTrainEval:
         assert err.endswith(f"{field} must be >= 1, got 0")
         assert "resolved-config:" not in captured.out
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--tau", "p80"], None),
+        (["--tau", "-1"], None),
+        (["--tau", "nan"], None),
+        ([], {"model": {"tau": -2}}),
+        (["--kind", "mlp_baseline", "--scalar-gate"], None),
+    ], ids=["unknown-preset", "negative", "nan", "negative-in-config", "scalar-gate-on-mlp-baseline"])
+    def test_bad_model_setting_is_refused_before_the_echo(
+        self, pipeline, tmp_path, capsys, flags, config
+    ):
+        argv = ["train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "m.json"), *flags]
+        if config is not None:
+            (tmp_path / "train.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "train.json")]
+        rc = dispatch(argv)
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert rc == 1 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: ConfigError:") and "'model'" in err
+        assert "resolved-config:" not in captured.out
+        assert not (tmp_path / "m.json").exists()
+
+    def test_tau_text_in_config_is_echoed_as_meters(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"model": {"tau": "1.5"}}))
+        rc = dispatch(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+                       "--out", str(tmp_path / "m.json"), *TRAIN_FLAGS])
+        assert rc == 0
+        resolved, _ = resolved_config(capsys)
+        assert resolved["model"]["tau"] == 1.5
+        assert load_checkpoint(tmp_path / "m.json")[0].edge_config.tau == 1.5
+
+    def test_zero_dropout_checkpoint_reloads_byte_for_byte(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"dropout_rate": 0}}))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        rc = dispatch(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+                       "--out", str(first), *TRAIN_FLAGS])
+        assert rc == 0
+        save_checkpoint(*load_checkpoint(first), second)
+        assert read(first) == read(second)
+
+    def test_every_train_flag_sets_one_config_field(self):
+        train_parser = next(
+            action for action in build_parser()._actions if action.dest == "command"
+        ).choices["train"]
+        sections = [{f.name for f in dataclasses.fields(cls)} for cls in _TRAIN_SECTIONS.values()]
+        flags = [a.dest for a in train_parser._actions
+                 if a.option_strings and a.dest not in ("help", "data", "config", "out", "report")]
+        assert len(flags) == 13
+        for dest in flags:
+            assert sum(dest in names for names in sections) == 1, dest
 
 
 class TestPredict:

@@ -2,7 +2,8 @@
 
 A hypothesis test mutates valid files for each loader (drop a key, change a
 value's type, truncate, inject NaN/Infinity, empty a list, insert bad UTF-8
-bytes); the loader must load cleanly or raise a `VsgError`. A CLI test holds
+bytes); the loader must load cleanly or raise a `VsgError`, and a checkpoint
+that loads must re-save its settings as the file gave them. A CLI test holds
 the exit-1, one-`error:`-line rule on hand-written malformed scenes,
 manifests, specs and configs; library tests cover the 3RScan ingest, which
 has no command; and a structural guard keeps `json.load`/`json.loads` in the
@@ -28,11 +29,13 @@ from vsg import (
     ParseError,
     VsgError,
     ingest_3rscan_layout,
+    load_checkpoint,
     load_dataset,
     load_scene_graph,
     load_taxonomy,
 )
 from vsg.cli import dispatch
+from vsg.model import checkpoint_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vsg"
 
@@ -120,6 +123,29 @@ def _load_cli(argv):
     rc, err = run_cli(argv)
     if rc != 0:
         assert_one_error_line(rc, err)
+    return rc
+
+
+def _same_value(a, b) -> bool:
+    """Numbers compare by value; every other type strictly."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        return a == b
+    return type(a) is type(b) and a == b
+
+
+def _load_checkpoint(w):
+    """Predict with the checkpoint; when it loads, its settings must re-save as
+    the file gave them."""
+    argv = ["predict", "--ckpt", str(w["ckpt"]), "--scene", str(w["data"] / "env000" / "scan00.json"),
+            "--out", str(w["root"] / "fuzz-pred.json")]
+    if _load_cli(argv) != 0:
+        return
+    stored = json.loads(w["ckpt"].read_bytes())
+    saved = json.loads(checkpoint_to_json(*load_checkpoint(w["ckpt"])))
+    for section in ("hyperparameters", "edge_config"):
+        assert saved[section].keys() == stored[section].keys(), section
+        for key, value in stored[section].items():
+            assert _same_value(saved[section][key], value), (section, key, value)
 
 
 # loader name -> (files it may mutate, relative to the world root; the load)
@@ -134,9 +160,7 @@ LOADERS = {
     "3rscan": (["layout/3RScan.json", "layout/envA-ref/objects.json",
                 "layout/envB-re1/relationships.json"],
                lambda w: _load_library(lambda: ingest_3rscan_layout(w["layout"]))),
-    "checkpoint": (["model.json"], lambda w: _load_cli(
-        ["predict", "--ckpt", str(w["ckpt"]), "--scene", str(w["data"] / "env000" / "scan00.json"),
-         "--out", str(w["root"] / "fuzz-pred.json")])),
+    "checkpoint": (["model.json"], _load_checkpoint),
     "generator-spec": (["spec.json"], lambda w: _load_cli(
         ["generate", "--spec", str(w["spec"]), "--out", str(w["root"] / "gen-out")])),
     "train-config": (["train.json"], lambda w: _load_cli(

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from vsg import (
     CheckpointError,
+    ConfigError,
     DeltaVsgModel,
     EdgeConfig,
     EmbeddedGraph,
     GraphError,
     MlpBaseline,
+    ModelConfig,
     UsageError,
     fit_pca,
     load_checkpoint,
@@ -418,7 +420,7 @@ class TestMlpBaseline:
 
 
 class TestCheckpoints:
-    def _fitted_model(self, tiny_tax, scalar_gate=False, kind="graph"):
+    def _fitted_model(self, tiny_tax, scalar_gate=False, kind="graph", dropout_rate=0.2):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(30, tiny_tax.num_classes + tiny_tax.num_attributes))
         pca = fit_pca(data, 4)
@@ -428,7 +430,7 @@ class TestCheckpoints:
             pca=pca,
             edge_config=EdgeConfig(tau=1.7),
             hidden_dim=8,
-            dropout_rate=0.2,
+            dropout_rate=dropout_rate,
             seed=5,
         )
         if kind == "graph":
@@ -568,12 +570,71 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("edge_config", "include_semantic_edges", "false"),
+            ("edge_config", "tau", "2.0"),
+            ("hyperparameters", "hidden_dim", 8.9),
+            ("hyperparameters", "dropout_rate", True),
+            ("hyperparameters", "rng_seed", 0.5),
+            ("hyperparameters", "scalar_gate", "false"),
+            ("pca", "d_v", 4.0),
+            ("pca", "rank", "4"),
+        ],
+        ids=["include_semantic_edges", "tau", "hidden_dim", "dropout_rate", "rng_seed",
+             "scalar_gate", "pca-d_v", "pca-rank"],
+    )
+    def test_wrongly_typed_setting_rejected(self, tiny_tax, tmp_path, section, key, value):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match=key) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_edge_setting_rejected(self, tiny_tax, tmp_path):
+        model = self._fitted_model(tiny_tax)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, tiny_tax, path)
+        data = json.loads(path.read_text())
+        del data["edge_config"]["tau"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="tau"):
+            load_checkpoint(path)
+
+    def test_integer_dropout_rate_round_trip_bit_exact(self, tiny_tax, tmp_path):
+        model = self._fitted_model(tiny_tax, dropout_rate=0)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, tiny_tax, p1)
+        save_checkpoint(*load_checkpoint(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_scalar_gate_round_trip(self, tiny_tax, tmp_path):
         model = self._fitted_model(tiny_tax, scalar_gate=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, tiny_tax, path)
         loaded, _ = load_checkpoint(path)
         assert loaded.scalar_gate is True
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("tau, expected", [("p50", "p50"), ("1.5", 1.5), (2, 2.0), (0.0, 0.0)])
+    def test_tau_is_a_preset_or_meters(self, tau, expected):
+        got = ModelConfig(tau=tau).tau
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("tau", ["p80", "-1", -2, "nan", float("nan"), "inf", "", True, None])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            ModelConfig(tau=tau)
+
+    def test_scalar_gate_on_the_baseline_rejected(self):
+        with pytest.raises(ConfigError, match="scalar_gate"):
+            ModelConfig(kind="mlp_baseline", scalar_gate=True)
 
 
 def make_other_taxonomy():
