@@ -4,6 +4,9 @@ Run: python3 demos/01_scene_graphs.py
 """
 
 import json
+from dataclasses import replace
+
+import numpy as np
 
 from vsg import (
     ObjectNode,
@@ -11,8 +14,6 @@ from vsg import (
     SemanticEdge,
     Taxonomy,
     default_taxonomy,
-    map_taxonomy,
-    relative_position,
     scene_graph_from_dict,
     scene_graph_to_dict,
     scene_graph_to_json,
@@ -55,7 +56,7 @@ def main():
     )
     print(f"\nscene {g.environment_id}/{g.scan_id}: {g.num_nodes} nodes, "
           f"{len(g.semantic_edges)} semantic edges")
-    print("cup relative to table:", relative_position(g, "cup_0", "table_0"))
+    print("cup relative to table:", np.subtract(table.position, cup.position))
 
     # Versioned JSON round trip: the serialized form is canonical, so
     # writing the reloaded graph reproduces the text byte for byte.
@@ -64,8 +65,9 @@ def main():
     print("round trip byte-identical:", scene_graph_to_json(reloaded, tax) == text)
     print("serialized payload keys:", sorted(scene_graph_to_dict(g, tax)))
 
-    # Graphs can be re-indexed into a coarser taxonomy with an explicit
-    # class mapping; unmapped classes raise.
+    # Nodes and graphs are frozen dataclasses, so re-indexing into a coarser
+    # taxonomy is a `replace` of each node's class index and of the graph's
+    # taxonomy name.
     coarse = Taxonomy(
         name="coarse",
         classes=("furniture", "portable", "fixture"),
@@ -77,7 +79,11 @@ def main():
         tax.class_index("cup"): coarse.class_index("portable"),
         tax.class_index("door"): coarse.class_index("fixture"),
     }
-    coarse_graph = map_taxonomy(g, mapping, coarse)
+    coarse_graph = replace(
+        g,
+        taxonomy_name=coarse.name,
+        nodes=tuple(replace(n, class_index=mapping[n.class_index]) for n in g.nodes),
+    )
     print("mapped classes:",
           [coarse.classes[n.class_index] for n in coarse_graph.nodes])
 

@@ -65,11 +65,11 @@ def main():
     print(f"\n{len(scans)} scans -> {len(pairs)} ordered pairs")
     samples = make_samples(scans, tax, label_cfg)
     stats = label_statistics(samples)
-    rates = np.array(stats.positives) / np.array(stats.unmasked)
-    print("positive rates (position, state, instance):", np.round(rates, 3))
+    print("positive rates (position, state, instance):", np.round(stats.positive_rates, 3))
 
-    # Rare positives get proportionally larger sampling weight.
-    weights = importance_sample(samples, stats)
+    # Rare positives get proportionally larger sampling weight: each label
+    # element weighs 1/rate (or 1/(1 - rate) for negatives) at these rates.
+    weights = importance_sample(samples)
     order = np.argsort(weights)[::-1]
     print(f"importance weights: max/min = {weights.max() / weights.min():.2f}, "
           f"heaviest pair {samples[order[0]].pair_id}")

@@ -13,16 +13,10 @@ from .core_graph import (
     SemanticEdge,
     Taxonomy,
     load_scene_graph,
-    load_taxonomy,
-    map_taxonomy,
-    relative_position,
     save_scene_graph,
-    save_taxonomy,
     scene_graph_from_dict,
     scene_graph_to_dict,
     scene_graph_to_json,
-    taxonomy_from_dict,
-    taxonomy_to_dict,
 )
 from .dataset import (
     ClassPropensity,
@@ -30,9 +24,7 @@ from .dataset import (
     GeneratedDataset,
     GeneratorConfig,
     LabelConfig,
-    LabelStats,
     Sample,
-    TransitionLog,
     VARIABILITY_NAMES,
     augment_pairs,
     compute_labels,
@@ -40,7 +32,6 @@ from .dataset import (
     generate_dataset,
     generate_environment,
     generator_config_from_dict,
-    generator_config_to_dict,
     importance_sample,
     ingest_3rscan_layout,
     label_statistics,
@@ -51,14 +42,11 @@ from .dataset import (
 )
 from .embedding import (
     EdgeConfig,
-    EmbeddedGraph,
-    PcaModel,
     build_edges,
     embed,
     encode_nodes,
     fit_pca,
     pairwise_distance_percentile,
-    resolve_tau,
     transform_pca,
 )
 from .errors import (
@@ -68,7 +56,6 @@ from .errors import (
     EvaluationError,
     GeneratorError,
     GraphError,
-    MappingError,
     ObjectLookupError,
     PairingError,
     ParseError,
@@ -79,7 +66,6 @@ from .errors import (
 )
 from .model import (
     DeltaVsgModel,
-    MlpBaseline,
     ModelConfig,
     MpConv,
     load_checkpoint,
@@ -87,7 +73,6 @@ from .model import (
 )
 from .planner import (
     Episode,
-    EpisodeResult,
     OracleScorer,
     held_karp,
     heuristic_tsp,
@@ -101,14 +86,10 @@ from .planner import (
     write_benchmark_csv,
 )
 from .training import (
-    EvalReport,
     LossConfig,
     Metrics,
     TrainConfig,
-    TrainingReport,
-    class_weights_from_samples,
     evaluate,
-    evaluate_probabilities,
     focal_loss,
     threshold_sweep,
     train,

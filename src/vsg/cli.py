@@ -23,7 +23,6 @@ from .dataset import (
     LabelConfig,
     generate_dataset,
     generator_config_from_dict,
-    generator_config_to_dict,
     load_dataset,
     write_dataset,
 )
@@ -48,6 +47,7 @@ from .training import (
     _evaluate_at,
     _probabilities,
     _sweep_rows,
+    check_threshold,
     train,
     write_eval_csv,
     write_sweep_csv,
@@ -96,13 +96,13 @@ def _split_samples(bundle, split: str, label_cfg: LabelConfig):
 
 
 def cmd_generate(args) -> int:
-    cfg_dict = generator_config_to_dict(GeneratorConfig())
+    cfg_dict = dataclasses.asdict(GeneratorConfig())
     if args.spec:
         cfg_dict.update(_read_json(args.spec, "generator spec", ConfigError))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = generator_config_from_dict(cfg_dict, source=args.spec or "generator config")
-    _echo_config("generate", generator_config_to_dict(cfg) | {"out": args.out})
+    _echo_config("generate", dataclasses.asdict(cfg) | {"out": args.out})
     data = generate_dataset(cfg)
     write_dataset(args.out, data.taxonomy, data.environments, data.splits)
     samples = sum(
@@ -161,6 +161,7 @@ def cmd_eval(args) -> int:
     bundle = load_dataset(_require_dir(args.data, "data"))
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     label_cfg = LabelConfig(epsilon=args.epsilon) if args.epsilon is not None else LabelConfig()
+    check_threshold(args.threshold)
     _echo_config(
         "eval",
         {
@@ -276,6 +277,8 @@ def cmd_compare_planners(args) -> int:
     bundle = load_dataset(_require_dir(args.data, "data"))
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     n_values = _parse_n_range(args.n_range)
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1; got {args.seeds}")
     _echo_config(
         "compare-planners",
         {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,

@@ -14,13 +14,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    MappingError,
     ObjectLookupError,
     ParseError,
     TaxonomyError,
@@ -237,56 +236,6 @@ def _attribute_indicators(nodes: Sequence[ObjectNode], tax: Taxonomy) -> np.ndar
     rows = [i for i, node in enumerate(nodes) for _ in node.attribute_indices]
     held[rows, [a for node in nodes for a in node.attribute_indices]] = True
     return held
-
-
-def relative_position(g: SceneGraph, i: str, j: str) -> np.ndarray:
-    """Position of object j minus position of object i, as a 3-vector."""
-    pi = g.node(i).position
-    pj = g.node(j).position
-    return np.array(pj, dtype=np.float64) - np.array(pi, dtype=np.float64)
-
-
-def map_taxonomy(g: SceneGraph, mapping: Mapping[int, int], target: Taxonomy) -> SceneGraph:
-    """Remap node class indices into a coarser (or equal) class taxonomy.
-
-    Attributes, positions, and edges are untouched; the target taxonomy is
-    expected to share the attribute and relationship lists of the source.
-    """
-    new_nodes = []
-    for node in g.nodes:
-        if node.class_index not in mapping:
-            raise MappingError(
-                f"mapping has no entry for class index {node.class_index} "
-                f"(node {node.id!r})"
-            )
-        new_index = mapping[node.class_index]
-        if not 0 <= new_index < target.num_classes:
-            raise MappingError(
-                f"mapped class index {new_index} out of range for taxonomy "
-                f"{target.name!r} ({target.num_classes} classes)"
-            )
-        for a in node.attribute_indices:
-            if a >= target.num_attributes:
-                raise MappingError(
-                    f"attribute index {a} of node {node.id!r} out of range for "
-                    f"taxonomy {target.name!r}"
-                )
-        new_nodes.append(
-            ObjectNode(
-                id=node.id,
-                class_index=new_index,
-                attribute_indices=node.attribute_indices,
-                position=node.position,
-            )
-        )
-    return SceneGraph(
-        environment_id=g.environment_id,
-        scan_id=g.scan_id,
-        timestamp=g.timestamp,
-        taxonomy_name=target.name,
-        nodes=tuple(new_nodes),
-        semantic_edges=g.semantic_edges,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import logging
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,19 +188,18 @@ def label_statistics(samples: list[Sample]) -> LabelStats:
     return LabelStats(tuple(m.sum(axis=0).tolist()), tuple((y * m).sum(axis=0).tolist()))
 
 
-def importance_sample(samples: list[Sample], stats: LabelStats | None = None) -> np.ndarray:
+def importance_sample(samples: list[Sample]) -> np.ndarray:
     """Per-sample draw weights, normalized to sum 1.
 
     Each unmasked label element is weighted by the inverse frequency of its
-    class (1/rate for positives, 1/(1-rate) for negatives, per variability
-    type); a sample's weight is the mean over its unmasked elements. On a
-    balanced set every element weighs the same, so the weights are uniform.
+    class in `samples` (1/rate for positives, 1/(1-rate) for negatives, per
+    variability type); a sample's weight is the mean over its unmasked
+    elements. On a balanced set every element weighs the same, so the
+    weights are uniform.
     """
     if not samples:
         raise ConfigError("importance_sample needs at least one sample")
-    if stats is None:
-        stats = label_statistics(samples)
-    rates = np.array(stats.positive_rates, dtype=np.float64)
+    rates = np.array(label_statistics(samples).positive_rates, dtype=np.float64)
     if not rates.any():
         logger.warning("no positive labels in any sample; using uniform weights")
     pos_w = np.where(rates > 0, 1.0 / np.where(rates > 0, rates, 1.0), 1.0)
@@ -395,10 +394,6 @@ class GeneratorConfig:
             raise ConfigError("jitter_fraction must be in [0, 1)")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
             raise ConfigError("split fractions must be non-negative and sum to 1")
-
-
-def generator_config_to_dict(cfg: GeneratorConfig) -> dict:
-    return asdict(cfg)
 
 
 def generator_config_from_dict(data: dict, source: str = "generator config") -> GeneratorConfig:

@@ -44,10 +44,6 @@ class PcaModel:
     rank: int
 
     @property
-    def rank_deficient(self) -> bool:
-        return self.rank < self.d_v
-
-    @property
     def input_dim(self) -> int:
         return self.mean.shape[0]
 

@@ -13,10 +13,6 @@ class TaxonomyError(VsgError):
     """A class, attribute, or relationship name is unknown to the taxonomy."""
 
 
-class MappingError(VsgError):
-    """A class-index mapping does not cover every class used by a graph."""
-
-
 class ObjectLookupError(VsgError):
     """An object id does not exist in the graph."""
 

@@ -363,8 +363,10 @@ def ranked_route(
 
     An object's score is the max of its three probabilities, ties broken
     toward the lower object id; the chosen objects keep node order before
-    the tour is solved.
+    the tour is solved. n must be at least 1, as in an `Episode`.
     """
+    if n < 1:
+        raise ConfigError(f"route needs n >= 1, got {n}")
     ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
     top = set(ranked[: n + 3])
     ids = [oid for oid in graph.node_ids if oid in top]

@@ -326,6 +326,12 @@ def _metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tp + fn)
 
 
+def check_threshold(threshold: float) -> None:
+    """A decision threshold is a probability: NaN or a value outside [0, 1] is refused."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1]; got {threshold}")
+
+
 def evaluate_probabilities(
     prob_list: list[np.ndarray],
     label_list: list[np.ndarray],
@@ -333,6 +339,7 @@ def evaluate_probabilities(
     threshold: float = 0.5,
 ) -> EvalReport:
     """Metrics at a fixed threshold; masked elements are excluded everywhere."""
+    check_threshold(threshold)
     if not prob_list:
         raise EvaluationError("nothing to evaluate: empty sample set")
     pred = np.concatenate(prob_list) >= threshold

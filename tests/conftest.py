@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from vsg import (
     EdgeConfig,
-    EmbeddedGraph,
     ObjectNode,
-    PcaModel,
     Sample,
     SceneGraph,
     SemanticEdge,
     Taxonomy,
 )
+from vsg.embedding import EmbeddedGraph, PcaModel
 
 
 def build_tiny_tax() -> Taxonomy:

@@ -113,6 +113,40 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: UsageError:")
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "2", "-1", "inf"])
+    def test_eval_threshold_outside_unit_interval_refused_before_echo(
+        self, pipeline, tmp_path, capsys, threshold
+    ):
+        report = tmp_path / "metrics.csv"
+        rc = dispatch(["eval", "--ckpt", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                       "--report", str(report), "--threshold", threshold])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out and not report.exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: threshold"), err
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_plan_n_below_one_is_one_error_line(self, pipeline, capsys, n):
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]), "--scene", str(pipeline["scene"]),
+                       "--n", n])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "phase1-route" not in out
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:"), err
+
+    @pytest.mark.parametrize("seeds", ["-1", "0"])
+    def test_compare_planners_seeds_below_one_refused_before_echo(
+        self, pipeline, tmp_path, capsys, seeds
+    ):
+        out_csv = tmp_path / "benchmark.csv"
+        rc = dispatch(["compare-planners", "--data", str(pipeline["data"]),
+                       "--ckpt", str(pipeline["ckpt"]), "--seeds", seeds, "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out and not out_csv.exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UsageError: --seeds"), err
+
+
 class TestGenerate:
     def test_writes_dataset_layout(self, pipeline):
         data = pipeline["data"]

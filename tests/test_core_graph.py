@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from vsg import (
-    MappingError,
     ObjectLookupError,
     ObjectNode,
     ParseError,
@@ -17,17 +16,12 @@ from vsg import (
     Taxonomy,
     TaxonomyError,
     load_scene_graph,
-    load_taxonomy,
-    map_taxonomy,
-    relative_position,
     save_scene_graph,
-    save_taxonomy,
     scene_graph_from_dict,
     scene_graph_to_dict,
     scene_graph_to_json,
-    taxonomy_from_dict,
-    taxonomy_to_dict,
 )
+from vsg.core_graph import load_taxonomy, save_taxonomy, taxonomy_from_dict, taxonomy_to_dict
 
 from conftest import make_graph, make_node, tiny_graphs
 
@@ -120,11 +114,6 @@ class TestSceneGraph:
         assert pos.shape == (4, 3)
         npt.assert_allclose(pos[1], [1.2, 1.1, 0.8])
 
-    def test_relative_position_antisymmetric(self, small_graph):
-        r = relative_position(small_graph, "obj000", "obj002")
-        npt.assert_allclose(r, [3.0, -1.0, 0.25])
-        npt.assert_allclose(relative_position(small_graph, "obj002", "obj000"), -r)
-
 
 class TestSerialization:
     def test_round_trip_preserves_everything(self, tiny_tax, small_graph):
@@ -188,39 +177,3 @@ class TestSerialization:
         path.write_text('{"format_version": 1,\n  "oops"')
         with pytest.raises(ParseError, match="line"):
             load_scene_graph(path, tiny_tax)
-
-
-class TestMapTaxonomy:
-    def test_classes_remapped(self, tiny_tax, small_graph):
-        coarse = Taxonomy(
-            name="coarse",
-            classes=("furniture", "handheld"),
-            attributes=tiny_tax.attributes,
-            relationships=tiny_tax.relationships,
-        )
-        mapping = {0: 0, 1: 1, 2: 0}
-        mapped = map_taxonomy(small_graph, mapping, coarse)
-        assert mapped.taxonomy_name == "coarse"
-        assert [n.class_index for n in mapped.nodes] == [0, 1, 0, 1]
-        # Everything else is untouched.
-        assert [n.position for n in mapped.nodes] == [n.position for n in small_graph.nodes]
-
-    def test_missing_mapping_entry(self, tiny_tax, small_graph):
-        coarse = Taxonomy(
-            name="coarse",
-            classes=("one",),
-            attributes=tiny_tax.attributes,
-            relationships=tiny_tax.relationships,
-        )
-        with pytest.raises(MappingError):
-            map_taxonomy(small_graph, {0: 0, 1: 0}, coarse)
-
-    def test_out_of_range_target(self, tiny_tax, small_graph):
-        coarse = Taxonomy(
-            name="coarse",
-            classes=("one",),
-            attributes=tiny_tax.attributes,
-            relationships=tiny_tax.relationships,
-        )
-        with pytest.raises(MappingError):
-            map_taxonomy(small_graph, {0: 0, 1: 5, 2: 0}, coarse)

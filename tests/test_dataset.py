@@ -5,6 +5,7 @@ import ast
 import json
 import logging
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from vsg import (
     GeneratorConfig,
     GeneratorError,
     LabelConfig,
-    LabelStats,
     ModelConfig,
     PairingError,
     ParseError,
@@ -31,7 +31,6 @@ from vsg import (
     generate_dataset,
     generate_environment,
     generator_config_from_dict,
-    generator_config_to_dict,
     importance_sample,
     ingest_3rscan_layout,
     label_statistics,
@@ -44,7 +43,7 @@ from vsg import (
 )
 
 from vsg.core_graph import distance
-from vsg.dataset import _default_class_specs, _semantic_edges
+from vsg.dataset import LabelStats, _default_class_specs, _semantic_edges
 
 from conftest import build_tiny_tax, label_rows, make_graph, make_node, make_sample, tiny_graphs
 
@@ -248,16 +247,22 @@ class TestImportanceSampling:
         assert np.all(weights > 0)
 
     def test_rare_instance_positive_upweighted(self, tiny_tax):
-        # At a 13% instance-positive rate, a sample whose only unmasked
-        # element is an instance positive carries raw weight 1/0.13.
-        stats = LabelStats(unmasked=(100, 100, 100), positives=(50, 50, 13))
+        # One vanished object among eight gives a 1/8 instance-positive rate;
+        # three of the seven others moved (position rate 3/7), none toggled.
+        # The vanished sample's only unmasked element is that instance
+        # positive, so it carries raw weight 1/(1/8).
         rare = self.one_node_sample(tiny_tax, VANISHED, oid="v")
-        common = self.one_node_sample(tiny_tax, label_of(), oid="c")
-        weights = importance_sample([rare, common], stats)
-        raw_rare = 1.0 / 0.13
-        raw_common = (2.0 + 2.0 + 1.0 / 0.87) / 3.0
-        expected = np.array([raw_rare, raw_common]) / (raw_rare + raw_common)
-        npt.assert_allclose(weights, expected, atol=1e-12)
+        moved = [self.one_node_sample(tiny_tax, label_of(y_p=1), oid=f"m{k}") for k in range(3)]
+        still = [self.one_node_sample(tiny_tax, label_of(), oid=f"s{k}") for k in range(4)]
+        samples = [rare, *moved, *still]
+        assert label_statistics(samples).positive_rates == (3 / 7, 0.0, 1 / 8)
+        weights = importance_sample(samples)
+        raw_rare = 1.0 / (1 / 8)
+        raw_moved = (1.0 / (3 / 7) + 1.0 + 1.0 / (7 / 8)) / 3.0
+        raw_still = (1.0 / (4 / 7) + 1.0 + 1.0 / (7 / 8)) / 3.0
+        raw = np.array([raw_rare] + [raw_moved] * 3 + [raw_still] * 4)
+        npt.assert_allclose(weights, raw / raw.sum(), atol=1e-12)
+        assert weights[0] > weights[1] > weights[4]
 
     def test_all_negative_warns_and_is_uniform(self, tiny_tax, caplog):
         samples = [
@@ -443,7 +448,7 @@ class TestGenerator:
     def test_config_dict_round_trip(self):
         overrides = {"cup": ClassPropensity(move_near=0.9, vanish=0.2)}
         cfg = GeneratorConfig(seed=3, propensity_overrides=overrides)
-        assert generator_config_from_dict(generator_config_to_dict(cfg)) == cfg
+        assert generator_config_from_dict(asdict(cfg)) == cfg
 
     def test_dataset_split_assignment(self):
         cfg = GeneratorConfig(

@@ -32,9 +32,9 @@ from vsg import (
     load_checkpoint,
     load_dataset,
     load_scene_graph,
-    load_taxonomy,
 )
 from vsg.cli import dispatch
+from vsg.core_graph import load_taxonomy
 from vsg.model import checkpoint_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vsg"
@@ -187,6 +187,12 @@ def _paths(value, path=()):
         yield from _paths(child, (*path, key))
 
 
+def _key_path(path):
+    """A position's dict keys without its list indices: every element of one
+    weight matrix shares a key path, and each checkpoint setting has its own."""
+    return tuple(k for k in path if isinstance(k, str))
+
+
 def _at(value, path):
     for key in path:
         value = value[key]
@@ -206,7 +212,12 @@ def mutate(draw, raw: bytes, kind: str) -> bytes:
     elif kind == "empty_list":
         paths = [p for p in paths if isinstance(_at(value, p), list)]
     assume(paths)
-    path = draw(st.sampled_from(paths))
+    # Key path first, then a position within it, so a file's few scalar
+    # settings are drawn as often as each of its large arrays.
+    by_key: dict[tuple, list] = {}
+    for p in paths:
+        by_key.setdefault(_key_path(p), []).append(p)
+    path = draw(st.sampled_from(by_key[draw(st.sampled_from(list(by_key)))]))
     if kind == "drop_key":
         del _at(value, path[:-1])[path[-1]]
         return json.dumps(value).encode()

@@ -14,16 +14,15 @@ from vsg import (
     ConfigError,
     DeltaVsgModel,
     EdgeConfig,
-    EmbeddedGraph,
     GraphError,
-    MlpBaseline,
     ModelConfig,
     UsageError,
     fit_pca,
     load_checkpoint,
     save_checkpoint,
 )
-from vsg.model import MpConv, _scatter_add
+from vsg.embedding import EmbeddedGraph
+from vsg.model import MlpBaseline, MpConv, _scatter_add
 from vsg.nn_core import Mlp, ParamStore
 
 from conftest import identity_pca, random_embedded_graph

@@ -16,6 +16,7 @@ from vsg import (
     held_karp,
     heuristic_tsp,
     make_episodes,
+    ranked_route,
     route_length,
     run_benchmark,
     run_coverage,
@@ -491,6 +492,13 @@ class TestVsgPlanner:
             pos = positions[oid]
         assert result.distance_traveled == pytest.approx(total, abs=1e-12)
         assert result.changes_found == 1
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_ranked_route_refuses_n_below_one(self, tiny_tax, n):
+        ep = line_episode(tiny_tax)
+        probs = OracleScorer(ep.realized_scene).predict_probabilities(ep.previous_map, tiny_tax)
+        with pytest.raises(ConfigError, match="n >= 1"):
+            ranked_route(ep.previous_map, probs, n, ep.start())
 
     def test_small_map_degenerates_to_coverage(self, tiny_tax):
         # With at most n + 3 objects the first phase already tours the whole

@@ -14,13 +14,10 @@ from vsg import (
     EvaluationError,
     GeneratorConfig,
     LossConfig,
-    MlpBaseline,
     ModelConfig,
     TrainConfig,
     TrainingError,
-    class_weights_from_samples,
     evaluate,
-    evaluate_probabilities,
     focal_loss,
     generate_dataset,
     threshold_sweep,
@@ -30,7 +27,8 @@ from vsg import (
 )
 import vsg.model as model_module
 import vsg.training as training_module
-from vsg.model import MpConv, checkpoint_to_json
+from vsg.model import MlpBaseline, MpConv, checkpoint_to_json
+from vsg.training import class_weights_from_samples, evaluate_probabilities
 from vsg.nn_core import Adam, Mlp
 
 from conftest import make_graph, make_node, make_sample
@@ -232,6 +230,15 @@ class TestEvaluateProbabilities:
         with pytest.raises(EvaluationError):
             evaluate_probabilities([], [], [])
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 2.0, math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            single_report([[0.9, 0, 0]], [[1, 0, 0]], threshold=threshold)
+
+    def test_threshold_bounds_accepted(self):
+        for threshold in (0.0, 1.0):
+            assert single_report([[1.0, 0, 0]], [[1, 0, 0]], threshold=threshold).threshold == threshold
+
     def test_eval_csv(self, tmp_path):
         report = single_report([[0.9, 0.9, 0.9]], [[1, 1, 1]])
         path = tmp_path / "eval.csv"
@@ -414,6 +421,10 @@ class TestTrain:
         write_sweep_csv(rows, tmp_path / "sweep.csv")
         header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
         assert header == "threshold,variability,precision,recall,f1"
+        with pytest.raises(ConfigError, match="threshold"):
+            evaluate(model, samples, bundle.taxonomy, threshold=math.nan)
+        with pytest.raises(ConfigError, match="threshold"):
+            threshold_sweep(model, samples, bundle.taxonomy, thresholds=[0.5, 1.5])
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigError):
