@@ -42,12 +42,13 @@ from .planner import (
     write_benchmark_csv,
 )
 from .training import (
+    SWEEP_THRESHOLDS,
     LossConfig,
     TrainConfig,
-    _evaluate_at,
-    _probabilities,
-    _sweep_rows,
     check_threshold,
+    evaluate_probabilities,
+    sample_probabilities,
+    sweep_rows,
     train,
     write_eval_csv,
     write_sweep_csv,
@@ -79,6 +80,15 @@ def _load_scene(path, tax):
     if isinstance(data, dict):
         _check_taxonomy(tax, data.get("taxonomy"), "scene")
     return scene_graph_from_dict(data, tax, source=str(path))
+
+
+def _flag_values(args, cls) -> dict:
+    """The flags set on the command line for `cls`'s fields, by dest name."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cls)
+        if getattr(args, f.name, None) is not None
+    }
 
 
 def _split_samples(bundle, split: str, label_cfg: LabelConfig):
@@ -131,9 +141,7 @@ def cmd_train(args) -> int:
         values = file_cfg.get(section, {})
         if not isinstance(values, dict):
             raise ConfigError(f"{where} {section!r} must be a JSON object")
-        for field in dataclasses.fields(cls):
-            if getattr(args, field.name, None) is not None:
-                values = values | {field.name: getattr(args, field.name)}
+        values = values | _flag_values(args, cls)
         if values or cls is not LossConfig:
             cfg = _config_from_json(cls, values, f"{where} {section!r}")
             resolved[section] = dataclasses.asdict(cfg)
@@ -160,7 +168,7 @@ def cmd_eval(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     bundle = load_dataset(_require_dir(args.data, "data"))
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
-    label_cfg = LabelConfig(epsilon=args.epsilon) if args.epsilon is not None else LabelConfig()
+    label_cfg = _config_from_json(LabelConfig, _flag_values(args, LabelConfig), "label config")
     check_threshold(args.threshold)
     _echo_config(
         "eval",
@@ -174,11 +182,14 @@ def cmd_eval(args) -> int:
         },
     )
     samples = _split_samples(bundle, args.split, label_cfg)
-    probs = _probabilities(model, samples, bundle.taxonomy)
-    report = _evaluate_at(probs, samples, args.threshold)
+    thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
+    report, *sweep = evaluate_probabilities(
+        sample_probabilities(model, samples, bundle.taxonomy),
+        [s.labels for s in samples], [s.masks for s in samples], thresholds,
+    )
     write_eval_csv(report, args.report)
     if args.sweep:
-        write_sweep_csv(_sweep_rows(probs, samples), args.sweep)
+        write_sweep_csv(sweep_rows(sweep), args.sweep)
     for name in ("position", "state", "instance", "pooled"):
         m = report.metrics[name]
         print(
@@ -258,36 +269,45 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, n_max: int) -> list[int]:
+    """The n values of `text` (like 1..5 or 1,3,5); each must be in [1, n_max]."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split("..", 1))
+            values = range(lo, hi + 1)
         else:
             values = [int(x) for x in text.split(",")]
+            lo, hi = min(values), max(values)
     except ValueError:
-        values = []
-    if not values or min(values) < 1:
+        values = ()
+    if not values or lo < 1:
         raise UsageError(f"bad --n-range {text!r}; expected like 1..5 or 1,3,5")
-    return values
+    if hi > n_max:
+        raise UsageError(
+            f"--n-range {text!r} reaches n = {hi}, above the {n_max} objects of the largest previous map"
+        )
+    return list(values)
 
 
 def cmd_compare_planners(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     bundle = load_dataset(_require_dir(args.data, "data"))
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
-    n_values = _parse_n_range(args.n_range)
+    env_ids = bundle.environment_ids(args.split if args.split != "all" else None)
+    environments = {e: bundle.environments[e] for e in env_ids}
+    if not environments:
+        raise EvaluationError(f"no environments in split {args.split!r}")
+    n_max = max((g.num_nodes for scans in environments.values() for g in scans[:-1]), default=0)
+    n_values = _parse_n_range(args.n_range, n_max)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1; got {args.seeds}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0; got {args.seed}")
     _echo_config(
         "compare-planners",
         {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,
          "split": args.split, "out": args.out},
     )
-    env_ids = bundle.environment_ids(args.split if args.split != "all" else None)
-    environments = {e: bundle.environments[e] for e in env_ids}
-    if not environments:
-        raise EvaluationError(f"no environments in split {args.split!r}")
     episodes = make_episodes(environments, n_values)
     # --seeds bounds the number of episodes per n, drawn deterministically.
     per_n: dict[int, list[Episode]] = {}

@@ -394,6 +394,8 @@ class GeneratorConfig:
             raise ConfigError("jitter_fraction must be in [0, 1)")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
             raise ConfigError("split fractions must be non-negative and sum to 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def generator_config_from_dict(data: dict, source: str = "generator config") -> GeneratorConfig:
@@ -846,8 +848,8 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
 
     Returns the bundle and the ids of the skipped environments. Environments
     whose mapping entry or scan files are missing or malformed are skipped
-    with a warning, as are an entry that lists one scan twice (its reference
-    among the rescans counts) and a reference that two entries list; a
+    with a warning, as is every entry that names a scan (as its reference,
+    also without a mapping, or as a rescan) that the index names twice; a
     malformed index is a ParseError. Every usable environment is in the
     "train" split, in id order. The taxonomy is built from the union of
     observed labels, attributes, and relationship names.
@@ -862,27 +864,20 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
     scan_lists: dict[str, list[str]] = {}
     skipped: list[str] = []
     rows = _parse_rows(index_path, index, "entry", _index_entry)
-    listed = Counter(ref for ref, _ in rows)
+    named = Counter(scan_id for ref, ids in rows for scan_id in ids or [ref] if scan_id)
     for k, (ref, ids) in enumerate(rows):
-        if ref and listed[ref] > 1:
-            if ref not in skipped:
-                logger.warning(
-                    "%s: reference %s is listed by %d entries; skipping", index_path, ref, listed[ref]
-                )
-                skipped.append(ref)
+        repeated = next((scan_id for scan_id in ids or [ref] if named[scan_id] > 1), None)
+        if repeated is None and ids is not None:
+            scan_lists[ref] = ids
             continue
-        if ids is None:
-            logger.warning("%s: entry %d has no reference mapping; skipping", index_path, k)
-            skipped.append(ref or f"<entry {k}>")
-            continue
-        repeated = sorted({scan_id for scan_id in ids if ids.count(scan_id) > 1})
         if repeated:
-            logger.warning(
-                "%s: entry %d (%s) lists scan %s twice; skipping", index_path, k, ref, ", ".join(repeated)
-            )
-            skipped.append(ref)
-            continue
-        scan_lists[ref] = ids
+            why = f"names scan {repeated}, which the index names more than once"
+        else:
+            why = "has no reference mapping"
+        logger.warning("%s: entry %d (%s) %s; skipping", index_path, k, ref, why)
+        skip_id = ref or f"<entry {k}>"
+        if skip_id not in skipped:
+            skipped.append(skip_id)
 
     # First pass: collect the vocabulary.
     classes: set[str] = set()

@@ -181,19 +181,13 @@ class Mlp:
 class Adam:
     """Adam with bias correction over a store's flat parameter buffer."""
 
-    def __init__(
-        self,
-        store: ParamStore,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, store: ParamStore, lr: float = 1e-3):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(store.values)
         self._v = np.zeros_like(store.values)

@@ -224,14 +224,11 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
             best, best_len = order, length
     if n >= 4:  # a double bridge needs three distinct interior cuts
         rng = np.random.default_rng(0)
-        current, current_len = list(best), best_len
         for _ in range(_DOUBLE_BRIDGE_KICKS):
-            cand = _local_search(dist, _double_bridge(current, rng))
+            cand = _local_search(dist, _double_bridge(best, rng))
             length = route_length(pts, start, cand)
-            if length < current_len - 1e-12:
-                current, current_len = list(cand), length
             if length < best_len - 1e-12:
-                best, best_len = list(cand), length
+                best, best_len = cand, length
     return best
 
 
@@ -491,24 +488,12 @@ def write_benchmark_csv(summary: BenchmarkSummary, path) -> None:
             writer.writerow([r.n, r.planner, r.mean_distance, r.std_distance, r.win_fraction, r.speedup])
 
 
-def make_episodes(
-    environments: dict[str, list[SceneGraph]],
-    n_values: list[int],
-    label_cfg: LabelConfig = LabelConfig(),
-) -> list[Episode]:
+def make_episodes(environments: dict[str, list[SceneGraph]], n_values: list[int]) -> list[Episode]:
     """Episodes from every consecutive scan pair of every environment, one
-    per requested n."""
-    episodes = []
-    for env_id in environments:
-        scans = environments[env_id]
-        for t in range(len(scans) - 1):
-            for n in n_values:
-                episodes.append(
-                    Episode(
-                        previous_map=scans[t],
-                        realized_scene=scans[t + 1],
-                        n=n,
-                        label_cfg=label_cfg,
-                    )
-                )
-    return episodes
+    per requested n, labelled with the default LabelConfig."""
+    return [
+        Episode(previous_map=scans[t], realized_scene=scans[t + 1], n=n)
+        for scans in environments.values()
+        for t in range(len(scans) - 1)
+        for n in n_values
+    ]

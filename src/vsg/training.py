@@ -33,6 +33,7 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -75,12 +76,12 @@ class LossConfig:
         )
 
 
-def class_weights_from_samples(samples: list[Sample], cap: float = 20.0) -> tuple:
-    """Inverse positive-frequency weights per variability type, capped."""
+def class_weights_from_samples(samples: list[Sample]) -> tuple:
+    """Inverse positive-frequency weights per variability type, capped at 20."""
     stats = label_statistics(samples)
     rows = []
     for rate in stats.positive_rates:
-        pos = min(cap, 1.0 / rate) if rate > 0 else 1.0
+        pos = min(20.0, 1.0 / rate) if rate > 0 else 1.0
         rows.append((float(pos), 1.0))
     return tuple(rows)
 
@@ -135,6 +136,8 @@ class TrainConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -161,14 +164,25 @@ class TrainingReport:
         return json.dumps(self.to_dict()) + "\n"
 
 
-def _embed_inputs(samples: list[Sample], tax, pca, edge_cfg) -> list[EmbeddedGraph]:
-    """Each sample's embedded input graph, embedding every scan once."""
+def _embed_inputs(samples: list[Sample], embed_scan) -> list[EmbeddedGraph]:
+    """Each sample's embedded input graph, calling `embed_scan` once per scan."""
     cache: dict[tuple[str, str], EmbeddedGraph] = {}
     for s in samples:
         key = (s.environment_id, s.input.scan_id)
         if key not in cache:
-            cache[key] = embed(s.input, tax, pca, edge_cfg)
+            cache[key] = embed_scan(s.input)
     return [cache[(s.environment_id, s.input.scan_id)] for s in samples]
+
+
+def _eval_forward(model, graphs: list[EmbeddedGraph]) -> list[np.ndarray]:
+    return [model.forward(g, mode="eval")[0] for g in graphs]
+
+
+def sample_probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
+    """Eval-mode (N, 3) probabilities of each sample's input scan, embedding
+    every scan once. A taxonomy or scan that is not the model's is refused
+    with the CheckpointError of `predict_probabilities`."""
+    return _eval_forward(model, _embed_inputs(samples, lambda g: model.embed_scene(g, tax)))
 
 
 def _snapshot(model) -> np.ndarray:
@@ -177,11 +191,6 @@ def _snapshot(model) -> np.ndarray:
 
 def _restore(model, snap: np.ndarray) -> None:
     model.store.values[...] = snap
-
-
-def _eval_probabilities(model, graphs: list[EmbeddedGraph]) -> list[np.ndarray]:
-    """Eval-mode (N, 3) probabilities of each graph, in order."""
-    return [model.forward(g, mode="eval")[0] for g in graphs]
 
 
 def train(
@@ -226,8 +235,9 @@ def train(
     )
     optimizer = Adam(model.store, lr=train_cfg.learning_rate)
 
-    train_inputs = _embed_inputs(train_samples, tax, pca, edge_cfg)
-    val_inputs = _embed_inputs(val_samples, tax, pca, edge_cfg)
+    train_inputs = _embed_inputs(train_samples, lambda g: embed(g, tax, pca, edge_cfg))
+    val_inputs = _embed_inputs(val_samples, lambda g: embed(g, tax, pca, edge_cfg))
+    val_labels, val_masks = [s.labels for s in val_samples], [s.masks for s in val_samples]
     weights = importance_sample(train_samples)
 
     draw_rng = np.random.default_rng([train_cfg.seed, 1])
@@ -271,12 +281,12 @@ def train(
             epoch_loss += batch_loss / steps_per_epoch
         report.train_loss.append(epoch_loss)
 
-        val_probs = _eval_probabilities(model, val_inputs)
+        val_probs = _eval_forward(model, val_inputs)
         val_loss = sum(
             focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
             for probs, s in zip(val_probs, val_samples)
         ) / len(val_samples)
-        f1 = _evaluate_at(val_probs, val_samples, 0.5).metrics["pooled"].f1
+        f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
         report.val_loss.append(val_loss)
         report.val_pooled_f1.append(f1)
         if val_loss < best_val:
@@ -336,71 +346,59 @@ def evaluate_probabilities(
     prob_list: list[np.ndarray],
     label_list: list[np.ndarray],
     mask_list: list[np.ndarray],
-    threshold: float = 0.5,
-) -> EvalReport:
-    """Metrics at a fixed threshold; masked elements are excluded everywhere."""
-    check_threshold(threshold)
+    thresholds: Sequence[float],
+) -> list[EvalReport]:
+    """One EvalReport per threshold, in order; masked elements are excluded
+    everywhere. All thresholds are counted in one (T, N, 3) step."""
+    for threshold in thresholds:
+        check_threshold(threshold)
     if not prob_list:
         raise EvaluationError("nothing to evaluate: empty sample set")
-    pred = np.concatenate(prob_list) >= threshold
+    pred = np.concatenate(prob_list) >= np.asarray(thresholds, dtype=np.float64)[:, None, None]
     pos = np.concatenate(label_list) > 0.5
     m = np.concatenate(mask_list) > 0
-    # Per type (row): tp, fp, fn, tn.
-    counts = np.stack([(p & y & m).sum(axis=0) for p in (pred, ~pred) for y in (pos, ~pos)], axis=1)
-    metrics = {
-        name: _metrics_from_counts(*counts[t]) for t, name in enumerate(VARIABILITY_NAMES)
-    }
-    metrics["pooled"] = _metrics_from_counts(*counts.sum(axis=0))
-    return EvalReport(metrics=metrics, threshold=threshold)
-
-
-def _evaluate_at(probs: list[np.ndarray], samples: list[Sample], threshold: float) -> EvalReport:
-    return evaluate_probabilities(
-        probs, [s.labels for s in samples], [s.masks for s in samples], threshold
-    )
+    # Per threshold and type: tp, fp, fn, tn.
+    counts = np.stack([(p & y & m).sum(axis=1) for p in (pred, ~pred) for y in (pos, ~pos)], axis=-1)
+    reports = []
+    for threshold, per_type in zip(thresholds, counts):
+        metrics = {
+            name: _metrics_from_counts(*per_type[t]) for t, name in enumerate(VARIABILITY_NAMES)
+        }
+        metrics["pooled"] = _metrics_from_counts(*per_type.sum(axis=0))
+        reports.append(EvalReport(metrics=metrics, threshold=threshold))
+    return reports
 
 
 SWEEP_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
-def _probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
-    """The model's eval-mode probabilities for each sample, embedding every scan once."""
-    return _eval_probabilities(model, _embed_inputs(samples, tax, model.pca, model.edge_config))
-
-
-def _sweep_rows(probs, samples: list[Sample], thresholds=SWEEP_THRESHOLDS) -> list[dict]:
+def sweep_rows(reports: list[EvalReport]) -> list[dict]:
+    """Precision, recall and F1 of each report, one row per (threshold, type)."""
     rows = []
-    for th in thresholds:
-        rep = _evaluate_at(probs, samples, th)
+    for rep in reports:
         for name in VARIABILITY_NAMES:
             m = rep.metrics[name]
-            rows.append(
-                {
-                    "threshold": th,
-                    "variability": name,
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                }
-            )
+            rows.append({"threshold": rep.threshold, "variability": name,
+                         "precision": m.precision, "recall": m.recall, "f1": m.f1})
     return rows
 
 
 def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalReport:
     """Run the model over labeled samples and report per-variability metrics."""
-    if not samples:
-        raise EvaluationError("nothing to evaluate: empty sample set")
-    return _evaluate_at(_probabilities(model, samples, tax), samples, threshold)
+    probs = sample_probabilities(model, samples, tax)
+    return evaluate_probabilities(
+        probs, [s.labels for s in samples], [s.masks for s in samples], [threshold]
+    )[0]
 
 
 def threshold_sweep(
-    model, samples: list[Sample], tax, thresholds: list[float] | None = None
+    model, samples: list[Sample], tax, thresholds: Sequence[float] = SWEEP_THRESHOLDS
 ) -> list[dict]:
-    """Precision/recall per variability type across decision thresholds
-    (SWEEP_THRESHOLDS by default)."""
-    if thresholds is None:
-        thresholds = SWEEP_THRESHOLDS
-    return _sweep_rows(_probabilities(model, samples, tax), samples, thresholds)
+    """Precision/recall per variability type across decision thresholds."""
+    probs = sample_probabilities(model, samples, tax)
+    return sweep_rows(evaluate_probabilities(
+        probs, [s.labels for s in samples], [s.masks for s in samples], thresholds
+    ))
 
 
 def write_eval_csv(report: EvalReport, path) -> None:

@@ -24,11 +24,11 @@ from vsg import (
     save_checkpoint,
     scene_graph_to_dict,
     threshold_sweep,
-    training,
     write_eval_csv,
     write_sweep_csv,
 )
 from vsg import planner
+import vsg.model as model_module
 from vsg.cli import _TRAIN_SECTIONS, build_parser, dispatch
 from vsg.model import _VariabilityModel
 
@@ -146,6 +146,18 @@ class TestExitCodes:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: UsageError: --seeds"), err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-range", "1..99"), ("--n-range", "2,99")])
+    def test_compare_planners_negative_seed_or_n_above_largest_map_refused_before_echo(
+        self, pipeline, tmp_path, capsys, flag, value
+    ):
+        out_csv = tmp_path / "benchmark.csv"
+        rc = dispatch(["compare-planners", "--data", str(pipeline["data"]),
+                       "--ckpt", str(pipeline["ckpt"]), flag, value, "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out and not out_csv.exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: UsageError: {flag}"), err
+
 
 class TestGenerate:
     def test_writes_dataset_layout(self, pipeline):
@@ -225,7 +237,7 @@ class TestTrainEval:
             embedded.append((g.environment_id, g.scan_id))
             return embed(g, *args)
 
-        monkeypatch.setattr(training, "embed", counting_embed)
+        monkeypatch.setattr(model_module, "embed", counting_embed)
         report, sweep = tmp_path / "eval.csv", tmp_path / "sweep.csv"
         rc = dispatch(["eval", "--ckpt", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
                        "--report", str(report), "--sweep", str(sweep)])

@@ -439,6 +439,7 @@ class TestGenerator:
             dict(split_fractions=(0.5, 0.5, 0.5)),
             dict(scans_per_environment=1),
             dict(objects_min=2),
+            dict(seed=-1),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -790,7 +791,7 @@ class TestIngest:
             bundle, skipped = ingest_3rscan_layout(tmp_path)
         assert skipped == ("envC-ref",)
         repeated = "envC-re1" if scans[1]["reference"] == "envC-re1" else "envC-ref"
-        assert f"lists scan {repeated} twice; skipping" in caplog.text
+        assert f"names scan {repeated}, which the index names more than once; skipping" in caplog.text
         assert sorted(bundle.environments) == ["envA-ref", "envB-ref"]
         assert len(bundle.samples()) == 4
         write_dataset(tmp_path / "data", bundle.taxonomy, bundle.environments, bundle.splits)
@@ -807,9 +808,26 @@ class TestIngest:
         with caplog.at_level(logging.WARNING):
             bundle, skipped = ingest_3rscan_layout(tmp_path)
         assert skipped == ("envC-ref",)
-        assert "reference envC-ref is listed by 2 entries; skipping" in caplog.text
+        assert "names scan envC-ref, which the index names more than once; skipping" in caplog.text
         assert sorted(bundle.environments) == ["envA-ref", "envB-ref"]
         assert len(bundle.samples()) == 4
+
+    def test_scan_named_by_two_entries_skips_both(self, tmp_path, caplog):
+        self.build_layout(tmp_path)
+        index = json.loads((tmp_path / "3RScan.json").read_text())
+        index += [{"reference": "a", "scans": [{"reference": "x"}]},
+                  {"reference": "b", "scans": [{"reference": "x"}]},
+                  {"reference": "c", "scans": [{"reference": "a"}]},
+                  {"reference": "c"}]
+        (tmp_path / "3RScan.json").write_text(json.dumps(index))
+        for t, scan in enumerate(("a", "b", "c", "x")):
+            write_scan(tmp_path, scan, [obj("5", "lamp", (t, 0, 0))])
+        with caplog.at_level(logging.WARNING):
+            bundle, skipped = ingest_3rscan_layout(tmp_path)
+        assert skipped == ("a", "b", "c")
+        for k, scan in ((2, "x"), (3, "x"), (4, "a"), (5, "c")):
+            assert f"entry {k} " in caplog.text and f"names scan {scan}, which" in caplog.text
+        assert sorted(bundle.environments) == ["envA-ref", "envB-ref"]
 
     def test_object_without_position_skips_environment(self, tmp_path, caplog):
         self.build_layout(tmp_path)

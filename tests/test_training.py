@@ -1,6 +1,7 @@
 """Focal loss values and gradients, class weighting, metric computation,
 and the training loop's determinism and control flow."""
 
+import dataclasses
 import logging
 import math
 
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from vsg import (
+    CheckpointError,
     ConfigError,
     DatasetBundle,
     EvaluationError,
@@ -172,7 +174,7 @@ def single_report(probs, labels, masks=None, threshold=0.5):
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     masks = np.ones_like(probs) if masks is None else np.asarray(masks, dtype=float)
-    return evaluate_probabilities([probs], [labels], [masks], threshold)
+    return evaluate_probabilities([probs], [labels], [masks], [threshold])[0]
 
 
 class TestEvaluateProbabilities:
@@ -228,7 +230,7 @@ class TestEvaluateProbabilities:
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
-            evaluate_probabilities([], [], [])
+            evaluate_probabilities([], [], [], [0.5])
 
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, 2.0, math.inf])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -286,9 +288,9 @@ def test_evaluate_probabilities_matches_loop_reference():
         masks = [(rng.random((k, 3)) < 0.8).astype(float) for k in sizes]
         masks[int(rng.integers(len(sizes)))][...] = 0.0  # an all-masked sample
         probs[0][:, 0] = 0.5  # exactly on the threshold
-        for threshold in (0.05, 0.5, 0.95):
-            got = evaluate_probabilities(probs, labels, masks, threshold)
-            assert got == evaluate_probabilities_loop(probs, labels, masks, threshold), case
+        thresholds = (0.05, 0.5, 0.95)
+        got = evaluate_probabilities(probs, labels, masks, thresholds)
+        assert got == [evaluate_probabilities_loop(probs, labels, masks, th) for th in thresholds], case
 
 
 def small_bundle(num_environments=3, seed=4, **kwargs):
@@ -426,9 +428,24 @@ class TestTrain:
         with pytest.raises(ConfigError, match="threshold"):
             threshold_sweep(model, samples, bundle.taxonomy, thresholds=[0.5, 1.5])
 
+    def test_foreign_taxonomy_refused(self):
+        bundle = small_bundle()
+        model, _ = train(bundle, small_model_cfg(), quick_train_cfg(epochs=1))
+        renamed = dataclasses.replace(bundle.taxonomy, name="renamed")
+        samples = [
+            dataclasses.replace(s, input=dataclasses.replace(s.input, taxonomy_name="renamed"))
+            for s in bundle.samples("val")
+        ]
+        with pytest.raises(CheckpointError, match="renamed"):
+            evaluate(model, samples, renamed)
+        with pytest.raises(CheckpointError, match="renamed"):
+            threshold_sweep(model, samples, renamed)
+
     def test_train_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
         with pytest.raises(ConfigError):
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
