@@ -301,19 +301,19 @@ def cmd_compare_planners(args) -> int:
     n_values = _parse_n_range(args.n_range, n_max)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1; got {args.seeds}")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise UsageError(f"--seed must be >= 0; got {args.seed}")
     _echo_config(
         "compare-planners",
         {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,
-         "split": args.split, "out": args.out},
+         "seed": args.seed, "split": args.split, "out": args.out},
     )
     episodes = make_episodes(environments, n_values)
     # --seeds bounds the number of episodes per n, drawn deterministically.
     per_n: dict[int, list[Episode]] = {}
     for ep in episodes:
         per_n.setdefault(ep.n, []).append(ep)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     chosen: list[Episode] = []
     for n in sorted(per_n):
         eps = per_n[n]
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--n-range", default="1..5", help="like 1..5 or 1,3,5")
     p.add_argument("--seeds", type=int, default=30, help="episodes per n value")
-    p.add_argument("--seed", type=int, help="seed for episode subsampling")
+    p.add_argument("--seed", type=int, default=0, help="seed for episode subsampling")
     p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
     p.add_argument("--out", required=True, help="summary CSV output path")
     p.set_defaults(func=cmd_compare_planners)

@@ -116,6 +116,7 @@ def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
     n = len(order)
     s = dist.shape[0] - 1
     o = np.asarray(order, dtype=np.int64)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # only i < j
     last = -1  # flat (i, j) index of this pass's last move; -1 while it has none
     while True:
         prev = np.concatenate(([s], o[:-1]))
@@ -123,7 +124,7 @@ def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
         # except past the tail where the route just ends.
         delta = dist[prev[:, None], o] - dist[prev, o][:, None]
         delta[:, :-1] += dist[o[:, None], o[1:]] - dist[o[:-1], o[1:]]
-        hits = np.flatnonzero(np.triu(delta, 1) < -1e-12)  # only i < j
+        hits = np.flatnonzero((delta < -1e-12) & upper)
         hits = hits[hits > last]
         if hits.size:
             last = int(hits[0])
@@ -164,25 +165,50 @@ def _or_opt(dist: np.ndarray, order: list[int]) -> tuple[list[int], bool]:
     return order, False
 
 
-def _local_search(dist: np.ndarray, order: list[int]) -> list[int]:
-    """Alternate 2-opt and Or-opt until neither move set improves."""
-    improved = True
-    while improved:
+def _local_search(
+    dist: np.ndarray, order: list[int], seen: dict[tuple[int, ...], tuple[int, ...]]
+) -> list[int]:
+    """Alternate 2-opt and Or-opt until neither move set improves.
+
+    From a loop head, and from the 2-opt optimum handed to Or-opt, the rest
+    of the search depends on the order alone, and a 2-opt optimum passes
+    through `_two_opt` unchanged. So `seen` maps each such order of every
+    earlier search to where that search ended, and a search that reaches
+    one stops there with the same result.
+    """
+    trail: list[tuple[int, ...]] = []
+    while (key := tuple(order)) not in seen:
+        trail.append(key)
         order = _two_opt(dist, order)
+        if (key := tuple(order)) in seen:
+            break
+        trail.append(key)
         order, improved = _or_opt(dist, order)
-    return order
+        if not improved:
+            seen[key] = key
+            break
+    result = seen[key]
+    seen.update(dict.fromkeys(trail, result))
+    return list(result)
 
 
-def _forced_nearest_neighbor(dist: np.ndarray, first: int) -> list[int]:
+def _nearest_neighbor_routes(dist: np.ndarray) -> list[list[int]]:
+    """Row f: the nearest-neighbour route forced to start at point f.
+
+    All n routes grow in one (n, n) argmin per step, visited points masked
+    to inf; argmin takes the lowest index on ties, as a scan of the
+    unvisited points in ascending order does.
+    """
     n = dist.shape[0] - 1
-    remaining = list(range(n))
-    remaining.remove(first)
-    order = [first]
-    while remaining:
-        pick = remaining[int(np.argmin(dist[order[-1], remaining]))]
-        order.append(pick)
-        remaining.remove(pick)
-    return order
+    rows = np.arange(n)
+    routes = np.empty((n, n), dtype=np.int64)
+    routes[:, 0] = rows
+    visited = np.eye(n, dtype=bool)
+    for k in range(1, n):
+        pick = np.argmin(np.where(visited, np.inf, dist[routes[:, k - 1], :n]), axis=1)
+        routes[:, k] = pick
+        visited[rows, pick] = True
+    return routes.tolist()
 
 
 def _double_bridge(order: list[int], rng: np.random.Generator) -> list[int]:
@@ -197,12 +223,18 @@ _DOUBLE_BRIDGE_KICKS = 10
 def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     """Multi-start local search for the open-path TSP.
 
-    Nearest-neighbor construction is run once per forced first point and each
-    route is polished to a joint local optimum of 2-opt (segment reversal)
-    and Or-opt (relocating runs of 1-3 points, either orientation). The best
-    route then gets a fixed number of double-bridge restarts. Acceptance is
-    strict improvement everywhere and the kick sequence is seeded, so the
-    result is deterministic in the inputs.
+    Nearest-neighbor construction is run once per forced first point (all
+    starting routes are built at once) and each route is polished to a joint
+    local optimum of 2-opt (segment reversal) and Or-opt (relocating runs of
+    1-3 points, either orientation). The best route then gets a fixed number
+    of double-bridge restarts. Acceptance is strict improvement everywhere
+    and the kick sequence is seeded, so the result is deterministic in the
+    inputs.
+
+    A call remembers every order its searches passed through, and a search
+    that reaches one ends there with that earlier search's result; the dict
+    lives for the call only. Every search is deterministic in its order, so
+    the routes are those of running each search in full.
 
     Both move scans are evaluated as numpy arrays but keep a scalar scan's
     order: each applies the first move that shortens the route by more than
@@ -217,15 +249,16 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     dist = _extended_distances(pts, start)
     best: list[int] = []
     best_len = np.inf
-    for first in range(n):
-        order = _local_search(dist, _forced_nearest_neighbor(dist, first))
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for route in _nearest_neighbor_routes(dist):
+        order = _local_search(dist, route, seen)
         length = route_length(pts, start, order)
         if length < best_len - 1e-12:
             best, best_len = order, length
     if n >= 4:  # a double bridge needs three distinct interior cuts
         rng = np.random.default_rng(0)
         for _ in range(_DOUBLE_BRIDGE_KICKS):
-            cand = _local_search(dist, _double_bridge(best, rng))
+            cand = _local_search(dist, _double_bridge(best, rng), seen)
             length = route_length(pts, start, cand)
             if length < best_len - 1e-12:
                 best, best_len = cand, length

@@ -558,6 +558,18 @@ class TestComparePlanners:
             outs.append(read(out))
         assert outs[0] == outs[1]
 
+    def test_echo_records_the_seed_used(self, pipeline, tmp_path, capsys):
+        echoes = []
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            rc = dispatch(["compare-planners", "--data", str(pipeline["data"]),
+                           "--ckpt", str(pipeline["ckpt"]), "--n-range", "1..2",
+                           "--seeds", "2", "--split", "all",
+                           "--out", str(tmp_path / "bench.csv"), *seed])
+            assert rc == 0
+            echoes.append(resolved_config(capsys)[0])
+        assert [e["seed"] for e in echoes] == [0, 0, 5]
+        assert echoes[0] == echoes[1] != echoes[2]
+
 
 def test_console_script_smoke(tmp_path):
     exe = shutil.which("vsg")

@@ -26,9 +26,12 @@ from vsg import (
 )
 from vsg import planner
 from vsg.planner import (
+    _DOUBLE_BRIDGE_KICKS,
     EXACT_TSP_LIMIT,
+    _double_bridge,
     _extended_distances,
-    _forced_nearest_neighbor,
+    _local_search,
+    _nearest_neighbor_routes,
     _or_opt,
     _two_opt,
 )
@@ -137,6 +140,55 @@ def or_opt_loop(dist, order):
                     if cost < gain - 1e-12:
                         return rest[:k] + piece + rest[k:], True
     return order, False
+
+
+def forced_nearest_neighbor_loop(dist, first):
+    """Reference nearest neighbour from a forced first point: scans the
+    unvisited points in ascending order, so ties go to the lowest index."""
+    n = dist.shape[0] - 1
+    remaining = list(range(n))
+    remaining.remove(first)
+    order = [first]
+    while remaining:
+        pick = remaining[int(np.argmin(dist[order[-1], remaining]))]
+        order.append(pick)
+        remaining.remove(pick)
+    return order
+
+
+def heuristic_tsp_reference(points, start):
+    """Memo-free `heuristic_tsp`: every start and every kick runs its
+    2-opt/Or-opt alternation in full, from nearest-neighbour routes built
+    one at a time. The move scans are looked up on `planner` at call time,
+    so a test can wrap them."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if n <= 1:
+        return list(range(n))
+    start = np.asarray(start, dtype=np.float64)
+    dist = _extended_distances(pts, start)
+
+    def search(order):
+        improved = True
+        while improved:
+            order = planner._two_opt(dist, order)
+            order, improved = planner._or_opt(dist, order)
+        return order
+
+    best, best_len = [], np.inf
+    for first in range(n):
+        order = search(forced_nearest_neighbor_loop(dist, first))
+        length = route_length(pts, start, order)
+        if length < best_len - 1e-12:
+            best, best_len = order, length
+    if n >= 4:
+        rng = np.random.default_rng(0)
+        for _ in range(_DOUBLE_BRIDGE_KICKS):
+            cand = search(_double_bridge(best, rng))
+            length = route_length(pts, start, cand)
+            if length < best_len - 1e-12:
+                best, best_len = cand, length
+    return best
 
 
 def _uniform_3d(rng, n):
@@ -281,7 +333,7 @@ class TestTsp:
             points = rng.uniform(0, 10, size=(12, 2))
             start = rng.uniform(0, 10, size=2)
             dist = _extended_distances(points, start)
-            before = _forced_nearest_neighbor(dist, trial)
+            before = _nearest_neighbor_routes(dist)[trial]
             after = _two_opt(dist, list(before))
             assert sorted(after) == list(range(12))
             assert route_length(points, start, after) <= route_length(
@@ -324,6 +376,64 @@ class TestTsp:
         monkeypatch.setattr(planner, "_or_opt", or_opt_loop)
         for (points, start), order in zip(cases, got):
             assert order == heuristic_tsp(points, start)
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid, _all_equal])
+    def test_nearest_neighbor_routes_match_loop_reference(self, make_points):
+        # Duplicated points, the integer grid and equal points tie often.
+        rng = np.random.default_rng(17)
+        for n in range(2, 41):
+            points, start = make_points(rng, n)
+            dist = _extended_distances(points, start)
+            routes = _nearest_neighbor_routes(dist)
+            assert len(routes) == n
+            for first in range(n):
+                assert routes[first] == forced_nearest_neighbor_loop(dist, first), (n, first)
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    def test_heuristic_matches_memo_free_reference(self, make_points):
+        rng = np.random.default_rng(18)
+        for trial in range(15):
+            n = 16 + trial * 24 // 14  # 16 to 40 points
+            points, start = make_points(rng, n)
+            assert heuristic_tsp(points, start) == heuristic_tsp_reference(points, start), (trial, n)
+
+    @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
+    def test_seen_maps_each_order_to_its_full_search(self, make_points):
+        # A wrong memo entry often leaves the best route as it is (only
+        # the best search's result is returned), so check every entry.
+        rng = np.random.default_rng(20)
+        for n in (16, 22, 30):
+            points, start = make_points(rng, n)
+            dist = _extended_distances(points, start)
+            seen = {}
+            starts = _nearest_neighbor_routes(dist) + [[int(k) for k in rng.permutation(n)] for _ in range(5)]
+            for route in starts:
+                got = _local_search(dist, list(route), seen)
+                assert tuple(route) in seen and list(seen[tuple(route)]) == got
+            for order, result in seen.items():
+                assert _local_search(dist, list(order), {}) == list(result), (n, order)
+
+    def test_heuristic_skips_repeated_searches(self, monkeypatch):
+        # Most starts end on a local optimum an earlier start reached, and
+        # stop there instead of repeating the search's last scans.
+        rng = np.random.default_rng(0)
+        points, start = _uniform_3d(rng, 22)
+        calls = {"two_opt": 0, "or_opt": 0}
+
+        def counting(name, scan):
+            def wrapped(dist, order):
+                calls[name] += 1
+                return scan(dist, order)
+            return wrapped
+
+        monkeypatch.setattr(planner, "_two_opt", counting("two_opt", _two_opt))
+        monkeypatch.setattr(planner, "_or_opt", counting("or_opt", _or_opt))
+        got = heuristic_tsp(points, start)
+        memo_calls = dict(calls)
+        calls.update(two_opt=0, or_opt=0)
+        assert got == heuristic_tsp_reference(points, start)
+        assert memo_calls["two_opt"] < calls["two_opt"], (memo_calls, calls)
+        assert memo_calls["or_opt"] < calls["or_opt"], (memo_calls, calls)
 
     def test_threshold_switches_to_heuristic(self):
         rng = np.random.default_rng(4)
