@@ -46,6 +46,7 @@ from .training import (
     LossConfig,
     TrainConfig,
     check_threshold,
+    class_weights_from_samples,
     evaluate_probabilities,
     sample_probabilities,
     sweep_rows,
@@ -91,27 +92,15 @@ def _flag_values(args, cls) -> dict:
     }
 
 
-def _split_samples(bundle, split: str, label_cfg: LabelConfig):
-    samples = bundle.samples(split, label_cfg)
-    if not samples:
-        raise EvaluationError(
-            f"split {split!r} has no samples; pick another --split or regenerate the dataset"
-        )
-    return samples
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    cfg_dict = dataclasses.asdict(GeneratorConfig())
-    if args.spec:
-        cfg_dict.update(_read_json(args.spec, "generator spec", ConfigError))
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    cfg = generator_config_from_dict(cfg_dict, source=args.spec or "generator config")
+    spec = _read_json(args.spec, "generator spec", ConfigError) if args.spec else {}
+    source = args.spec or "generator config"
+    cfg = generator_config_from_dict(spec | _flag_values(args, GeneratorConfig), source)
     _echo_config("generate", dataclasses.asdict(cfg) | {"out": args.out})
     data = generate_dataset(cfg)
     write_dataset(args.out, data.taxonomy, data.environments, data.splits)
@@ -136,21 +125,21 @@ def cmd_train(args) -> int:
     unknown = set(file_cfg) - set(_TRAIN_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}; expected {tuple(_TRAIN_SECTIONS)}")
-    configs, resolved = [], {"data": args.data, "out": args.out}
+    configs = {}
     for section, cls in _TRAIN_SECTIONS.items():
         values = file_cfg.get(section, {})
         if not isinstance(values, dict):
             raise ConfigError(f"{where} {section!r} must be a JSON object")
-        values = values | _flag_values(args, cls)
-        if values or cls is not LossConfig:
-            cfg = _config_from_json(cls, values, f"{where} {section!r}")
-            resolved[section] = dataclasses.asdict(cfg)
-        else:  # no loss values at all: `train` weighs the classes by the train split
-            cfg = None
-            resolved[section] = {"gamma": LossConfig.gamma, "class_weights": "from-train-split"}
-        configs.append(cfg)
-    _echo_config("train", resolved)
-    model, report = train(bundle, *configs)
+        configs[section] = _config_from_json(cls, values | _flag_values(args, cls), f"{where} {section!r}")
+    width = bundle.taxonomy.num_classes + bundle.taxonomy.num_attributes
+    if configs["model"].d_v > width:
+        raise ConfigError(f"d_v={configs['model'].d_v} must be at most {width}, the node encoding's width")
+    if "class_weights" not in file_cfg.get("loss", {}):  # weigh the classes by the train split
+        weights = class_weights_from_samples(bundle.samples("train", configs["label"]))
+        configs["loss"] = dataclasses.replace(configs["loss"], class_weights=weights)
+    sections = {section: dataclasses.asdict(cfg) for section, cfg in configs.items()}
+    _echo_config("train", {"data": args.data, "out": args.out} | sections)
+    model, report = train(bundle, *configs.values())
     save_checkpoint(model, bundle.taxonomy, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -181,7 +170,11 @@ def cmd_eval(args) -> int:
             "report": args.report,
         },
     )
-    samples = _split_samples(bundle, args.split, label_cfg)
+    samples = bundle.samples(args.split, label_cfg)
+    if not samples:
+        raise EvaluationError(
+            f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
+        )
     thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
     report, *sweep = evaluate_probabilities(
         sample_probabilities(model, samples, bundle.taxonomy),
@@ -270,7 +263,7 @@ def cmd_plan(args) -> int:
 
 
 def _parse_n_range(text: str, n_max: int) -> list[int]:
-    """The n values of `text` (like 1..5 or 1,3,5); each must be in [1, n_max]."""
+    """The distinct n values of `text` (like 1..5 or 1,3,5), each in [1, n_max]."""
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split("..", 1))
@@ -282,6 +275,8 @@ def _parse_n_range(text: str, n_max: int) -> list[int]:
         values = ()
     if not values or lo < 1:
         raise UsageError(f"bad --n-range {text!r}; expected like 1..5 or 1,3,5")
+    if len(set(values)) < len(values):
+        raise UsageError(f"--n-range {text!r} repeats an n; each n runs its episodes once")
     if hi > n_max:
         raise UsageError(
             f"--n-range {text!r} reaches n = {hi}, above the {n_max} objects of the largest previous map"
@@ -308,15 +303,11 @@ def cmd_compare_planners(args) -> int:
         {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,
          "seed": args.seed, "split": args.split, "out": args.out},
     )
-    episodes = make_episodes(environments, n_values)
     # --seeds bounds the number of episodes per n, drawn deterministically.
-    per_n: dict[int, list[Episode]] = {}
-    for ep in episodes:
-        per_n.setdefault(ep.n, []).append(ep)
     rng = np.random.default_rng(args.seed)
     chosen: list[Episode] = []
-    for n in sorted(per_n):
-        eps = per_n[n]
+    for n in sorted(n_values):
+        eps = make_episodes(environments, [n])
         if len(eps) > args.seeds:
             idx = rng.choice(len(eps), size=args.seeds, replace=False)
             eps = [eps[int(i)] for i in sorted(idx)]

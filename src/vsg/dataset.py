@@ -59,15 +59,10 @@ SPLIT_NAMES = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class LabelConfig:
-    """Labeling knobs.
-
-    epsilon is the minimum displacement (meters) that counts as a position
-    change. When require_state_attributes is set, nodes without state-kind
-    attributes get no state supervision (mask_state = 0).
-    """
+    """Labeling knobs: epsilon is the minimum displacement (meters) that
+    counts as a position change."""
 
     epsilon: float = 0.1
-    require_state_attributes: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -146,7 +141,7 @@ def compute_labels(
     moved = distance(after_pos, current.positions()) >= cfg.epsilon
     state = _state_indicators(current.nodes, tax)
     toggled = (state != _state_indicators(after, tax)).any(axis=1)
-    has_state = state.any(axis=1) | (not cfg.require_state_attributes)
+    has_state = state.any(axis=1)
     return _label_arrays(vanished, moved, toggled & has_state, has_state)
 
 
@@ -420,10 +415,6 @@ class TransitionLog:
     appeared: frozenset[str]
 
 
-def _propensity(cfg: GeneratorConfig, specs: dict[str, ClassSpec], cls: str) -> ClassPropensity:
-    return cfg.propensity_overrides.get(cls, specs[cls].propensity)
-
-
 def _place(
     rng: np.random.Generator,
     cfg: GeneratorConfig,
@@ -576,7 +567,7 @@ def _transition(
     for n, near in zip(nodes, near_support):
         cls = tax.classes[n.class_index]
         spec = specs[cls]
-        prop = _propensity(cfg, specs, cls)
+        prop = cfg.propensity_overrides.get(cls, spec.propensity)
         if rng.random() < prop.vanish:
             vanished.add(n.id)
             continue
@@ -682,23 +673,13 @@ def _assign_splits(env_ids: list[str], fractions: tuple[float, float, float], se
     rng = np.random.default_rng([seed, 10_007])
     order = list(env_ids)
     rng.shuffle(order)
-    n = len(order)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
-    n_train = min(n_train, n)
-    n_val = min(n_val, n - n_train)
-    splits = {}
-    for i, env in enumerate(order):
-        if i < n_train:
-            splits[env] = "train"
-        elif i < n_train + n_val:
-            splits[env] = "val"
-        else:
-            splits[env] = "test"
-    # Tiny datasets still need a train split; steal from the largest bucket.
-    if n and not any(s == "train" for s in splits.values()):
-        splits[order[0]] = "train"
-    return {env: splits[env] for env in env_ids}
+    n_train = int(round(fractions[0] * len(order)))
+    names = ["train"] * n_train + ["val"] * int(round(fractions[1] * len(order)))
+    # Tiny datasets still need a train split: the first shuffled environment
+    # is always in it, whichever split its position gave it.
+    names[:1] = ["train"]
+    splits = dict(zip(order, names))
+    return {env: splits.get(env, "test") for env in env_ids}
 
 
 def generate_dataset(cfg: GeneratorConfig) -> GeneratedDataset:
@@ -883,8 +864,7 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
     classes: set[str] = set()
     attributes: dict[str, str] = {}
     relations: set[str] = set()
-    payloads: dict[str, tuple[list[tuple], list[tuple[str, str, str]]]] = {}
-    usable: dict[str, list[str]] = {}
+    usable: dict[str, list[tuple[str, list[tuple], list[tuple[str, str, str]]]]] = {}
     for env_id, scan_ids in sorted(scan_lists.items()):
         try:
             entries = [(scan_id, *_read_scan(os.path.join(root, scan_id))) for scan_id in scan_ids]
@@ -892,9 +872,8 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
             logger.warning("environment %s: %s; skipping", env_id, e)
             skipped.append(env_id)
             continue
-        usable[env_id] = scan_ids
-        for scan_id, objects, rels in entries:
-            payloads[scan_id] = (objects, rels)
+        usable[env_id] = entries
+        for _, objects, rels in entries:
             for _, label, attrs, _ in objects:
                 classes.add(label)
                 for name, kind in attrs:
@@ -916,10 +895,9 @@ def ingest_3rscan_layout(root) -> tuple[DatasetBundle, tuple[str, ...]]:
     )
 
     environments: dict[str, list[SceneGraph]] = {}
-    for env_id, scan_ids in sorted(usable.items()):
+    for env_id, entries in usable.items():
         scans = []
-        for t, scan_id in enumerate(scan_ids):
-            objects, rels = payloads[scan_id]
+        for t, (scan_id, objects, rels) in enumerate(entries):
             nodes = tuple(
                 ObjectNode(
                     id=oid,

@@ -75,17 +75,15 @@ def fit_pca(vectors: Sequence[np.ndarray] | np.ndarray, d_v: int) -> PcaModel:
     components = np.zeros((d_v, dim))
     keep = min(d_v, rank, vt.shape[0])
     components[:keep] = vt[:keep]
-    # Canonical sign: the entry with the largest magnitude is positive.
-    for row in range(keep):
-        pivot = int(np.argmax(np.abs(components[row])))
-        if components[row, pivot] < 0:
-            components[row] = -components[row]
+    # Canonical sign: the entry with the largest magnitude is positive. Rows
+    # past `keep` are zero, so their pivot is 0 and they are left alone.
+    pivots = components[np.arange(d_v), np.abs(components).argmax(axis=1)]
+    components[pivots < 0] *= -1.0
 
     if total > 0:
         ratio = variances[:d_v] / total
     else:
         ratio = np.zeros(d_v)
-    ratio = ratio.copy()
     ratio[keep:] = 0.0
     return PcaModel(
         mean=mean,

@@ -202,10 +202,12 @@ def train(
 ):
     """Fit a model on the bundle's train split; returns (model, report).
 
-    PCA and the tau distance threshold are fit on the train split only. The
-    validation split drives checkpoint selection (lowest loss) and early
-    stopping (pooled F1 patience); when the bundle has no validation
-    environments the train samples stand in, with a warning.
+    PCA, the tau distance threshold and, without a loss_cfg, the class
+    weights are fit on the train split only; a d_v above the node encoding's
+    width is fit_pca's DimensionError. The validation split drives checkpoint
+    selection (lowest loss) and early stopping (pooled F1 patience); when the
+    bundle has no validation environments the train samples stand in, with a
+    warning.
     """
     tax = bundle.taxonomy
     train_samples = bundle.samples("train", label_cfg)
@@ -216,14 +218,9 @@ def train(
         logger.warning("no validation environments; validating on the train split")
         val_samples = train_samples
 
-    train_graphs = [
-        bundle.environments[e][i]
-        for e in bundle.environment_ids("train")
-        for i in range(len(bundle.environments[e]))
-    ]
+    train_graphs = [g for e in bundle.environment_ids("train") for g in bundle.environments[e]]
     vectors = np.vstack([encode_nodes(g, tax) for g in train_graphs if g.num_nodes])
-    d_v = min(model_cfg.d_v, vectors.shape[1])
-    pca = fit_pca(vectors, d_v)
+    pca = fit_pca(vectors, model_cfg.d_v)
     tau = resolve_tau(model_cfg.tau, train_graphs)
     edge_cfg = EdgeConfig(tau=tau, include_semantic_edges=model_cfg.include_semantic_edges)
 

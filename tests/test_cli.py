@@ -158,6 +158,16 @@ class TestExitCodes:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: UsageError: {flag}"), err
 
+    @pytest.mark.parametrize("n_range", ["1,1", "2,1,2"])
+    def test_repeated_n_in_n_range_refused_before_echo(self, pipeline, tmp_path, capsys, n_range):
+        out_csv = tmp_path / "benchmark.csv"
+        rc = dispatch(["compare-planners", "--data", str(pipeline["data"]),
+                       "--ckpt", str(pipeline["ckpt"]), "--n-range", n_range, "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out and not out_csv.exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UsageError: --n-range") and "repeats" in err[0], err
+
 
 class TestGenerate:
     def test_writes_dataset_layout(self, pipeline):
@@ -275,6 +285,41 @@ class TestTrainEval:
         resolved, _ = resolved_config(capsys)
         assert resolved["train"]["epochs"] == 3
         assert resolved["model"]["d_v"] == 8
+
+    def test_default_gamma_flag_changes_nothing(self, pipeline, tmp_path, capsys):
+        """Class weights come from the train split whether or not a loss flag is given."""
+        runs = []
+        for name, flags in (("plain", []), ("gamma", ["--gamma", "0.5"])):
+            ckpt, rep = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            rc = dispatch(["train", "--data", str(pipeline["data"]), "--out", str(ckpt),
+                           "--report", str(rep), *TRAIN_FLAGS, *flags])
+            assert rc == 0
+            runs.append((resolved_config(capsys)[0], read(ckpt), read(rep)))
+        (plain_echo, *plain_files), (gamma_echo, *gamma_files) = runs
+        assert plain_files == gamma_files
+        assert plain_echo["loss"] == gamma_echo["loss"]
+        assert plain_echo["loss"]["class_weights"] == json.loads(plain_files[1])["class_weights"]
+        assert plain_echo["loss"]["class_weights"] != [[1.0, 1.0]] * 3
+
+    def test_config_class_weights_are_kept(self, pipeline, tmp_path, capsys):
+        weights = [[2.0, 1.0], [3.0, 1.0], [4.0, 1.0]]
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"loss": {"class_weights": weights}}))
+        rep = tmp_path / "report.json"
+        rc = dispatch(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+                       "--out", str(tmp_path / "m.json"), "--report", str(rep), *TRAIN_FLAGS])
+        assert rc == 0
+        assert resolved_config(capsys)[0]["loss"]["class_weights"] == weights
+        assert json.loads(rep.read_text())["class_weights"] == weights
+
+    def test_label_section_has_only_epsilon(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"label": {"require_state_attributes": False}}))
+        rc = dispatch(["train", "--data", str(pipeline["data"]), "--config", str(cfg),
+                       "--out", str(tmp_path / "m.json"), *TRAIN_FLAGS])
+        captured = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in captured.out
+        assert "unknown field 'require_state_attributes'" in captured.err
 
     def test_unknown_config_section_rejected(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "train.json"

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from vsg import load_dataset
 from vsg.cli import dispatch
 
 VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", str(2**63), "", "text"]
@@ -86,3 +87,15 @@ def test_hostile_value_exits_cleanly(world, tmp_path, capsys, command, option, v
         echo = [line for line in out.splitlines() if line.startswith("resolved-config: ")]
         assert len(echo) == 1, out
         json.loads(echo[0][len("resolved-config: "):], parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("extra", [1, 74])
+def test_d_v_above_encoding_width_refused_before_echo(world, tmp_path, capsys, extra):
+    tax = load_dataset(world["data"]).taxonomy
+    ckpt = tmp_path / "m.json"
+    argv = [str(a) for a in COMMANDS["train"](world, tmp_path)]
+    rc = dispatch(argv + [f"--d-v={tax.num_classes + tax.num_attributes + extra}"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "resolved-config:" not in out and not ckpt.exists()
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: d_v="), err

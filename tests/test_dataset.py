@@ -124,12 +124,6 @@ class TestComputeLabels:
         lab = labels_by_id(cur, fut, tiny_tax)["a"]
         assert lab[4] == 0 and lab[1] == 0
 
-    def test_require_state_attributes_off(self, tiny_tax):
-        cur = make_graph([make_node("a", attrs=(0,))], scan="s0")
-        fut = make_graph([make_node("a", attrs=(0,))], scan="s1", t=1)
-        cfg = LabelConfig(require_state_attributes=False)
-        assert labels_by_id(cur, fut, tiny_tax, cfg)["a"][4] == 1
-
     def test_environment_mismatch_rejected(self, tiny_tax):
         a = make_graph([make_node("a", attrs=(1,))], env="envA", scan="s0")
         b = make_graph([make_node("a", attrs=(1,))], env="envB", scan="s1", t=1)
@@ -462,6 +456,19 @@ class TestGenerator:
             counts[split] += 1
         assert counts == {"train": 7, "val": 2, "test": 1}
         assert ds.splits == generate_dataset(cfg).splits
+
+    @pytest.mark.parametrize("num_environments, fractions, expected", [
+        (1, (0.7, 0.15, 0.15), {"env000": "train"}),
+        # 0.1 * 4 rounds to no train environment and 0.3 * 4 to one val
+        # environment; that one, the first in shuffled order, goes to train.
+        (4, (0.1, 0.3, 0.6), {"env000": "test", "env001": "train", "env002": "test", "env003": "test"}),
+    ], ids=["one-environment", "train-fraction-rounds-to-zero"])
+    def test_tiny_dataset_still_gets_a_train_environment(self, num_environments, fractions, expected):
+        cfg = GeneratorConfig(
+            num_environments=num_environments, scans_per_environment=2, objects_min=4, objects_max=5,
+            split_fractions=fractions,
+        )
+        assert generate_dataset(cfg).splits == expected
 
 
 def norm_loop(v) -> float:

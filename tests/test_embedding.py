@@ -102,6 +102,19 @@ class TestPca:
             pivot = int(np.argmax(np.abs(row)))
             assert row[pivot] > 0
 
+    def test_sign_flip_matches_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for rank in (2, 5, 9):
+            data = rng.normal(size=(40, rank)) @ rng.normal(size=(rank, 9))
+            model = fit_pca(data, 6)
+            vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)[2]
+            loop = np.zeros((6, 9))
+            loop[: model.rank] = vt[: model.rank]
+            for row in range(model.rank):
+                if loop[row, int(np.argmax(np.abs(loop[row])))] < 0:
+                    loop[row] = -loop[row]
+            npt.assert_array_equal(model.components, loop)
+
     def test_exact_low_rank_data(self):
         rng = np.random.default_rng(3)
         basis = rng.normal(size=(3, 12))
