@@ -19,8 +19,10 @@ import numpy as np
 
 from .core_graph import _config_from_json, _read_json, scene_graph_from_dict, scene_graph_to_dict
 from .dataset import (
+    VARIABILITY_NAMES,
     GeneratorConfig,
     LabelConfig,
+    augment_pairs,
     generate_dataset,
     generator_config_from_dict,
     load_dataset,
@@ -48,6 +50,7 @@ from .training import (
     check_threshold,
     class_weights_from_samples,
     evaluate_probabilities,
+    require_train_samples,
     sample_probabilities,
     sweep_rows,
     train,
@@ -104,9 +107,7 @@ def cmd_generate(args) -> int:
     _echo_config("generate", dataclasses.asdict(cfg) | {"out": args.out})
     data = generate_dataset(cfg)
     write_dataset(args.out, data.taxonomy, data.environments, data.splits)
-    samples = sum(
-        len(scans) * (len(scans) - 1) for scans in data.environments.values()
-    )
+    samples = sum(len(augment_pairs(scans)) for scans in data.environments.values())
     print(
         f"generated {len(data.environments)} environments x "
         f"{cfg.scans_per_environment} scans -> {samples} samples at {args.out}"
@@ -134,8 +135,9 @@ def cmd_train(args) -> int:
     width = bundle.taxonomy.num_classes + bundle.taxonomy.num_attributes
     if configs["model"].d_v > width:
         raise ConfigError(f"d_v={configs['model'].d_v} must be at most {width}, the node encoding's width")
+    train_samples = require_train_samples(bundle, configs["label"])
     if "class_weights" not in file_cfg.get("loss", {}):  # weigh the classes by the train split
-        weights = class_weights_from_samples(bundle.samples("train", configs["label"]))
+        weights = class_weights_from_samples(train_samples)
         configs["loss"] = dataclasses.replace(configs["loss"], class_weights=weights)
     sections = {section: dataclasses.asdict(cfg) for section, cfg in configs.items()}
     _echo_config("train", {"data": args.data, "out": args.out} | sections)
@@ -159,6 +161,11 @@ def cmd_eval(args) -> int:
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     label_cfg = _config_from_json(LabelConfig, _flag_values(args, LabelConfig), "label config")
     check_threshold(args.threshold)
+    samples = bundle.samples(args.split, label_cfg)
+    if not samples:
+        raise EvaluationError(
+            f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
+        )
     _echo_config(
         "eval",
         {
@@ -170,11 +177,6 @@ def cmd_eval(args) -> int:
             "report": args.report,
         },
     )
-    samples = bundle.samples(args.split, label_cfg)
-    if not samples:
-        raise EvaluationError(
-            f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
-        )
     thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
     report, *sweep = evaluate_probabilities(
         sample_probabilities(model, samples, bundle.taxonomy),
@@ -183,7 +185,7 @@ def cmd_eval(args) -> int:
     write_eval_csv(report, args.report)
     if args.sweep:
         write_sweep_csv(sweep_rows(sweep), args.sweep)
-    for name in ("position", "state", "instance", "pooled"):
+    for name in (*VARIABILITY_NAMES, "pooled"):
         m = report.metrics[name]
         print(
             f"{name}: accuracy {m.accuracy:.3f} precision {m.precision:.3f} "
@@ -227,18 +229,17 @@ def cmd_plan(args) -> int:
     scene = _load_scene(args.scene, tax)
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
-    _echo_config(
-        "plan",
-        {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
-         "realized": args.realized},
-    )
-
     start_vec = (
         np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
     )
     probabilities = model.predict_probabilities(scene, tax)
     route = ranked_route(scene, probabilities, args.n, start_vec)
     total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])
+    _echo_config(
+        "plan",
+        {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
+         "realized": args.realized},
+    )
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
 
@@ -292,7 +293,7 @@ def cmd_compare_planners(args) -> int:
     environments = {e: bundle.environments[e] for e in env_ids}
     if not environments:
         raise EvaluationError(f"no environments in split {args.split!r}")
-    n_max = max((g.num_nodes for scans in environments.values() for g in scans[:-1]), default=0)
+    n_max = max((ep.previous_map.num_nodes for ep in make_episodes(environments, [1])), default=0)
     n_values = _parse_n_range(args.n_range, n_max)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1; got {args.seeds}")

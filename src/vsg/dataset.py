@@ -380,11 +380,20 @@ class GeneratorConfig:
             raise ConfigError("need at least 1 environment and 2 scans per environment")
         if self.objects_min < 4 or self.objects_max < self.objects_min:
             raise ConfigError("objects_min must be >= 4 and <= objects_max")
+        if min(self.room_size[:2]) < 0.6:  # _place keeps 0.3 m from each wall
+            raise ConfigError(f"room x and y must be >= 0.6 m, got {self.room_size}")
+        if self.support_radius < 0:
+            raise ConfigError(f"support_radius must be >= 0, got {self.support_radius!r}")
+        LabelConfig(self.epsilon)  # epsilon > 0
+        if not 0 < self.move_distance[0] <= self.move_distance[1]:
+            raise ConfigError(f"move_distance must be 0 < low <= high, got {self.move_distance}")
         if self.move_distance[0] < 2 * self.epsilon:
             raise ConfigError(
                 "minimum move distance must be at least 2 * epsilon so moves and "
                 "jitter are separable"
             )
+        if not 0 <= self.appear_prob <= 1:
+            raise ConfigError(f"appear_prob must be in [0, 1], got {self.appear_prob!r}")
         if not 0 <= self.jitter_fraction < 1:
             raise ConfigError("jitter_fraction must be in [0, 1)")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:

@@ -201,15 +201,3 @@ def pairwise_distance_percentile(graphs: Iterable[SceneGraph], percentile: float
         raise ConfigError("no graph with at least two nodes; tau percentile undefined")
     pooled = np.concatenate(distances)
     return float(np.percentile(pooled, percentile))
-
-
-def resolve_tau(tau_spec: float | str, training_graphs: Iterable[SceneGraph]) -> float:
-    """An explicit tau in meters as a float, or a percentile preset's value over
-    the training graphs; `ModelConfig` and `EdgeConfig` check the range."""
-    if isinstance(tau_spec, str):
-        if tau_spec not in TAU_PERCENTILES:
-            raise ConfigError(
-                f"unknown tau preset {tau_spec!r}; expected one of {sorted(TAU_PERCENTILES)}"
-            )
-        return pairwise_distance_percentile(training_graphs, TAU_PERCENTILES[tau_spec])
-    return float(tau_spec)

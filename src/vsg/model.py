@@ -35,7 +35,7 @@ from .core_graph import (
 )
 from .embedding import TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed
 from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
-from .nn_core import Mlp, ParamStore, dropout, dropout_backward, relu, sigmoid
+from .nn_core import Mlp, ParamStore, check_dropout_rate, dropout, dropout_backward, relu, sigmoid
 
 CHECKPOINT_VERSION = 1
 
@@ -169,6 +169,7 @@ class _VariabilityModel:
         seed: int,
         scalar_gate: bool = False,
     ):
+        check_dropout_rate(dropout_rate)
         self.taxonomy_name = taxonomy_name
         self.num_relationships = num_relationships
         self.pca = pca

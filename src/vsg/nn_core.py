@@ -83,6 +83,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_dropout_rate(rate: float) -> None:
+    """The one dropout-rate rule: a rate of 1 or more would drop every unit."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+
+
 def dropout(
     x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +96,7 @@ def dropout(
 
     Returns (output, mask); eval mode passes the input through untouched.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    check_dropout_rate(rate)
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:

@@ -46,10 +46,11 @@ from .dataset import (
     importance_sample,
     label_statistics,
 )
-from .embedding import EdgeConfig, EmbeddedGraph, embed, encode_nodes, fit_pca, resolve_tau
+from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, embed, encode_nodes, fit_pca,
+                        pairwise_distance_percentile)
 from .errors import ConfigError, EvaluationError, TrainingError
 from .model import MODEL_CLASSES, ModelConfig
-from .nn_core import Adam
+from .nn_core import Adam, check_dropout_rate
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +133,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ConfigError("epochs, batch_size and learning_rate must be positive")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
+        check_dropout_rate(self.dropout_rate)
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")
         if self.seed < 0:
@@ -193,26 +193,32 @@ def _restore(model, snap: np.ndarray) -> None:
     model.store.values[...] = snap
 
 
+def require_train_samples(bundle: DatasetBundle, label_cfg: LabelConfig) -> list[Sample]:
+    """The train split's samples; an empty train split is a TrainingError."""
+    samples = bundle.samples("train", label_cfg)
+    if not samples:
+        raise TrainingError("train split has no samples")
+    return samples
+
+
 def train(
     bundle: DatasetBundle,
     model_cfg: ModelConfig = ModelConfig(),
     train_cfg: TrainConfig = TrainConfig(),
-    loss_cfg: LossConfig | None = None,
+    loss_cfg: LossConfig = LossConfig(),
     label_cfg: LabelConfig = LabelConfig(),
 ):
     """Fit a model on the bundle's train split; returns (model, report).
 
-    PCA, the tau distance threshold and, without a loss_cfg, the class
-    weights are fit on the train split only; a d_v above the node encoding's
-    width is fit_pca's DimensionError. The validation split drives checkpoint
-    selection (lowest loss) and early stopping (pooled F1 patience); when the
-    bundle has no validation environments the train samples stand in, with a
-    warning.
+    PCA and a tau preset are fit on the train split only, and the loss takes
+    loss_cfg's class weights as given (`vsg train` fills them from the train
+    split). A d_v above the node encoding's width is fit_pca's DimensionError.
+    The validation split drives checkpoint selection (lowest loss) and early
+    stopping (pooled F1 patience); when the bundle has no validation
+    environments the train samples stand in, with a warning.
     """
     tax = bundle.taxonomy
-    train_samples = bundle.samples("train", label_cfg)
-    if not train_samples:
-        raise TrainingError("train split has no samples")
+    train_samples = require_train_samples(bundle, label_cfg)
     val_samples = bundle.samples("val", label_cfg)
     if not val_samples:
         logger.warning("no validation environments; validating on the train split")
@@ -221,11 +227,11 @@ def train(
     train_graphs = [g for e in bundle.environment_ids("train") for g in bundle.environments[e]]
     vectors = np.vstack([encode_nodes(g, tax) for g in train_graphs if g.num_nodes])
     pca = fit_pca(vectors, model_cfg.d_v)
-    tau = resolve_tau(model_cfg.tau, train_graphs)
+    tau = model_cfg.tau  # meters, or a preset that ModelConfig has checked
+    if isinstance(tau, str):
+        tau = pairwise_distance_percentile(train_graphs, TAU_PERCENTILES[tau])
     edge_cfg = EdgeConfig(tau=tau, include_semantic_edges=model_cfg.include_semantic_edges)
 
-    if loss_cfg is None:
-        loss_cfg = LossConfig(class_weights=class_weights_from_samples(train_samples))
     model = MODEL_CLASSES[model_cfg.kind](
         tax.name, tax.num_relationships, pca, edge_cfg, hidden_dim=model_cfg.hidden_dim,
         dropout_rate=train_cfg.dropout_rate, seed=train_cfg.seed, scalar_gate=model_cfg.scalar_gate,

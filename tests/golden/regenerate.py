@@ -1,5 +1,6 @@
-"""Rebuild the golden files that pin the generator, labels, draw weights
-and oracle routes, none of which depends on training.
+"""Rebuild the golden files: the untrained half pins the generator, labels,
+draw weights and oracle routes; the trained half pins what the CLI trains,
+scores, predicts and plans.
 
 For one fixed generated world (6 environments x 3 scans, 16-20 objects, so
 that coverage tours go to `heuristic_tsp` and phase-1 routes to
@@ -16,6 +17,21 @@ that coverage tours go to `heuristic_tsp` and phase-1 routes to
   a tour: of the 18 tours, the one of env001/scan01 is where taking the
   lowest-cost Or-opt move instead of the first improving one shows.
 
+The trained half runs the CLI in process on a second, tiny world. For each
+model kind (`deltavsg`, `--scalar-gate` and `mlp_baseline`) it trains for
+4 epochs, then runs `eval --sweep`, `predict`, `plan --realized` and
+`compare-planners`:
+
+- `cli_run.txt`: every command line, its stdout, and every text file it
+  wrote (the report JSON, eval and sweep CSVs, prediction JSON and
+  benchmark CSV), every path relative to the scratch directory;
+- `checkpoints.sha256`: the SHA-256 of each checkpoint.
+
+Training floats depend on the numpy and BLAS build, so `stack.json` records
+the build these files were written on (numpy's version and the BLAS name,
+version and configuration string, as `perfbench/run.py` reads them) and the
+trained half is compared only on that build.
+
 `tests/test_golden.py` rebuilds them in process and compares byte for
 byte. A change that makes this script rewrite a file changes outputs: name
 the file and the reason in CHANGES.md.
@@ -25,11 +41,16 @@ Run: PYTHONPATH=src python tests/golden/regenerate.py
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
+import json
+import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from vsg import (
     GeneratorConfig,
@@ -44,12 +65,39 @@ from vsg import (
     solve_tsp,
     write_dataset,
 )
+from vsg.cli import dispatch
 
 HERE = Path(__file__).resolve().parent
 
 WORLD = GeneratorConfig(
     num_environments=6, scans_per_environment=3, objects_min=16, objects_max=20, seed=8
 )
+
+
+# Restless cups and books, so that most scan pairs hold two changes or more.
+TINY_WORLD = {
+    "num_environments": 4, "scans_per_environment": 3, "objects_min": 8, "objects_max": 10,
+    "support_radius": 1.8, "split_fractions": [0.5, 0.25, 0.25], "seed": 4,
+    "propensity_overrides": {"cup": {"move_near": 0.9, "move_far": 0.3}, "book": {"move_near": 0.8}},
+}
+TRAIN_FLAGS = ["--epochs", "4", "--d-v", "8", "--hidden-dim", "8", "--batch-size", "4",
+               "--learning-rate", "0.02"]
+KINDS = {"deltavsg": [], "scalar_gate": ["--scalar-gate"], "mlp_baseline": ["--kind", "mlp_baseline"]}
+TRAINED = ("checkpoints.sha256", "cli_run.txt")
+
+
+def stack() -> dict[str, str]:
+    """The numpy and BLAS build this process runs on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_config": blas.get("openblas configuration", "?"),
+    }
+
+
+def _sha256(path: Path, name: str) -> str:
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -66,8 +114,7 @@ def golden_files(scratch: Path) -> dict[str, str]:
     tax = world.taxonomy
     write_dataset(scratch, tax, world.environments, world.splits)
     digests = "".join(
-        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(scratch).as_posix()}\n"
-        for p in sorted(scratch.rglob("*")) if p.is_file()
+        _sha256(p, p.relative_to(scratch).as_posix()) for p in sorted(scratch.rglob("*")) if p.is_file()
     )
 
     samples = [s for scans in world.environments.values() for s in make_samples(scans, tax)]
@@ -113,9 +160,50 @@ def golden_files(scratch: Path) -> dict[str, str]:
     }
 
 
+def trained_files(scratch: Path) -> dict[str, str]:
+    """File name -> text of the trained half. The CLI runs with `scratch` as
+    the working directory, so every path it prints or writes is relative."""
+    transcript: list[str] = []
+
+    def vsg(*argv: str, shows=()) -> None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(list(argv))
+        if code != 0:
+            raise RuntimeError(f"vsg {' '.join(argv)} exited {code}")
+        transcript.append(f"$ vsg {' '.join(argv)}\n{out.getvalue()}")
+        transcript.extend(f"--- {name}\n{Path(name).read_text(encoding='utf-8')}" for name in shows)
+
+    home = os.getcwd()
+    os.chdir(scratch)
+    try:
+        Path("world.json").write_text(json.dumps(TINY_WORLD), encoding="utf-8")
+        vsg("generate", "--spec", "world.json", "--out", "data")
+        scene, realized = "data/env000/scan00.json", "data/env000/scan01.json"
+        for kind, flags in KINDS.items():
+            ckpt, report, metrics, sweep, predicted, bench = (
+                f"{kind}{end}" for end in
+                (".json", "-report.json", "-eval.csv", "-sweep.csv", "-predict.json", "-benchmark.csv")
+            )
+            vsg("train", "--data", "data", "--out", ckpt, "--report", report, *TRAIN_FLAGS, *flags,
+                shows=[report])
+            vsg("eval", "--ckpt", ckpt, "--data", "data", "--report", metrics, "--sweep", sweep,
+                shows=[metrics, sweep])
+            vsg("predict", "--ckpt", ckpt, "--scene", scene, "--out", predicted, shows=[predicted])
+            vsg("plan", "--ckpt", ckpt, "--scene", scene, "--n", "2", "--realized", realized)
+            vsg("compare-planners", "--data", "data", "--ckpt", ckpt, "--n-range", "1..2",
+                "--seeds", "4", "--split", "all", "--out", bench, shows=[bench])
+        digests = "".join(_sha256(Path(f"{kind}.json"), f"{kind}.json") for kind in KINDS)
+    finally:
+        os.chdir(home)
+    return {"checkpoints.sha256": digests, "cli_run.txt": "".join(transcript)}
+
+
 def main() -> None:
-    with tempfile.TemporaryDirectory() as scratch:
-        for name, text in golden_files(Path(scratch)).items():
+    with tempfile.TemporaryDirectory() as untrained, tempfile.TemporaryDirectory() as trained:
+        built = golden_files(Path(untrained)) | trained_files(Path(trained))
+        built["stack.json"] = json.dumps(stack(), indent=2) + "\n"
+        for name, text in built.items():
             (HERE / name).write_text(text, encoding="utf-8", newline="")
             print(f"wrote {HERE / name}")
 

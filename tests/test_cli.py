@@ -169,6 +169,33 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: UsageError: --n-range") and "repeats" in err[0], err
 
 
+    @pytest.mark.parametrize("case", ["plan-n-zero", "eval-empty-split", "train-empty-split"])
+    def test_refused_before_echo(self, pipeline, tmp_path, capsys, case):
+        # Each case is refused after its inputs are read but before the echo,
+        # so no file is written besides the dataset copy it starts from.
+        if case != "plan-n-zero":
+            data = tmp_path / "data"
+            shutil.copytree(pipeline["data"], data)
+            manifest = json.loads((data / "manifest.json").read_text())
+            for entry in manifest["environments"]:
+                entry["split"] = "test"
+            (data / "manifest.json").write_text(json.dumps(manifest))
+        argv, kind = {
+            "plan-n-zero": (["plan", "--ckpt", pipeline["ckpt"], "--scene", pipeline["scene"],
+                             "--n", "0"], "ConfigError"),
+            "eval-empty-split": (["eval", "--ckpt", pipeline["ckpt"], "--data", tmp_path / "data",
+                                  "--split", "val", "--report", tmp_path / "m.csv"], "EvaluationError"),
+            "train-empty-split": (["train", "--data", tmp_path / "data", "--out", tmp_path / "m.json",
+                                   *TRAIN_FLAGS], "TrainingError"),
+        }[case]
+        rc = dispatch([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out, out
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {kind}:"), err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if case == "plan-n-zero" else ["data"])
+
+
 class TestGenerate:
     def test_writes_dataset_layout(self, pipeline):
         data = pipeline["data"]

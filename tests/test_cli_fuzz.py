@@ -89,6 +89,28 @@ def test_hostile_value_exits_cleanly(world, tmp_path, capsys, command, option, v
         json.loads(echo[0][len("resolved-config: "):], parse_constant=_refuse_constant)
 
 
+# Generator spec values that numpy would refuse mid-generation, after the echo.
+BAD_SPEC_VALUES = [
+    ("room_size", [0.5, 0.5, 3]),
+    ("room_size", [-8, 8, 3]),
+    ("support_radius", -1),
+    ("move_distance", [0.9, 0.25]),
+    ("epsilon", -1),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SPEC_VALUES)
+def test_out_of_range_generator_spec_refused_before_echo(tmp_path, capsys, field, value):
+    spec = tmp_path / "gen.json"
+    spec.write_text(json.dumps(GEN_SPEC | {field: value}))
+    rc = dispatch(["generate", "--spec", str(spec), "--out", str(tmp_path / "data")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "resolved-config:" not in out and "Traceback" not in err, (out, err)
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {spec}: "), err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("extra", [1, 74])
 def test_d_v_above_encoding_width_refused_before_echo(world, tmp_path, capsys, extra):
     tax = load_dataset(world["data"]).taxonomy

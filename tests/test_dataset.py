@@ -434,6 +434,13 @@ class TestGenerator:
             dict(scans_per_environment=1),
             dict(objects_min=2),
             dict(seed=-1),
+            dict(room_size=(0.5, 0.5, 3.0)),  # inside the two 0.3 m wall margins
+            dict(room_size=(-8.0, 8.0, 3.0)),
+            dict(support_radius=-1.0),
+            dict(move_distance=(0.9, 0.25)),
+            dict(epsilon=-1.0),
+            dict(appear_prob=1.5),
+            dict(appear_prob=-0.1),
         ],
     )
     def test_config_validation(self, kwargs):

@@ -22,7 +22,6 @@ from vsg import (
     pairwise_distance_percentile,
     transform_pca,
 )
-from vsg.embedding import resolve_tau
 
 from conftest import build_tiny_tax, finite_coord, identity_pca, make_graph, make_node
 
@@ -350,7 +349,6 @@ class TestTauPresets:
         # Pairwise distances: 1, 3, 2.
         assert pairwise_distance_percentile([g], 100.0) == pytest.approx(3.0)
         assert pairwise_distance_percentile([g], 50.0) == pytest.approx(2.0)
-        assert resolve_tau("p100", [g]) == pytest.approx(3.0)
 
     def test_pools_across_graphs(self):
         g1 = make_graph([make_node("a", pos=(0, 0, 0)), make_node("b", pos=(1, 0, 0))])
@@ -358,13 +356,6 @@ class TestTauPresets:
             [make_node("a", pos=(0, 0, 0)), make_node("b", pos=(5, 0, 0))], scan="scan01"
         )
         assert pairwise_distance_percentile([g1, g2], 100.0) == pytest.approx(5.0)
-
-    def test_explicit_float_passes_through(self):
-        assert resolve_tau(2.5, []) == 2.5
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_tau("p33", [])
 
     def test_no_multi_node_graph_rejected(self):
         with pytest.raises(ConfigError):

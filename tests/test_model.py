@@ -20,7 +20,9 @@ from vsg import (
     fit_pca,
     load_checkpoint,
     save_checkpoint,
+    save_scene_graph,
 )
+from vsg.cli import dispatch
 from vsg.embedding import EmbeddedGraph
 from vsg.model import MlpBaseline, MpConv, _scatter_add
 from vsg.nn_core import Mlp, ParamStore
@@ -611,6 +613,26 @@ class TestCheckpoints:
         save_checkpoint(model, tiny_tax, p1)
         save_checkpoint(*load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5])
+    @pytest.mark.parametrize("kind", ["graph", "mlp"], ids=["deltavsg", "mlp_baseline"])
+    def test_out_of_range_dropout_rate_rejected(
+        self, tiny_tax, small_graph, tmp_path, capsys, kind, bad
+    ):
+        path, scene, out = tmp_path / "m.ckpt", tmp_path / "scene.json", tmp_path / "out.json"
+        save_checkpoint(self._fitted_model(tiny_tax, kind=kind), tiny_tax, path)
+        data = json.loads(path.read_text())
+        data["hyperparameters"]["dropout_rate"] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="dropout rate") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        save_scene_graph(small_graph, tiny_tax, scene)
+        rc = dispatch(["predict", "--ckpt", str(path), "--scene", str(scene), "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in stdout and not out.exists()
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: CheckpointError: {path}"), lines
 
     def test_scalar_gate_round_trip(self, tiny_tax, tmp_path):
         model = self._fitted_model(tiny_tax, scalar_gate=True)

@@ -333,6 +333,15 @@ class TestTrain:
             )
         assert results[0] == results[1]
 
+    def test_loss_config_defaults_to_unit_weights(self):
+        # train() weighs classes only as its LossConfig says; vsg train fills
+        # the weights from the train split itself.
+        bundle = small_bundle()
+        plain, plain_report = train(bundle, small_model_cfg(), quick_train_cfg())
+        given, _ = train(bundle, small_model_cfg(), quick_train_cfg(), LossConfig())
+        assert checkpoint_to_json(plain, bundle.taxonomy) == checkpoint_to_json(given, bundle.taxonomy)
+        assert plain_report.class_weights == ((1.0, 1.0),) * 3
+
     def test_loss_decreases_when_overfitting(self):
         bundle = small_bundle(num_environments=1)
         cfg = quick_train_cfg(epochs=40, learning_rate=5e-3, patience=None)
