@@ -35,6 +35,7 @@ from .planner import (
     VSG_PLANNER,
     Episode,
     changed_object_ids,
+    check_route,
     make_episodes,
     ranked_route,
     route_length,
@@ -50,10 +51,10 @@ from .training import (
     check_threshold,
     class_weights_from_samples,
     evaluate_probabilities,
-    require_train_samples,
+    prepare_training,
     sample_probabilities,
     sweep_rows,
-    train,
+    train_prepared,
     write_eval_csv,
     write_sweep_csv,
 )
@@ -132,16 +133,13 @@ def cmd_train(args) -> int:
         if not isinstance(values, dict):
             raise ConfigError(f"{where} {section!r} must be a JSON object")
         configs[section] = _config_from_json(cls, values | _flag_values(args, cls), f"{where} {section!r}")
-    width = bundle.taxonomy.num_classes + bundle.taxonomy.num_attributes
-    if configs["model"].d_v > width:
-        raise ConfigError(f"d_v={configs['model'].d_v} must be at most {width}, the node encoding's width")
-    train_samples = require_train_samples(bundle, configs["label"])
+    data = prepare_training(bundle, configs["model"], configs["label"])
     if "class_weights" not in file_cfg.get("loss", {}):  # weigh the classes by the train split
-        weights = class_weights_from_samples(train_samples)
+        weights = class_weights_from_samples(data.train_samples)
         configs["loss"] = dataclasses.replace(configs["loss"], class_weights=weights)
     sections = {section: dataclasses.asdict(cfg) for section, cfg in configs.items()}
     _echo_config("train", {"data": args.data, "out": args.out} | sections)
-    model, report = train(bundle, *configs.values())
+    model, report = train_prepared(data, configs["train"], configs["loss"])
     save_checkpoint(model, bundle.taxonomy, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -227,11 +225,10 @@ def _parse_start(text: str) -> tuple[float, ...]:
 def cmd_plan(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     scene = _load_scene(args.scene, tax)
+    check_route(scene, args.n)
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
-    start_vec = (
-        np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
-    )
+    start_vec = np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
     probabilities = model.predict_probabilities(scene, tax)
     route = ranked_route(scene, probabilities, args.n, start_vec)
     total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])

@@ -380,8 +380,8 @@ class GeneratorConfig:
             raise ConfigError("need at least 1 environment and 2 scans per environment")
         if self.objects_min < 4 or self.objects_max < self.objects_min:
             raise ConfigError("objects_min must be >= 4 and <= objects_max")
-        if min(self.room_size[:2]) < 0.6:  # _place keeps 0.3 m from each wall
-            raise ConfigError(f"room x and y must be >= 0.6 m, got {self.room_size}")
+        if min(self.room_size[:2]) < 0.6 or not self.room_size[2] > 0:  # _place keeps 0.3 m from each wall
+            raise ConfigError(f"room x and y must be >= 0.6 m and its height > 0, got {self.room_size}")
         if self.support_radius < 0:
             raise ConfigError(f"support_radius must be >= 0, got {self.support_radius!r}")
         LabelConfig(self.epsilon)  # epsilon > 0

@@ -284,6 +284,12 @@ def solve_tsp(points: np.ndarray, start) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def check_route(graph: SceneGraph, n: int) -> None:
+    """A route looks for n >= 1 changes on a non-empty map; else a ConfigError."""
+    if n < 1 or graph.num_nodes == 0:
+        raise ConfigError(f"a route needs n >= 1 and a non-empty map; got n = {n}, {graph.num_nodes} objects")
+
+
 @dataclass(frozen=True)
 class Episode:
     """One change-detection task: previous map, realized scene, target n."""
@@ -295,10 +301,7 @@ class Episode:
     label_cfg: LabelConfig = LabelConfig()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"episode needs n >= 1, got {self.n}")
-        if self.previous_map.num_nodes == 0:
-            raise ConfigError("episode needs a non-empty previous map")
+        check_route(self.previous_map, self.n)
 
     def start(self) -> np.ndarray:
         if self.start_position is not None:
@@ -393,10 +396,10 @@ def ranked_route(
 
     An object's score is the max of its three probabilities, ties broken
     toward the lower object id; the chosen objects keep node order before
-    the tour is solved. n must be at least 1, as in an `Episode`.
+    the tour is solved. `check_route` refuses the graph and n, as an
+    `Episode` does.
     """
-    if n < 1:
-        raise ConfigError(f"route needs n >= 1, got {n}")
+    check_route(graph, n)
     ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
     top = set(ranked[: n + 3])
     ids = [oid for oid in graph.node_ids if oid in top]

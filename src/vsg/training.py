@@ -10,9 +10,11 @@ positive label, 1-p for a negative one) and w_c is the weight of that class.
 Masked elements contribute nothing, and the loss is the mean over unmasked
 elements. gamma = 0 with unit weights recovers plain binary cross-entropy.
 
-A batch is a set of whole graphs; samples are drawn with replacement under
-importance weights so rare positives are seen often. The returned model is
-the best-validation-loss snapshot, and the whole run is deterministic per
+`train` is two steps: `prepare_training` labels the splits once and fits
+the PCA and tau, then `train_prepared` runs the epoch loop. A batch is a
+set of whole graphs; samples are drawn with replacement under importance
+weights so rare positives are seen often. The returned model is the
+best-validation-loss snapshot, and the whole run is deterministic per
 (config, seed).
 
 Where speed stops keeping the bits. A run does each graph's float
@@ -38,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .core_graph import Taxonomy
 from .dataset import (
     DatasetBundle,
     LabelConfig,
@@ -46,8 +49,8 @@ from .dataset import (
     importance_sample,
     label_statistics,
 )
-from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, embed, encode_nodes, fit_pca,
-                        pairwise_distance_percentile)
+from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed, encode_nodes,
+                        fit_pca, pairwise_distance_percentile)
 from .errors import ConfigError, EvaluationError, TrainingError
 from .model import MODEL_CLASSES, ModelConfig
 from .nn_core import Adam, check_dropout_rate
@@ -193,81 +196,79 @@ def _restore(model, snap: np.ndarray) -> None:
     model.store.values[...] = snap
 
 
-def require_train_samples(bundle: DatasetBundle, label_cfg: LabelConfig) -> list[Sample]:
-    """The train split's samples; an empty train split is a TrainingError."""
-    samples = bundle.samples("train", label_cfg)
-    if not samples:
-        raise TrainingError("train split has no samples")
-    return samples
+@dataclass(frozen=True)
+class PreparedTraining:
+    """What the epoch loop reads, fit on the train split once."""
+
+    model_cfg: ModelConfig
+    taxonomy: Taxonomy
+    train_samples: list[Sample]
+    val_samples: list[Sample]  # the train samples when the bundle has no val split
+    pca: PcaModel
+    edge_cfg: EdgeConfig  # tau in meters
+    train_inputs: list[EmbeddedGraph]
+    val_inputs: list[EmbeddedGraph]
 
 
-def train(
-    bundle: DatasetBundle,
-    model_cfg: ModelConfig = ModelConfig(),
-    train_cfg: TrainConfig = TrainConfig(),
-    loss_cfg: LossConfig = LossConfig(),
-    label_cfg: LabelConfig = LabelConfig(),
-):
-    """Fit a model on the bundle's train split; returns (model, report).
-
-    PCA and a tau preset are fit on the train split only, and the loss takes
-    loss_cfg's class weights as given (`vsg train` fills them from the train
-    split). A d_v above the node encoding's width is fit_pca's DimensionError.
-    The validation split drives checkpoint selection (lowest loss) and early
-    stopping (pooled F1 patience); when the bundle has no validation
-    environments the train samples stand in, with a warning.
-    """
+def prepare_training(bundle: DatasetBundle, model_cfg: ModelConfig = ModelConfig(),
+                     label_cfg: LabelConfig = LabelConfig()) -> PreparedTraining:
+    """Label the splits, fit the PCA and tau, and embed every input graph.
+    Refuses an empty train split (TrainingError) and what fit_pca and the
+    tau preset refuse (DimensionError, ConfigError)."""
     tax = bundle.taxonomy
-    train_samples = require_train_samples(bundle, label_cfg)
+    train_samples = bundle.samples("train", label_cfg)
+    if not train_samples:
+        raise TrainingError("train split has no samples")
     val_samples = bundle.samples("val", label_cfg)
     if not val_samples:
         logger.warning("no validation environments; validating on the train split")
         val_samples = train_samples
 
     train_graphs = [g for e in bundle.environment_ids("train") for g in bundle.environments[e]]
-    vectors = np.vstack([encode_nodes(g, tax) for g in train_graphs if g.num_nodes])
+    vectors = np.vstack([encode_nodes(g, tax) for g in train_graphs])
     pca = fit_pca(vectors, model_cfg.d_v)
     tau = model_cfg.tau  # meters, or a preset that ModelConfig has checked
     if isinstance(tau, str):
         tau = pairwise_distance_percentile(train_graphs, TAU_PERCENTILES[tau])
     edge_cfg = EdgeConfig(tau=tau, include_semantic_edges=model_cfg.include_semantic_edges)
+    inputs = [_embed_inputs(s, lambda g: embed(g, tax, pca, edge_cfg)) for s in (train_samples, val_samples)]
+    return PreparedTraining(model_cfg, tax, train_samples, val_samples, pca, edge_cfg, *inputs)
 
+
+def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(),
+                   loss_cfg: LossConfig = LossConfig()):
+    """The epoch loop on a fresh model and optimizer; returns (model, report).
+    `data` is only read, so training it twice gives identical results."""
+    tax, model_cfg = data.taxonomy, data.model_cfg
     model = MODEL_CLASSES[model_cfg.kind](
-        tax.name, tax.num_relationships, pca, edge_cfg, hidden_dim=model_cfg.hidden_dim,
+        tax.name, tax.num_relationships, data.pca, data.edge_cfg, hidden_dim=model_cfg.hidden_dim,
         dropout_rate=train_cfg.dropout_rate, seed=train_cfg.seed, scalar_gate=model_cfg.scalar_gate,
     )
     optimizer = Adam(model.store, lr=train_cfg.learning_rate)
-
-    train_inputs = _embed_inputs(train_samples, lambda g: embed(g, tax, pca, edge_cfg))
-    val_inputs = _embed_inputs(val_samples, lambda g: embed(g, tax, pca, edge_cfg))
-    val_labels, val_masks = [s.labels for s in val_samples], [s.masks for s in val_samples]
-    weights = importance_sample(train_samples)
+    val_labels, val_masks = [s.labels for s in data.val_samples], [s.masks for s in data.val_samples]
+    weights = importance_sample(data.train_samples)
 
     draw_rng = np.random.default_rng([train_cfg.seed, 1])
     dropout_rng = np.random.default_rng([train_cfg.seed, 2])
 
-    report = TrainingReport(
-        tau=tau,
-        class_weights=loss_cfg.class_weights,
-        num_train_samples=len(train_samples),
-        num_val_samples=len(val_samples),
-    )
+    report = TrainingReport(tau=data.edge_cfg.tau, class_weights=loss_cfg.class_weights,
+                            num_train_samples=len(data.train_samples), num_val_samples=len(data.val_samples))
     best_val = math.inf
     best_snap = _snapshot(model)
     best_f1 = -1.0
     stale = 0
-    steps_per_epoch = max(1, math.ceil(len(train_samples) / train_cfg.batch_size))
+    steps_per_epoch = max(1, math.ceil(len(data.train_samples) / train_cfg.batch_size))
 
     for epoch in range(train_cfg.epochs):
         epoch_loss = 0.0
         for _ in range(steps_per_epoch):
-            idx = draw_rng.choice(len(train_samples), size=train_cfg.batch_size, p=weights)
+            idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights)
             model.store.zero_grads()
             batch_loss = 0.0
             batch_unmasked = 0
             for k in idx:
-                s = train_samples[int(k)]
-                probs, cache = model.forward(train_inputs[int(k)], mode="train", rng=dropout_rng)
+                s = data.train_samples[int(k)]
+                probs, cache = model.forward(data.train_inputs[int(k)], mode="train", rng=dropout_rng)
                 loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
                 batch_loss += loss / train_cfg.batch_size
                 batch_unmasked += int(s.masks.sum())
@@ -284,11 +285,11 @@ def train(
             epoch_loss += batch_loss / steps_per_epoch
         report.train_loss.append(epoch_loss)
 
-        val_probs = _eval_forward(model, val_inputs)
+        val_probs = _eval_forward(model, data.val_inputs)
         val_loss = sum(
             focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
-            for probs, s in zip(val_probs, val_samples)
-        ) / len(val_samples)
+            for probs, s in zip(val_probs, data.val_samples)
+        ) / len(data.val_samples)
         f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
         report.val_loss.append(val_loss)
         report.val_pooled_f1.append(f1)
@@ -308,6 +309,21 @@ def train(
 
     _restore(model, best_snap)
     return model, report
+
+
+def train(
+    bundle: DatasetBundle,
+    model_cfg: ModelConfig = ModelConfig(),
+    train_cfg: TrainConfig = TrainConfig(),
+    loss_cfg: LossConfig = LossConfig(),
+    label_cfg: LabelConfig = LabelConfig(),
+):
+    """Fit a model on the bundle's train split; returns (model, report): the
+    two steps `prepare_training` and `train_prepared`. The loss takes
+    loss_cfg's class weights as given (`vsg train` fills them from the train
+    split). The validation split drives checkpoint selection (lowest loss)
+    and early stopping (pooled F1 patience)."""
+    return train_prepared(prepare_training(bundle, model_cfg, label_cfg), train_cfg, loss_cfg)
 
 
 # ---------------------------------------------------------------------------

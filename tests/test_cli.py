@@ -14,6 +14,7 @@ import subprocess
 import pytest
 
 from vsg import (
+    compute_labels,
     embed,
     evaluate,
     load_checkpoint,
@@ -28,6 +29,7 @@ from vsg import (
     write_sweep_csv,
 )
 from vsg import planner
+import vsg.dataset as dataset_module
 import vsg.model as model_module
 from vsg.cli import _TRAIN_SECTIONS, build_parser, dispatch
 from vsg.model import _VariabilityModel
@@ -169,11 +171,16 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: UsageError: --n-range") and "repeats" in err[0], err
 
 
-    @pytest.mark.parametrize("case", ["plan-n-zero", "eval-empty-split", "train-empty-split"])
+    @pytest.mark.parametrize(
+        "case", ["plan-n-zero", "plan-empty-scene", "eval-empty-split", "train-empty-split"])
     def test_refused_before_echo(self, pipeline, tmp_path, capsys, case):
         # Each case is refused after its inputs are read but before the echo,
-        # so no file is written besides the dataset copy it starts from.
-        if case != "plan-n-zero":
+        # so no file is written besides the input it starts from.
+        empty_scene = tmp_path / "empty.json"
+        if case == "plan-empty-scene":
+            scene = json.loads(pipeline["scene"].read_text())
+            empty_scene.write_text(json.dumps(scene | {"nodes": [], "edges": []}))
+        elif case != "plan-n-zero":
             data = tmp_path / "data"
             shutil.copytree(pipeline["data"], data)
             manifest = json.loads((data / "manifest.json").read_text())
@@ -183,6 +190,8 @@ class TestExitCodes:
         argv, kind = {
             "plan-n-zero": (["plan", "--ckpt", pipeline["ckpt"], "--scene", pipeline["scene"],
                              "--n", "0"], "ConfigError"),
+            "plan-empty-scene": (["plan", "--ckpt", pipeline["ckpt"], "--scene", empty_scene,
+                                  "--n", "1"], "ConfigError"),
             "eval-empty-split": (["eval", "--ckpt", pipeline["ckpt"], "--data", tmp_path / "data",
                                   "--split", "val", "--report", tmp_path / "m.csv"], "EvaluationError"),
             "train-empty-split": (["train", "--data", tmp_path / "data", "--out", tmp_path / "m.json",
@@ -193,7 +202,8 @@ class TestExitCodes:
         assert rc == 1 and "resolved-config:" not in out, out
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {kind}:"), err
-        assert [p.name for p in tmp_path.iterdir()] == ([] if case == "plan-n-zero" else ["data"])
+        inputs = {"plan-n-zero": [], "plan-empty-scene": ["empty.json"]}.get(case, ["data"])
+        assert [p.name for p in tmp_path.iterdir()] == inputs
 
 
 class TestGenerate:
@@ -289,6 +299,22 @@ class TestTrainEval:
         write_sweep_csv(threshold_sweep(model, samples, tax), tmp_path / "alone-sweep.csv")
         assert read(report) == read(tmp_path / "alone.csv")
         assert read(sweep) == read(tmp_path / "alone-sweep.csv")
+
+    def test_train_labels_each_pair_once(self, pipeline, tmp_path, monkeypatch, capsys):
+        bundle = load_dataset(pipeline["data"])
+        train_pairs, val_pairs = len(bundle.samples("train")), len(bundle.samples("val"))
+        assert train_pairs and val_pairs
+        calls = []
+
+        def counting_labels(*args):
+            calls.append(args)
+            return compute_labels(*args)
+
+        monkeypatch.setattr(dataset_module, "compute_labels", counting_labels)
+        rc = dispatch(["train", "--data", str(pipeline["data"]),
+                       "--out", str(tmp_path / "m.json"), *TRAIN_FLAGS])
+        assert rc == 0
+        assert len(calls) == train_pairs + val_pairs
 
     def test_training_is_deterministic(self, pipeline, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -96,6 +96,8 @@ BAD_SPEC_VALUES = [
     ("support_radius", -1),
     ("move_distance", [0.9, 0.25]),
     ("epsilon", -1),
+    ("room_size", [8, 8, -1]),
+    ("room_size", [8, 8, 0]),
 ]
 
 
@@ -111,13 +113,19 @@ def test_out_of_range_generator_spec_refused_before_echo(tmp_path, capsys, field
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("extra", [1, 74])
+@pytest.mark.parametrize("extra", [1, 74, pytest.param(None, id="above-node-count")])
 def test_d_v_above_encoding_width_refused_before_echo(world, tmp_path, capsys, extra):
-    tax = load_dataset(world["data"]).taxonomy
+    # `extra` is how far d_v goes past the node encoding's width; None puts it
+    # one past the train split's node count instead, within the width.
+    bundle = load_dataset(world["data"])
+    width = bundle.taxonomy.num_classes + bundle.taxonomy.num_attributes
+    nodes = sum(g.num_nodes for e in bundle.environment_ids("train") for g in bundle.environments[e])
+    d_v = nodes + 1 if extra is None else width + extra
+    assert extra is not None or d_v <= width
     ckpt = tmp_path / "m.json"
     argv = [str(a) for a in COMMANDS["train"](world, tmp_path)]
-    rc = dispatch(argv + [f"--d-v={tax.num_classes + tax.num_attributes + extra}"])
+    rc = dispatch(argv + [f"--d-v={d_v}"])
     out, err = capsys.readouterr()
     assert rc == 1 and "resolved-config:" not in out and not ckpt.exists()
     err = err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ConfigError: d_v="), err
+    assert len(err) == 1 and err[0].startswith("error: DimensionError: ") and f"d_v={d_v}" in err[0], err

@@ -501,6 +501,8 @@ class TestCoverage:
         empty = make_graph([], scan="s0")
         with pytest.raises(ConfigError):
             Episode(empty, empty, n=1)
+        with pytest.raises(ConfigError, match="non-empty map"):  # the rule an Episode applies
+            ranked_route(empty, {}, 1, np.zeros(3))
 
     def test_default_start_is_map_centroid(self, tiny_tax):
         ep = line_episode(tiny_tax)

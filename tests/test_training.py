@@ -13,6 +13,7 @@ from vsg import (
     CheckpointError,
     ConfigError,
     DatasetBundle,
+    DimensionError,
     EvaluationError,
     GeneratorConfig,
     LossConfig,
@@ -30,7 +31,7 @@ from vsg import (
 import vsg.model as model_module
 import vsg.training as training_module
 from vsg.model import MlpBaseline, MpConv, checkpoint_to_json
-from vsg.training import class_weights_from_samples, evaluate_probabilities
+from vsg.training import class_weights_from_samples, evaluate_probabilities, prepare_training, train_prepared
 from vsg.nn_core import Adam, Mlp
 
 from conftest import make_graph, make_node, make_sample
@@ -333,6 +334,18 @@ class TestTrain:
             )
         assert results[0] == results[1]
 
+    def test_train_is_prepare_then_loop(self):
+        bundle = small_bundle()
+        m, t, l = small_model_cfg(), quick_train_cfg(dropout_rate=0.3), LossConfig(gamma=1.0)
+
+        def as_bytes(model, report):
+            return checkpoint_to_json(model, bundle.taxonomy), report.to_json()
+
+        data = prepare_training(bundle, m)
+        by_hand = [as_bytes(*train_prepared(data, t, l)) for _ in range(2)]
+        # The loop only reads `data`: a second run on it gives the same bytes.
+        assert by_hand[0] == by_hand[1] == as_bytes(*train(bundle, m, t, l))
+
     def test_loss_config_defaults_to_unit_weights(self):
         # train() weighs classes only as its LossConfig says; vsg train fills
         # the weights from the train split itself.
@@ -381,6 +394,13 @@ class TestTrain:
         )
         with pytest.raises(TrainingError):
             train(all_val, small_model_cfg(), quick_train_cfg())
+
+    def test_train_split_without_objects_rejected(self):
+        bundle = small_bundle()
+        empty = {e: [dataclasses.replace(g, nodes=(), semantic_edges=()) for g in scans]
+                 for e, scans in bundle.environments.items()}
+        with pytest.raises(DimensionError, match="got 0"):
+            prepare_training(DatasetBundle(bundle.taxonomy, empty, bundle.splits), small_model_cfg())
 
     def test_divergence_restores_best_parameters(self, monkeypatch):
         bundle = small_bundle()
