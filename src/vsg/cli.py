@@ -17,7 +17,9 @@ import sys
 
 import numpy as np
 
-from .core_graph import _config_from_json, _read_json, scene_graph_from_dict, scene_graph_to_dict
+from .core_graph import (
+    _config_from_json, _read_json, check_position, scene_graph_from_dict, scene_graph_to_dict,
+)
 from .dataset import (
     VARIABILITY_NAMES,
     GeneratorConfig,
@@ -195,8 +197,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     scene = _load_scene(args.scene, tax)
-    _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     probabilities = model.predict_probabilities(scene, tax)
+    _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     out = scene_graph_to_dict(scene, tax)
     for node_dict in out["nodes"]:
         p = probabilities[node_dict["id"]]
@@ -212,14 +214,11 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_start(text: str) -> tuple[float, ...]:
+def _parse_start(text: str) -> tuple[float, float, float]:
     try:
-        start = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        start = ()
-    if len(start) != 3 or not np.isfinite(start).all():
-        raise UsageError(f"--start must be three finite numbers x,y,z; got {text!r}")
-    return start
+        return check_position([float(x) for x in text.split(",")])
+    except ValueError as e:  # text that is not a number, or a position check_position refuses
+        raise UsageError(f"--start x,y,z: {e}") from None
 
 
 def cmd_plan(args) -> int:

@@ -29,6 +29,8 @@ FORMAT_VERSION = 1
 
 ATTRIBUTE_KINDS = ("static", "state", "affordance")
 
+MAX_COORDINATE = 1e9  # meters; any squared distance then stays at most 12 * MAX_COORDINATE**2
+
 
 def _check_unique(names: Sequence[str], what: str) -> None:
     seen = set()
@@ -117,6 +119,16 @@ class Taxonomy:
         return self._lookup(self._relationship_index, "relationship", name)  # type: ignore[attr-defined]
 
 
+def check_position(raw, error=ValueError, what: str = "position") -> tuple[float, float, float]:
+    """The one position rule: three real numbers (no bools, no text), each of
+    magnitude at most MAX_COORDINATE, as floats; else `error` naming `what`."""
+    pos = tuple(raw)
+    real = [isinstance(c, (float, int, np.floating, np.integer)) and not isinstance(c, bool) for c in pos]
+    if len(pos) != 3 or not all(real) or not all(abs(c) <= MAX_COORDINATE for c in pos):
+        raise error(f"{what} must be 3 finite numbers of magnitude <= {MAX_COORDINATE:g} m, got {raw!r}")
+    return tuple(map(float, pos))
+
+
 @dataclass(frozen=True)
 class ObjectNode:
     """One object instance: class, attribute set, and world-frame position.
@@ -133,10 +145,8 @@ class ObjectNode:
     def __post_init__(self):
         attrs = tuple(sorted(set(self.attribute_indices)))
         object.__setattr__(self, "attribute_indices", attrs)
-        pos = tuple(float(c) for c in self.position)
-        if len(pos) != 3 or not all(math.isfinite(c) for c in pos):
-            raise ParseError(f"node {self.id!r}: position must be 3 finite components, got {self.position!r}")
-        object.__setattr__(self, "position", pos)
+        position = check_position(self.position, ParseError, f"node {self.id!r} position")
+        object.__setattr__(self, "position", position)
 
 
 @dataclass(frozen=True)
@@ -214,9 +224,12 @@ class SceneGraph:
 
     def positions(self) -> np.ndarray:
         """Node positions as an (N, 3) float array, in node order."""
-        if not self.nodes:
-            return np.zeros((0, 3))
-        return np.array([n.position for n in self.nodes], dtype=np.float64)
+        return node_positions(self.nodes)
+
+
+def node_positions(nodes: Iterable[ObjectNode]) -> np.ndarray:
+    """The one position-array builder: (N, 3) float64, in the given order."""
+    return np.array([n.position for n in nodes], dtype=np.float64).reshape(-1, 3)
 
 
 def distance(a, b) -> np.ndarray:
@@ -259,10 +272,10 @@ def _read_json(path, what: str, error=ParseError, expect=dict):
         raise error(f"{what} file not found: {path}") from None
     except OSError as e:  # a directory, no permission, an I/O fault
         raise error(f"{path}: cannot read {what} file: {e.strerror or e}") from None
-    except (UnicodeDecodeError, RecursionError) as e:  # bad UTF-8; nesting deeper than the stack
-        raise error(f"{path}: unreadable JSON text: {e}") from None
     except json.JSONDecodeError as e:
         raise error(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # bad UTF-8, an integer of over 4300 digits, deep nesting
+        raise error(f"{path}: unreadable JSON text: {e}") from None
     if not isinstance(data, expect):
         raise error(f"{path}: expected a JSON {'list' if expect is list else 'object'} at top level")
     return data

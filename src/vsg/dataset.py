@@ -32,17 +32,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core_graph import (
+    MAX_COORDINATE,
     ObjectNode,
     SceneGraph,
     SemanticEdge,
     Taxonomy,
     _attribute_indicators,
     _config_from_json,
+    check_position,
     distance,
     _parse_rows,
     _read_json,
     load_scene_graph,
     load_taxonomy,
+    node_positions,
     save_scene_graph,
     save_taxonomy,
 )
@@ -137,8 +140,7 @@ def compute_labels(
     # Each node's counterpart in `future`; a vanished node is its own, so it neither
     # moves nor toggles.
     after = [future.node(n.id) if future.has_node(n.id) else n for n in current.nodes]
-    after_pos = np.array([n.position for n in after]).reshape(-1, 3)
-    moved = distance(after_pos, current.positions()) >= cfg.epsilon
+    moved = distance(node_positions(after), current.positions()) >= cfg.epsilon
     state = _state_indicators(current.nodes, tax)
     toggled = (state != _state_indicators(after, tax)).any(axis=1)
     has_state = state.any(axis=1)
@@ -380,8 +382,10 @@ class GeneratorConfig:
             raise ConfigError("need at least 1 environment and 2 scans per environment")
         if self.objects_min < 4 or self.objects_max < self.objects_min:
             raise ConfigError("objects_min must be >= 4 and <= objects_max")
-        if min(self.room_size[:2]) < 0.6 or not self.room_size[2] > 0:  # _place keeps 0.3 m from each wall
-            raise ConfigError(f"room x and y must be >= 0.6 m and its height > 0, got {self.room_size}")
+        # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE
+        if min(self.room_size[:2]) < 0.6 or not 0 < self.room_size[2] or max(self.room_size) > MAX_COORDINATE:
+            raise ConfigError(f"room x and y must be in [0.6, {MAX_COORDINATE:g}] m and its height in (0, "
+                              f"{MAX_COORDINATE:g}], got {self.room_size}")
         if self.support_radius < 0:
             raise ConfigError(f"support_radius must be >= 0, got {self.support_radius!r}")
         LabelConfig(self.epsilon)  # epsilon > 0
@@ -474,7 +478,7 @@ def _semantic_edges(
     )
     ids = [n.id for n in nodes]
     rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's place in str order
-    pos = np.array([n.position for n in nodes]).reshape(-1, 3)
+    pos = node_positions(nodes)
     classes = np.array([tax.classes[n.class_index] for n in nodes], dtype=str)
     support = np.array([specs[c].is_support for c in classes], dtype=bool)
     structure = np.array([specs[c].is_structure for c in classes], dtype=bool)
@@ -564,23 +568,22 @@ def _transition(
     rng: np.random.Generator,
 ) -> tuple[list[ObjectNode], int, TransitionLog]:
     rx, ry, _ = cfg.room_size
-    xy = np.array([n.position for n in nodes]).reshape(-1, 3)[:, :2]
+    pos = node_positions(nodes)
     support = np.array([specs[tax.classes[n.class_index]].is_support for n in nodes], dtype=bool)
-    near_support = (distance(xy[:, None], xy[None, support]) < cfg.support_radius).any(axis=1)
+    near_support = (distance(pos[:, None, :2], pos[None, support, :2]) < cfg.support_radius).any(axis=1)
     moved: dict[str, float] = {}
     toggled: set[str] = set()
     vanished: set[str] = set()
     appeared: set[str] = set()
     out: list[ObjectNode] = []
 
-    for n, near in zip(nodes, near_support):
+    for n, near, position in zip(nodes, near_support, pos):
         cls = tax.classes[n.class_index]
         spec = specs[cls]
         prop = cfg.propensity_overrides.get(cls, spec.propensity)
         if rng.random() < prop.vanish:
             vanished.add(n.id)
             continue
-        position = np.array(n.position, dtype=np.float64)
         move_p = prop.move_near if near else prop.move_far
         if rng.random() < move_p:
             for _ in range(100):
@@ -778,21 +781,13 @@ def load_dataset(root) -> DatasetBundle:
 _KIND_MAP = {"state": "state", "dynamic": "state", "affordance": "affordance"}
 
 
-def _position(raw) -> tuple[float, ...]:
-    position = tuple(float(x) for x in raw)
-    if len(position) != 3 or not all(map(math.isfinite, position)):
-        raise ValueError(f"position must be 3 finite numbers, got {raw!r}")
-    return position
-
-
 def _read_scan(scan_dir: str) -> tuple[list[tuple], list[tuple[str, str, str]]]:
     """One scan's objects as (id, label, attributes, position) rows, and its
     relationships as (source, target, name) triples. Every object must carry
-    a position of 3 finite numbers (this adapter consumes layout exports that
-    include them) and an id no other object of the scan has."""
+    a position check_position accepts and an id no other object of the scan has."""
     path = os.path.join(scan_dir, "objects.json")
     objects = _parse_rows(path, _read_json(path, "objects").get("objects"), "object", lambda o: (
-        str(o["id"]), str(o.get("label", "object")), _object_attributes(o), _position(o["position"]),
+        str(o["id"]), str(o.get("label", "object")), _object_attributes(o), check_position(o["position"]),
     ))
     ids = [row[0] for row in objects]
     if len(set(ids)) < len(ids):

@@ -206,9 +206,12 @@ class _VariabilityModel:
     def predict_probabilities(
         self, g: SceneGraph, tax: Taxonomy
     ) -> dict[str, tuple[float, float, float]]:
-        """Per-object (p_position, p_state, p_instance), eval mode."""
+        """Per-object (p_position, p_state, p_instance), eval mode; non-finite ones are a CheckpointError."""
         eg = self.embed_scene(g, tax)
-        probs, _ = self.forward(eg, mode="eval")
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it, not numpy
+            probs, _ = self.forward(eg, mode="eval")
+        if not np.isfinite(probs).all():
+            raise CheckpointError(f"scan {g.scan_id!r}: the model's probabilities are not finite")
         return {
             oid: (float(p[0]), float(p[1]), float(p[2]))
             for oid, p in zip(eg.node_ids, probs)

@@ -22,7 +22,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, distance
+from .core_graph import SceneGraph, Taxonomy, check_position, distance, node_positions
 from .dataset import LabelConfig, compute_labels
 from .errors import ConfigError, EvaluationError
 
@@ -270,6 +270,11 @@ def solve_tsp(points: np.ndarray, start) -> list[int]:
 
     Up to EXACT_TSP_LIMIT points the route is optimal (Held-Karp); beyond
     that it comes from the multi-start local search.
+
+    Precondition: every point and the start lie within MAX_COORDINATE, as
+    `check_position` guarantees for scene nodes and starts, so no squared
+    distance overflows. The solvers do not check it again; far past it
+    (near 1e154) a route may not be a permutation.
     """
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
@@ -302,6 +307,8 @@ class Episode:
 
     def __post_init__(self):
         check_route(self.previous_map, self.n)
+        if self.start_position is not None:
+            check_position(self.start_position, ConfigError, "start_position")
 
     def start(self) -> np.ndarray:
         if self.start_position is not None:
@@ -403,8 +410,7 @@ def ranked_route(
     ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
     top = set(ranked[: n + 3])
     ids = [oid for oid in graph.node_ids if oid in top]
-    points = np.array([graph.node(oid).position for oid in ids], dtype=np.float64)
-    return [ids[k] for k in solve_tsp(points, start)]
+    return [ids[k] for k in solve_tsp(node_positions(graph.node(oid) for oid in ids), start)]
 
 
 def run_vsg_planner(

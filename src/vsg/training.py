@@ -231,8 +231,10 @@ def prepare_training(bundle: DatasetBundle, model_cfg: ModelConfig = ModelConfig
     if isinstance(tau, str):
         tau = pairwise_distance_percentile(train_graphs, TAU_PERCENTILES[tau])
     edge_cfg = EdgeConfig(tau=tau, include_semantic_edges=model_cfg.include_semantic_edges)
-    inputs = [_embed_inputs(s, lambda g: embed(g, tax, pca, edge_cfg)) for s in (train_samples, val_samples)]
-    return PreparedTraining(model_cfg, tax, train_samples, val_samples, pca, edge_cfg, *inputs)
+    # One cache for both splits, so a train scan that is also validated on is embedded once.
+    inputs = _embed_inputs(train_samples + val_samples, lambda g: embed(g, tax, pca, edge_cfg))
+    k = len(train_samples)
+    return PreparedTraining(model_cfg, tax, train_samples, val_samples, pca, edge_cfg, inputs[:k], inputs[k:])
 
 
 def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(),

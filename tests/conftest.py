@@ -1,4 +1,5 @@
-"""Shared fixtures: a tiny taxonomy, graph builders, and hypothesis strategies."""
+"""Shared fixtures: a tiny taxonomy, graph builders, hypothesis strategies and
+hostile coordinate magnitudes."""
 
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ from vsg import (
     Taxonomy,
 )
 from vsg.embedding import EmbeddedGraph, PcaModel
+
+
+# Coordinate magnitudes around the bound and up to float64's largest.
+MAGNITUDES = [1e6, 1e9, 2e9, 1e154, 1e200, 1.7e308]
 
 
 def build_tiny_tax() -> Taxonomy:

@@ -519,6 +519,33 @@ class TestPredict:
         assert "head.W0" in captured.err
         assert not out.exists()
 
+    # A checkpoint with finite but huge weights loads; its probabilities are NaN.
+    @pytest.mark.filterwarnings("error")  # and numpy's overflow warnings stay off stderr
+    @pytest.mark.parametrize("command", ["predict", "plan", "compare-planners"])
+    def test_non_finite_probabilities_are_one_error_line(self, pipeline, tmp_path, capsys, command):
+        model, tax = load_checkpoint(pipeline["ckpt"])
+        model.store.values *= 1e200
+        ckpt = tmp_path / "huge.json"
+        save_checkpoint(model, tax, ckpt)
+        load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--scene", pipeline["scene"], "--out", out],
+            "plan": ["plan", "--scene", pipeline["scene"], "--n", "1",
+                     "--realized", pipeline["data"] / "env000" / "scan01.json"],
+            "compare-planners": ["compare-planners", "--data", pipeline["data"], "--n-range", "1",
+                                 "--split", "all", "--out", out],
+        }[command]
+        capsys.readouterr()
+        rc = dispatch([str(a) for a in [*argv, "--ckpt", ckpt]])
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert rc == 1 and len(err) == 1, captured.err
+        assert err[0].startswith("error: CheckpointError: scan '") and "not finite" in err[0]
+        assert not out.exists()
+        if command != "compare-planners":  # it predicts per episode, after its echo
+            assert "resolved-config:" not in captured.out
+
     def test_too_wide_pca_components_is_one_error_line(self, pipeline, tmp_path, capsys):
         data = json.loads(pipeline["ckpt"].read_text())
         for row in data["pca"]["components"]:

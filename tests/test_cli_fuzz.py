@@ -6,16 +6,25 @@ through `dispatch` on a tiny world. The run must exit 0, 1 or 2 and raise
 nothing; exit 1 prints exactly one `error:` line, and exit 0 echoes a
 `resolved-config:` line that JSON without NaN or Infinity accepts. Every
 (option, value) pair runs, so the check does not depend on a draw.
+
+Coordinates get the same treatment: a `--start` and scenes whose largest
+coordinate is each of `MAGNITUDES` either run to finite output, with every
+TSP route a permutation, or are one `error:` line before the echo.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import pytest
 
-from vsg import load_dataset
+from vsg import load_dataset, planner
 from vsg.cli import dispatch
+from vsg.core_graph import MAX_COORDINATE
+
+from conftest import MAGNITUDES
 
 VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", str(2**63), "", "text"]
 
@@ -98,6 +107,8 @@ BAD_SPEC_VALUES = [
     ("epsilon", -1),
     ("room_size", [8, 8, -1]),
     ("room_size", [8, 8, 0]),
+    ("room_size", [2e9, 8, 3]),  # each object lies in the room, and a coordinate is at most 1e9 m
+    ("room_size", [8, 8, 1e200]),
 ]
 
 
@@ -129,3 +140,81 @@ def test_d_v_above_encoding_width_refused_before_echo(world, tmp_path, capsys, e
     assert rc == 1 and "resolved-config:" not in out and not ckpt.exists()
     err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: DimensionError: ") and f"d_v={d_v}" in err[0], err
+
+
+def _scaled_scenes(world, out, v):
+    """The scene and realized scene, scaled by one factor so that the largest
+    coordinate magnitude of the two is v."""
+    raws = [json.loads(world[key].read_text()) for key in ("scene", "realized")]
+    top = max(abs(c) for raw in raws for node in raw["nodes"] for c in node["position"])
+    paths = []
+    for raw, name in zip(raws, ("scene.json", "realized.json")):
+        for node in raw["nodes"]:
+            node["position"] = [min(max(c * (v / top), -v), v) for c in node["position"]]
+        (out / name).write_text(json.dumps(raw))
+        paths.append(out / name)
+    return paths
+
+
+@pytest.fixture
+def checked_tsp(monkeypatch):
+    """Every solve_tsp result the planner gets, each checked to be a permutation."""
+    orders = []
+
+    def solve_tsp(points, start):
+        order = real(points, start)
+        assert sorted(order) == list(range(len(points))), order
+        orders.append(order)
+        return order
+
+    real = planner.solve_tsp
+    monkeypatch.setattr(planner, "solve_tsp", solve_tsp)
+    return orders
+
+
+def _finite_numbers(text: str) -> list[float]:
+    values = [float(x) for x in re.findall(r"distance:? (\S+)", text)]
+    assert values and all(math.isfinite(x) for x in values), text
+    return values
+
+
+def _refused_before_echo(rc, out, err, kind):
+    assert rc == 1 and "resolved-config:" not in out and "Traceback" not in err, (out, err)
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("v", MAGNITUDES)
+def test_start_magnitude(world, tmp_path, capsys, checked_tsp, v, sign):
+    argv = [str(a) for a in COMMANDS["plan"](world, tmp_path)] + [f"--start={sign}{v!r},0,{v!r}"]
+    rc = dispatch(argv)
+    out, err = capsys.readouterr()
+    if v > MAX_COORDINATE:
+        _refused_before_echo(rc, out, err, "UsageError")
+        return
+    assert rc == 0, err
+    assert len(_finite_numbers(out)) == 3 and checked_tsp  # the phase-1 route and both planners
+
+
+@pytest.mark.parametrize("command", ["predict", "plan"])
+@pytest.mark.parametrize("v", MAGNITUDES)
+def test_scene_magnitude(world, tmp_path, capsys, checked_tsp, command, v):
+    scene, realized = _scaled_scenes(world, tmp_path, v)
+    pred = tmp_path / "pred.json"
+    argv = {
+        "predict": ["predict", "--ckpt", world["ckpt"], "--scene", scene, "--out", pred],
+        "plan": ["plan", "--ckpt", world["ckpt"], "--scene", scene, "--n", "1", "--realized", realized],
+    }[command]
+    rc = dispatch([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    if v > MAX_COORDINATE:
+        _refused_before_echo(rc, out, err, "ParseError")
+        assert not pred.exists()
+        return
+    assert rc == 0, err
+    if command == "plan":
+        assert len(_finite_numbers(out)) == 3 and checked_tsp
+        return
+    nodes = json.loads(pred.read_text(), parse_constant=_refuse_constant)["nodes"]
+    assert all(0 <= p <= 1 for node in nodes for p in node["variability"].values())

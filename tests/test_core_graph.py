@@ -1,6 +1,8 @@
-"""Scene graph data model and JSON round trips."""
+"""Scene graph data model, the position rule, and JSON round trips."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -21,9 +23,19 @@ from vsg import (
     scene_graph_to_dict,
     scene_graph_to_json,
 )
-from vsg.core_graph import load_taxonomy, save_taxonomy, taxonomy_from_dict, taxonomy_to_dict
+from vsg.core_graph import (
+    MAX_COORDINATE,
+    distance,
+    load_taxonomy,
+    node_positions,
+    save_taxonomy,
+    taxonomy_from_dict,
+    taxonomy_to_dict,
+)
 
-from conftest import make_graph, make_node, tiny_graphs
+from conftest import MAGNITUDES, make_graph, make_node, tiny_graphs
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vsg"
 
 
 class TestTaxonomy:
@@ -86,6 +98,31 @@ class TestNodesAndEdges:
             make_node("a", pos=(0.0, float("nan"), 0.0))
         with pytest.raises(ParseError):
             make_node("a", pos=(0.0, 1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("v", MAGNITUDES)
+    def test_position_magnitude_is_bounded(self, v, sign):
+        for axis in range(3):
+            pos = [0.0, 0.0, 0.0]
+            pos[axis] = sign * v
+            if v <= MAX_COORDINATE:
+                node = make_node("a", pos=tuple(pos))
+                assert node.position == tuple(pos)
+                pts = node_positions([node, make_node("b", pos=tuple(-c for c in pos))])
+                assert pts.shape == (2, 3) and np.isfinite(distance(pts[0], pts[1]))
+            else:
+                with pytest.raises(ParseError, match="'a' position"):
+                    make_node("a", pos=tuple(pos))
+
+    @pytest.mark.parametrize("pos", [("1.5", True, "2"), (1.5, True, 2.0), (1.5, np.True_, 2.0),
+                                     (0.0, None, 0.0), (0.0, 0.0, 0.0, 0.0), (10**400, 0, 0), "abc"])
+    def test_position_must_be_three_real_numbers(self, pos):
+        with pytest.raises(ParseError):
+            make_node("a", pos=pos)
+
+    def test_position_is_stored_as_floats(self):
+        node = make_node("a", pos=(np.int64(1), np.float32(0.5), 2))
+        assert node.position == (1.0, 0.5, 2.0) and all(type(c) is float for c in node.position)
 
     def test_self_edge_rejected(self):
         with pytest.raises(ParseError):
@@ -177,3 +214,24 @@ class TestSerialization:
         path.write_text('{"format_version": 1,\n  "oops"')
         with pytest.raises(ParseError, match="line"):
             load_scene_graph(path, tiny_tax)
+
+
+def _position_array_sites(path: Path) -> list[tuple[str, int]]:
+    """(file, line) of each `np.array(...)` whose first argument is a
+    comprehension over `.position`."""
+    return [
+        (path.name, node.lineno)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "array"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np" and node.args
+        and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
+        and isinstance(node.args[0].elt, ast.Attribute) and node.args[0].elt.attr == "position"
+    ]
+
+
+def test_position_arrays_are_built_only_by_node_positions():
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _position_array_sites(path)]
+    tree = ast.parse((SRC / "core_graph.py").read_text(encoding="utf-8"))
+    builder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "node_positions")
+    assert len(sites) == 1, sites
+    assert sites[0][0] == "core_graph.py" and builder.lineno <= sites[0][1] <= builder.end_lineno

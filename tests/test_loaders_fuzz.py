@@ -21,6 +21,7 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -34,8 +35,10 @@ from vsg import (
     load_scene_graph,
 )
 from vsg.cli import dispatch
-from vsg.core_graph import load_taxonomy
+from vsg.core_graph import MAX_COORDINATE, load_taxonomy
 from vsg.model import checkpoint_to_json
+
+from conftest import MAGNITUDES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vsg"
 
@@ -294,6 +297,10 @@ CLI_CASES = {
         "ParseError", ["'env000'", "'scan00'", "twice"]),
     "generator-spec-list": ("generate", lambda w: [1, 2], "ConfigError", ["object"]),
     "generator-spec-nested-too-deeply": ("generate", lambda w: "[" * 100_000, "ConfigError", ["depth"]),
+    "scene-integer-too-long": (
+        "predict",
+        lambda w: json.dumps(_scene(w)).replace('"position": [', '"position": [' + "1" * 5000 + ", ", 1),
+        "ConfigError", ["digits"]),
     "train-config-section-not-an-object": (
         "train", lambda w: {"model": 5}, "ConfigError", ["'model'"]),
 }
@@ -365,6 +372,28 @@ class TestIngestFaults:
         assert skipped == ("envB-ref",)
         assert {s.environment_id for s in bundle.samples()} == {"envA-ref"}
         assert "envB-ref" in caplog.text and "skipping" in caplog.text
+
+    @pytest.mark.parametrize(
+        "position",
+        [[v, 0, 0] for v in MAGNITUDES] + [[0, -v, 0] for v in MAGNITUDES]
+        + [["1.5", True, "2"], [1.5, True, 2], [0, None, 0]], ids=json.dumps,
+    )
+    def test_position_within_the_bound_or_environment_skipped(self, world, tmp_path, caplog, position):
+        layout = tmp_path / "layout"
+        shutil.copytree(world["layout"], layout)
+        objects = {"objects": [OBJECTS["objects"][0] | {"position": position}, OBJECTS["objects"][1]]}
+        (layout / "envB-re1" / "objects.json").write_text(json.dumps(objects))
+        with caplog.at_level(logging.WARNING):
+            bundle, skipped = ingest_3rscan_layout(layout)
+        accepted = all(type(c) in (int, float) and abs(c) <= MAX_COORDINATE for c in position)
+        if not accepted:
+            assert skipped == ("envB-ref",) and "envB-re1" in caplog.text and "skipping" in caplog.text
+            assert set(bundle.environments) == {"envA-ref"}
+            return
+        assert skipped == ()
+        assert bundle.environments["envB-ref"][1].node("1").position == tuple(map(float, position))
+        labels = [s.labels for s in bundle.samples()]
+        assert len(labels) == 4 and all(np.isfinite(y).all() for y in labels)
 
 
 def _json_parse_sites(path: Path) -> list[tuple[str, int]]:

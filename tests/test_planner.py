@@ -25,6 +25,7 @@ from vsg import (
     write_benchmark_csv,
 )
 from vsg import planner
+from vsg.core_graph import MAX_COORDINATE
 from vsg.planner import (
     _DOUBLE_BRIDGE_KICKS,
     EXACT_TSP_LIMIT,
@@ -36,7 +37,7 @@ from vsg.planner import (
     _two_opt,
 )
 
-from conftest import make_graph, make_node
+from conftest import MAGNITUDES, make_graph, make_node
 
 
 def brute_force(points, start):
@@ -508,6 +509,28 @@ class TestCoverage:
         ep = line_episode(tiny_tax)
         centroid_ep = Episode(ep.previous_map, ep.realized_scene, n=1)
         npt.assert_allclose(centroid_ep.start(), [2.0, 0.0, 0.0])
+
+
+class TestHostileMagnitudes:
+    @pytest.mark.parametrize("v", MAGNITUDES + [float("nan"), float("inf")])
+    def test_episode_start_is_checked(self, tiny_tax, v):
+        if not v <= MAX_COORDINATE:
+            with pytest.raises(ConfigError, match="start_position"):
+                line_episode(tiny_tax, start=(v, 0.0, 0.0))
+            return
+        ep = line_episode(tiny_tax, start=(v, 0.0, -v))
+        oracle = OracleScorer(ep.realized_scene)
+        for result in (run_coverage(ep, tiny_tax), run_vsg_planner(ep, oracle, tiny_tax)):
+            assert np.isfinite(result.distance_traveled) and result.changes_found == 1
+
+    @pytest.mark.parametrize("n", [6, EXACT_TSP_LIMIT + 5])
+    @pytest.mark.parametrize("v", [v for v in MAGNITUDES if v <= MAX_COORDINATE])
+    def test_solve_tsp_at_the_bound_gives_a_permutation(self, n, v):
+        points = v - np.random.default_rng(n).uniform(0.0, 8.0, size=(n, 3))
+        for start in (points.mean(axis=0), np.full(3, -v)):
+            order = solve_tsp(points, start)
+            assert sorted(order) == list(range(n))
+            assert np.isfinite(route_length(points, start, order))
 
 
 class UniformScorer:

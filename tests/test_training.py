@@ -387,6 +387,27 @@ class TestTrain:
         assert "no validation environments" in caplog.text
         assert report.num_val_samples == report.num_train_samples
 
+    @pytest.mark.parametrize("val_split", [False, True])
+    def test_each_input_scan_is_embedded_once(self, monkeypatch, val_split):
+        # Without a val split the train samples are validated on; their scans
+        # must not be embedded a second time for that.
+        bundle = small_bundle(seed=1)
+        if not val_split:
+            splits = dict.fromkeys(bundle.environments, "train")
+            bundle = DatasetBundle(bundle.taxonomy, bundle.environments, splits)
+        calls = []
+
+        def counting_embed(g, *args):
+            calls.append((g.environment_id, g.scan_id))
+            return embed(g, *args)
+
+        embed = training_module.embed
+        monkeypatch.setattr(training_module, "embed", counting_embed)
+        data = prepare_training(bundle, small_model_cfg())
+        assert len(calls) == len(set(calls)) == 9  # 3 environments x 3 scans, each an input
+        if not val_split:
+            assert all(v is t for v, t in zip(data.val_inputs, data.train_inputs, strict=True))
+
     def test_empty_train_split_rejected(self):
         bundle = small_bundle()
         all_val = DatasetBundle(
