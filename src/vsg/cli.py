@@ -166,6 +166,7 @@ def cmd_eval(args) -> int:
         raise EvaluationError(
             f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
         )
+    probabilities = sample_probabilities(model, samples, bundle.taxonomy)
     _echo_config(
         "eval",
         {
@@ -179,8 +180,7 @@ def cmd_eval(args) -> int:
     )
     thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
     report, *sweep = evaluate_probabilities(
-        sample_probabilities(model, samples, bundle.taxonomy),
-        [s.labels for s in samples], [s.masks for s in samples], thresholds,
+        probabilities, [s.labels for s in samples], [s.masks for s in samples], thresholds
     )
     write_eval_csv(report, args.report)
     if args.sweep:

@@ -203,15 +203,20 @@ class _VariabilityModel:
             )
         return embed(g, tax, self.pca, self.edge_config)
 
+    def eval_probabilities(self, eg: EmbeddedGraph, scan_id: str) -> np.ndarray:
+        """Eval-mode (N, 3) probabilities of one embedded scan; non-finite ones are a CheckpointError."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it, not numpy
+            probs, _ = self.forward(eg, mode="eval")
+        if not np.isfinite(probs).all():
+            raise CheckpointError(f"scan {scan_id!r}: the model's probabilities are not finite")
+        return probs
+
     def predict_probabilities(
         self, g: SceneGraph, tax: Taxonomy
     ) -> dict[str, tuple[float, float, float]]:
         """Per-object (p_position, p_state, p_instance), eval mode; non-finite ones are a CheckpointError."""
         eg = self.embed_scene(g, tax)
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it, not numpy
-            probs, _ = self.forward(eg, mode="eval")
-        if not np.isfinite(probs).all():
-            raise CheckpointError(f"scan {g.scan_id!r}: the model's probabilities are not finite")
+        probs = self.eval_probabilities(eg, g.scan_id)
         return {
             oid: (float(p[0]), float(p[1]), float(p[2]))
             for oid, p in zip(eg.node_ids, probs)

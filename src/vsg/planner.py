@@ -112,55 +112,78 @@ def _extended_distances(pts: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
-    """Apply improving segment reversals until a whole pass finds none."""
+    """Apply improving segment reversals until a whole pass finds none.
+
+    `m` is the distance matrix in route order: with `ext` the start index
+    followed by the order, `m` equals `dist[ext][:, ext]` after every move,
+    because a move reverses `ext[i+1..j+1]` together with the same block of
+    m's rows and of its columns. So each scan reads slices of `m` and its
+    superdiagonal instead of gathering from `dist`. Every delta entry is the
+    same four distances grouped the same way (`a - b`, then `+= c - d`) as a
+    gather from `dist` or the scalar loop, so the floats, the moves and the
+    route are theirs. `dist` itself is never written.
+    """
     n = len(order)
-    s = dist.shape[0] - 1
-    o = np.asarray(order, dtype=np.int64)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # only i < j
+    ext = np.array([dist.shape[0] - 1, *order], dtype=np.int64)
+    m = dist[ext[:, None], ext]
+    legs = np.diagonal(m, 1)  # a view: legs[p] = m[p, p + 1], kept current by the moves
+    upper = np.arange(n)[:, None] < np.arange(n)  # only i < j
     last = -1  # flat (i, j) index of this pass's last move; -1 while it has none
     while True:
-        prev = np.concatenate(([s], o[:-1]))
         # Reverse order[i..j]; legs change at both segment boundaries,
         # except past the tail where the route just ends.
-        delta = dist[prev[:, None], o] - dist[prev, o][:, None]
-        delta[:, :-1] += dist[o[:, None], o[1:]] - dist[o[:-1], o[1:]]
-        hits = np.flatnonzero((delta < -1e-12) & upper)
-        hits = hits[hits > last]
-        if hits.size:
-            last = int(hits[0])
+        delta = m[:n, 1:] - legs[:, None]
+        delta[:, :-1] += m[1:, 2:] - legs[1:]
+        # `last` lies in the strict upper triangle, so the tail is never empty.
+        tail = ((delta < -1e-12) & upper).ravel()[last + 1 :]
+        k = int(tail.argmax())
+        if tail[k]:
+            last += 1 + k
             i, j = divmod(last, n)
-            o[i : j + 1] = o[i : j + 1][::-1]
+            block = slice(i + 1, j + 2)
+            ext[block] = ext[block][::-1]
+            m[block] = m[block][::-1]
+            m[:, block] = m[:, block][:, ::-1]
         elif last >= 0:
             last = -1  # the pass moved something: start another
         else:
-            return o.tolist()
+            return ext[1:].tolist()
 
 
 def _or_opt(dist: np.ndarray, order: list[int]) -> tuple[list[int], bool]:
-    """One first-improvement pass relocating a run of 1-3 points."""
+    """One first-improvement pass relocating a run of 1-3 points.
+
+    Reads the route-ordered matrix `m` of `_two_opt`. Run i holds positions
+    i+1..i+seg of `ext`; without it, the k-th point (the start counting as
+    the 0th) sits at position k while k <= i and at k + seg after that. So
+    every candidate's distances are slices of `m` picked by one triangular
+    mask, with the same floats and grouping as a gather from `dist`.
+    """
     n = len(order)
-    s = dist.shape[0] - 1
-    o = np.asarray(order, dtype=np.int64)
+    ext = np.array([dist.shape[0] - 1, *order], dtype=np.int64)
+    m = dist[ext[:, None], ext]
+    legs = np.diagonal(m, 1)
     for seg in (1, 2, 3):
         if seg > n - 1:
             break
-        m = n - seg + 1  # run starts i, and slots k in the order without the run
-        prev = np.concatenate(([s], o[: m - 1]))
-        ends = np.stack([o[:m], o[seg - 1 :]], axis=1)  # first and last point of run i
-        gain = dist[prev, ends[:, 0]]
-        gain[:-1] += dist[ends[:-1, 1], o[seg:]] - dist[prev[:-1], o[seg:]]
-        t = np.arange(n - seg)
-        rest = o[t + seg * (t >= np.arange(m)[:, None])]  # row i: the order without run i
-        a = np.concatenate((np.full((m, 1), s), rest), axis=1)  # the point before slot k
-        # cost[i, k, r]: run i inserted at slot k, as is (r = 0) or reversed.
-        cost = dist[a[:, :, None], ends[:, None, :]]
-        b = rest[:, :, None]  # the point after slot k
-        cost[:, :-1] += dist[ends[:, None, ::-1], b] - dist[a[:, :-1, None], b]
+        runs = n - seg + 1  # run starts i, and slots k in the order without the run
+        first, last = slice(1, runs + 1), slice(seg, None)  # run i's end points
+        gain = legs[:runs].copy()
+        gain[:-1] += legs[seg:] - np.diagonal(m, seg + 1)
+        slot = np.arange(runs)
+        kept = slot <= slot[:, None]  # [i, k]: the k-th point is at k, else at k + seg
+        # cost[i, k, r]: run i inserted after the k-th point, as is (r = 0) or reversed.
+        cost = np.stack([np.where(kept, m[:runs, e].T, m[seg:, e].T) for e in (first, last)], axis=2)
+        after = kept[:, 1:]  # the same for the (k+1)-th point
+        broken = np.where(after, legs[: runs - 1], legs[seg:])
+        np.fill_diagonal(broken, np.diagonal(m, seg + 1))  # k == i: the leg over the gap
+        joined = [np.where(after, m[e, 1:runs], m[e, seg + 1 :]) for e in (last, first)]
+        cost[:, :-1] += np.stack(joined, axis=2) - broken[:, :, None]
         hits = np.flatnonzero(cost < (gain - 1e-12)[:, None, None])
         if hits.size:
             i, k, flip = np.unravel_index(hits[0], cost.shape)
-            piece = o[i : i + seg][:: -1 if flip else 1].tolist()
-            head = rest[i].tolist()
+            piece = order[i : i + seg][:: -1 if flip else 1]
+            head = order[:i] + order[i + seg :]
             return head[:k] + piece + head[k:], True
     return order, False
 
@@ -239,7 +262,10 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     Both move scans are evaluated as numpy arrays but keep a scalar scan's
     order: each applies the first move that shortens the route by more than
     1e-12, 2-opt in (i, j) order resuming after its last move until a pass
-    applies none, Or-opt in (run length, i, k, orientation) order.
+    applies none, Or-opt in (run length, i, k, orientation) order. Each scan
+    reads slices of its own copy of the distance matrix in route order (2-opt
+    reverses a block of its rows and columns per move), never writing the
+    matrix all searches share.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)

@@ -183,9 +183,11 @@ def _eval_forward(model, graphs: list[EmbeddedGraph]) -> list[np.ndarray]:
 
 def sample_probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
     """Eval-mode (N, 3) probabilities of each sample's input scan, embedding
-    every scan once. A taxonomy or scan that is not the model's is refused
-    with the CheckpointError of `predict_probabilities`."""
-    return _eval_forward(model, _embed_inputs(samples, lambda g: model.embed_scene(g, tax)))
+    every scan once. A taxonomy or scan that is not the model's, and a
+    non-finite probability, are refused with the CheckpointError of
+    `predict_probabilities`."""
+    graphs = _embed_inputs(samples, lambda g: model.embed_scene(g, tax))
+    return [model.eval_probabilities(g, s.input.scan_id) for g, s in zip(graphs, samples)]
 
 
 def _snapshot(model) -> np.ndarray:

@@ -521,7 +521,7 @@ class TestPredict:
 
     # A checkpoint with finite but huge weights loads; its probabilities are NaN.
     @pytest.mark.filterwarnings("error")  # and numpy's overflow warnings stay off stderr
-    @pytest.mark.parametrize("command", ["predict", "plan", "compare-planners"])
+    @pytest.mark.parametrize("command", ["predict", "plan", "compare-planners", "eval", "eval-sweep"])
     def test_non_finite_probabilities_are_one_error_line(self, pipeline, tmp_path, capsys, command):
         model, tax = load_checkpoint(pipeline["ckpt"])
         model.store.values *= 1e200
@@ -535,6 +535,9 @@ class TestPredict:
                      "--realized", pipeline["data"] / "env000" / "scan01.json"],
             "compare-planners": ["compare-planners", "--data", pipeline["data"], "--n-range", "1",
                                  "--split", "all", "--out", out],
+            "eval": ["eval", "--data", pipeline["data"], "--report", out],
+            "eval-sweep": ["eval", "--data", pipeline["data"], "--report", out,
+                           "--sweep", tmp_path / "sweep.csv"],
         }[command]
         capsys.readouterr()
         rc = dispatch([str(a) for a in [*argv, "--ckpt", ckpt]])
@@ -542,7 +545,7 @@ class TestPredict:
         err = captured.err.strip().splitlines()
         assert rc == 1 and len(err) == 1, captured.err
         assert err[0].startswith("error: CheckpointError: scan '") and "not finite" in err[0]
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]  # no output file written
         if command != "compare-planners":  # it predicts per episode, after its echo
             assert "resolved-config:" not in captured.out
 

@@ -344,17 +344,23 @@ class TestTsp:
     @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
     def test_move_scans_match_loop_reference(self, make_points):
         # From a random order (many 2-opt moves) and from a 2-opt optimum
-        # (Or-opt hits deep in its scan), on 2-30 points.
+        # (Or-opt hits deep in its scan), on 2-30 points, then on a few
+        # longer move sequences at 40 and 60 points. The scans reorder a
+        # private copy of `dist`, which one heuristic_tsp call shares
+        # across all its searches, so `dist` must come back unchanged.
         rng = np.random.default_rng(13)
-        for trial in range(120):
-            n = 2 + trial % 29
+        sizes = [2 + trial % 29 for trial in range(120)] + [40, 60] * 3
+        for trial, n in enumerate(sizes):
             points, start = make_points(rng, n)
             dist = _extended_distances(points, start)
+            frozen = dist.tobytes()
             order = [int(k) for k in rng.permutation(n)]
             polished = two_opt_loop(dist, list(order))
             assert _two_opt(dist, list(order)) == polished, (trial, n)
+            assert dist.tobytes() == frozen, (trial, n)
             for before in (order, polished):
                 assert _or_opt(dist, list(before)) == or_opt_loop(dist, list(before)), (trial, n)
+                assert dist.tobytes() == frozen, (trial, n)
 
     @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
     def test_heuristic_matches_loop_reference(self, make_points, monkeypatch):
