@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from .core_graph import (
-    _config_from_json, _read_json, check_position, scene_graph_from_dict, scene_graph_to_dict,
-)
+from .core_graph import (_config_from_json, _encode_json, _read_json, _write_text, check_position,
+                         scene_graph_from_dict, scene_graph_to_dict)
 from .dataset import (
     VARIABILITY_NAMES,
     GeneratorConfig,
@@ -41,6 +40,7 @@ from .planner import (
     make_episodes,
     ranked_route,
     route_length,
+    route_start,
     run_benchmark,
     run_coverage,
     run_vsg_planner,
@@ -63,7 +63,7 @@ from .training import (
 
 
 def _echo_config(command: str, resolved: dict) -> None:
-    print(f"resolved-config: {json.dumps({'command': command, **resolved}, sort_keys=True)}")
+    print(f"resolved-config: {json.dumps({'command': command, **resolved}, sort_keys=True, allow_nan=False)}")
 
 
 def _require_dir(path, what: str) -> str:
@@ -144,8 +144,7 @@ def cmd_train(args) -> int:
     model, report = train_prepared(data, configs["train"], configs["loss"])
     save_checkpoint(model, bundle.taxonomy, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(report.to_json())
+        _write_text(args.report, report.to_json())
     last_val = report.val_loss[-1] if report.val_loss else float("nan")
     print(
         f"trained {report.epochs_run} epochs (best {report.best_epoch}); "
@@ -201,15 +200,9 @@ def cmd_predict(args) -> int:
     _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     out = scene_graph_to_dict(scene, tax)
     for node_dict in out["nodes"]:
-        p = probabilities[node_dict["id"]]
-        node_dict["variability"] = {
-            "p_position": p[0],
-            "p_state": p[1],
-            "p_instance": p[2],
-        }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
+        p_position, p_state, p_instance = probabilities[node_dict["id"]]
+        node_dict["variability"] = {"p_position": p_position, "p_state": p_state, "p_instance": p_instance}
+    _write_text(args.out, _encode_json(out, indent=2))
     print(f"wrote variability scene graph for {scene.num_nodes} objects to {args.out}")
     return 0
 
@@ -227,7 +220,7 @@ def cmd_plan(args) -> int:
     check_route(scene, args.n)
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
-    start_vec = np.asarray(start, dtype=np.float64) if start else scene.positions().mean(axis=0)
+    start_vec = route_start(scene, start)
     probabilities = model.predict_probabilities(scene, tax)
     route = ranked_route(scene, probabilities, args.n, start_vec)
     total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])

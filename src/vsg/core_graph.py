@@ -10,6 +10,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -281,6 +282,23 @@ def _read_json(path, what: str, error=ParseError, expect=dict):
     return data
 
 
+def _encode_json(data, indent: int | None = None) -> str:
+    """The one JSON encoder: strict JSON, so a NaN or an infinity raises ValueError."""
+    return json.dumps(data, indent=indent, allow_nan=False) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    """The one text file writer; the text is built first, so a refused value leaves no file."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: the header row, then the data rows."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
 def _parse_rows(source, rows, what: str, build: Callable) -> list:
     """`build(row)` for each row of a JSON list; a missing field or a bad value
     in row k becomes one ParseError naming `what k`."""
@@ -358,9 +376,7 @@ def taxonomy_from_dict(data: dict, source: str = "<dict>") -> Taxonomy:
 
 
 def save_taxonomy(tax: Taxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(taxonomy_to_dict(tax), f, indent=2)
-        f.write("\n")
+    _write_text(path, _encode_json(taxonomy_to_dict(tax), indent=2))
 
 
 def load_taxonomy(path) -> Taxonomy:
@@ -442,12 +458,11 @@ def scene_graph_from_dict(data: dict, tax: Taxonomy, source: str = "<dict>") -> 
 
 
 def scene_graph_to_json(g: SceneGraph, tax: Taxonomy) -> str:
-    return json.dumps(scene_graph_to_dict(g, tax), indent=2) + "\n"
+    return _encode_json(scene_graph_to_dict(g, tax), indent=2)
 
 
 def save_scene_graph(g: SceneGraph, tax: Taxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(scene_graph_to_json(g, tax))
+    _write_text(path, scene_graph_to_json(g, tax))
 
 
 def load_scene_graph(path, tax: Taxonomy) -> SceneGraph:

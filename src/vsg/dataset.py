@@ -22,7 +22,6 @@ ingestion adapter for graph exports laid out in the 3RScan/3DSSG style.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -39,10 +38,12 @@ from .core_graph import (
     Taxonomy,
     _attribute_indicators,
     _config_from_json,
+    _encode_json,
     check_position,
     distance,
     _parse_rows,
     _read_json,
+    _write_text,
     load_scene_graph,
     load_taxonomy,
     node_positions,
@@ -720,27 +721,16 @@ def write_dataset(
     """Write `<root>/<env>/<scan>.json` files plus taxonomy and manifest."""
     os.makedirs(root, exist_ok=True)
     save_taxonomy(taxonomy, os.path.join(root, "taxonomy.json"))
-    manifest = {
-        "format_version": MANIFEST_VERSION,
-        "taxonomy_file": "taxonomy.json",
-        "environments": [],
-    }
-    for env_id in environments:
-        scans = environments[env_id]
+    entries = []
+    for env_id, scans in environments.items():
         env_dir = os.path.join(root, env_id)
         os.makedirs(env_dir, exist_ok=True)
         for scan in scans:
             save_scene_graph(scan, taxonomy, os.path.join(env_dir, f"{scan.scan_id}.json"))
-        manifest["environments"].append(
-            {
-                "environment_id": env_id,
-                "split": splits.get(env_id, "train"),
-                "scans": [s.scan_id for s in scans],
-            }
-        )
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+        entries.append({"environment_id": env_id, "split": splits.get(env_id, "train"),
+                        "scans": [s.scan_id for s in scans]})
+    manifest = {"format_version": MANIFEST_VERSION, "taxonomy_file": "taxonomy.json", "environments": entries}
+    _write_text(os.path.join(root, "manifest.json"), _encode_json(manifest, indent=2))
 
 
 def load_dataset(root) -> DatasetBundle:

@@ -17,7 +17,6 @@ it was trained to.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -28,8 +27,10 @@ from .core_graph import (
     SceneGraph,
     Taxonomy,
     _config_from_json,
+    _encode_json,
     _fits,
     _read_json,
+    _write_text,
     taxonomy_from_dict,
     taxonomy_to_dict,
 )
@@ -340,12 +341,11 @@ def checkpoint_to_json(model: _VariabilityModel, taxonomy: Taxonomy) -> str:
         "hyperparameters": model.hyperparameters(),
         "parameters": {n: model.store[n].value.tolist() for n in model.store.names()},
     }
-    return json.dumps(payload) + "\n"
+    return _encode_json(payload)
 
 
 def save_checkpoint(model: _VariabilityModel, taxonomy: Taxonomy, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(checkpoint_to_json(model, taxonomy))
+    _write_text(path, checkpoint_to_json(model, taxonomy))
 
 
 def _require_finite(path, what: str, values: np.ndarray) -> None:

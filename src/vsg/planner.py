@@ -16,13 +16,12 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, check_position, distance, node_positions
+from .core_graph import SceneGraph, Taxonomy, _write_csv, check_position, distance, node_positions
 from .dataset import LabelConfig, compute_labels
 from .errors import ConfigError, EvaluationError
 
@@ -321,6 +320,13 @@ def check_route(graph: SceneGraph, n: int) -> None:
         raise ConfigError(f"a route needs n >= 1 and a non-empty map; got n = {n}, {graph.num_nodes} objects")
 
 
+def route_start(graph: SceneGraph, start_position=None) -> np.ndarray:
+    """Where a route on `graph` starts: `start_position`, or else the map's centroid."""
+    if start_position is not None:
+        return np.asarray(start_position, dtype=np.float64)
+    return graph.positions().mean(axis=0)
+
+
 @dataclass(frozen=True)
 class Episode:
     """One change-detection task: previous map, realized scene, target n."""
@@ -337,9 +343,7 @@ class Episode:
             check_position(self.start_position, ConfigError, "start_position")
 
     def start(self) -> np.ndarray:
-        if self.start_position is not None:
-            return np.asarray(self.start_position, dtype=np.float64)
-        return self.previous_map.positions().mean(axis=0)
+        return route_start(self.previous_map, self.start_position)
 
 
 @dataclass(frozen=True, slots=True)
@@ -549,11 +553,8 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
 
 
 def write_benchmark_csv(summary: BenchmarkSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n", "planner", "mean_distance", "std_distance", "win_fraction", "speedup"])
-        for r in summary.rows:
-            writer.writerow([r.n, r.planner, r.mean_distance, r.std_distance, r.win_fraction, r.speedup])
+    header = ["n", "planner", "mean_distance", "std_distance", "win_fraction", "speedup"]
+    _write_csv(path, header, ([getattr(r, k) for k in header] for r in summary.rows))
 
 
 def make_episodes(environments: dict[str, list[SceneGraph]], n_values: list[int]) -> list[Episode]:

@@ -31,8 +31,6 @@ that differ from per-graph ones under OpenBLAS in 372 of 600 cases.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from collections.abc import Sequence
@@ -40,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core_graph import Taxonomy
+from .core_graph import Taxonomy, _encode_json, _write_csv
 from .dataset import (
     DatasetBundle,
     LabelConfig,
@@ -160,11 +158,8 @@ class TrainingReport:
     num_train_samples: int = 0
     num_val_samples: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict()) + "\n"
+        return _encode_json(asdict(self))
 
 
 def _embed_inputs(samples: list[Sample], embed_scan) -> list[EmbeddedGraph]:
@@ -264,7 +259,7 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
     steps_per_epoch = max(1, math.ceil(len(data.train_samples) / train_cfg.batch_size))
 
     for epoch in range(train_cfg.epochs):
-        epoch_loss = 0.0
+        epoch_loss, val_loss = 0.0, math.nan
         for _ in range(steps_per_epoch):
             idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights)
             model.store.zero_grads()
@@ -280,21 +275,23 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
             if batch_unmasked == 0:
                 report.all_masked_steps += 1
             if not math.isfinite(batch_loss):
-                logger.warning("non-finite loss at epoch %d; restoring best checkpoint", epoch)
-                report.diverged = True
-                report.epochs_run = epoch
-                _restore(model, best_snap)
-                return model, report
+                break
             optimizer.step()
             epoch_loss += batch_loss / steps_per_epoch
-        report.train_loss.append(epoch_loss)
-
-        val_probs = _eval_forward(model, data.val_inputs)
-        val_loss = sum(
-            focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
-            for probs, s in zip(val_probs, data.val_samples)
-        ) / len(data.val_samples)
+        else:
+            val_probs = _eval_forward(model, data.val_inputs)
+            val_loss = sum(
+                focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
+                for probs, s in zip(val_probs, data.val_samples)
+            ) / len(data.val_samples)
+        if not math.isfinite(val_loss):  # a non-finite batch or validation loss; the epoch is not kept
+            logger.warning("non-finite loss at epoch %d; restoring best checkpoint", epoch)
+            report.diverged = True
+            report.epochs_run = epoch
+            _restore(model, best_snap)
+            return model, report
         f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
+        report.train_loss.append(epoch_loss)
         report.val_loss.append(val_loss)
         report.val_pooled_f1.append(f1)
         if val_loss < best_val:
@@ -425,16 +422,11 @@ def threshold_sweep(
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variability", "accuracy", "precision", "recall", "f1", "support"])
-        for name in (*VARIABILITY_NAMES, "pooled"):
-            m = report.metrics[name]
-            writer.writerow([name, m.accuracy, m.precision, m.recall, m.f1, m.support])
+    metrics = [(name, report.metrics[name]) for name in (*VARIABILITY_NAMES, "pooled")]
+    _write_csv(path, ["variability", "accuracy", "precision", "recall", "f1", "support"],
+               ([name, m.accuracy, m.precision, m.recall, m.f1, m.support] for name, m in metrics))
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["threshold", "variability", "precision", "recall", "f1"])
-        writer.writeheader()
-        writer.writerows(rows)
+    header = ["threshold", "variability", "precision", "recall", "f1"]
+    _write_csv(path, header, ([row[k] for k in header] for row in rows))

@@ -327,6 +327,23 @@ class TestTrainEval:
         assert read(ra) == read(rb)
         assert read(a) == read(pipeline["ckpt"])
 
+    def test_diverging_run_writes_a_strict_json_report(self, pipeline, tmp_path, capsys):
+        """A non-finite validation loss ends the run as a non-finite batch loss does:
+        the epoch is not kept, and the report stays strict JSON."""
+        ckpt, rep = tmp_path / "m.json", tmp_path / "report.json"
+        rc = dispatch(["train", "--data", str(pipeline["data"]), "--out", str(ckpt), "--report", str(rep),
+                       *TRAIN_FLAGS, "--batch-size", "64", "--learning-rate", "1e100"])
+        assert rc == 0 and "[diverged; best checkpoint kept]" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        report = json.loads(rep.read_text(), parse_constant=refuse)
+        assert report["diverged"] is True
+        for key in ("train_loss", "val_loss", "val_pooled_f1"):
+            assert len(report[key]) == report["epochs_run"], key
+        load_checkpoint(ckpt)
+
     def test_flag_beats_config_file(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"train": {"epochs": 2, "seed": 0},

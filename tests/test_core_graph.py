@@ -235,3 +235,39 @@ def test_position_arrays_are_built_only_by_node_positions():
     builder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "node_positions")
     assert len(sites) == 1, sites
     assert sites[0][0] == "core_graph.py" and builder.lineno <= sites[0][1] <= builder.end_lineno
+
+
+def _calls(path: Path) -> list[tuple[str, str | None, str, ast.Call]]:
+    """(file, innermost enclosing function, callee text, call) for each call in `path`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((path.name, owner, ast.unparse(child.func), child))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether an `open(...)` call's mode (default "r") may write; a mode that is
+    not a literal counts as writing."""
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(not isinstance(m, ast.Constant) or any(c in str(m.value) for c in "wax+") for m in modes)
+
+
+def test_every_file_is_written_through_the_one_encoder_and_the_two_writers():
+    calls = [c for path in sorted(SRC.glob("*.py")) for c in _calls(path)]
+    encodes = [(name, owner) for name, owner, callee, _ in calls if callee in ("json.dump", "json.dumps")]
+    assert encodes == [("cli.py", "_echo_config"), ("core_graph.py", "_encode_json")]
+    loose = [(name, call.lineno) for name, _, callee, call in calls if callee == "json.dumps" and not any(
+        k.arg == "allow_nan" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in call.keywords
+    )]
+    assert loose == []
+    writes = [(name, owner, callee) for name, owner, callee, call in calls
+              if callee in ("csv.writer", "csv.DictWriter") or callee == "open" and _opens_for_writing(call)]
+    assert writes == [("core_graph.py", "_write_text", "open"), ("core_graph.py", "_write_csv", "open"),
+                      ("core_graph.py", "_write_csv", "csv.writer")]

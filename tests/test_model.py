@@ -531,6 +531,16 @@ class TestCheckpoints:
             model.predict_probabilities(small_graph, other)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_refused_and_no_file_is_written(self, tiny_tax, tmp_path, bad):
+        """save_checkpoint refuses what load_checkpoint would refuse, before opening the file."""
+        model = self._fitted_model(tiny_tax)
+        model.store["head.W0"].value[0, 0] = bad
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(model, tiny_tax, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "field", ["conv1.f.W0", "head.b0", "mean", "components", "explained_variance_ratio"]
     )
