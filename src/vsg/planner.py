@@ -16,6 +16,7 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import compress
 
@@ -110,7 +111,10 @@ def _extended_distances(pts: np.ndarray, start: np.ndarray) -> np.ndarray:
     return distance(stacked[:, None, :], stacked[None, :, :])
 
 
-def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
+def _two_opt(
+    dist: np.ndarray, order: list[int],
+    seen: Container[tuple[int, ...]] = (), starts: list[tuple[int, ...]] | None = None,
+) -> list[int]:
     """Apply improving segment reversals until a whole pass finds none.
 
     `m` is the distance matrix in route order: with `ext` the start index
@@ -120,23 +124,43 @@ def _two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
     superdiagonal instead of gathering from `dist`. Every delta entry is the
     same four distances grouped the same way (`a - b`, then `+= c - d`) as a
     gather from `dist` or the scalar loop, so the floats, the moves and the
-    route are theirs. `dist` itself is never written.
+    route are theirs. `dist` itself is never written. The slices are views
+    made once, which the moves keep current, and each scan writes into the
+    same delta and mask buffers.
+
+    With `starts` given, the order each pass starts from is appended to it,
+    and a pass that would start from an order in `seen` is not run: that
+    order is returned as it is.
     """
     n = len(order)
     ext = np.array([dist.shape[0] - 1, *order], dtype=np.int64)
     m = dist[ext[:, None], ext]
     legs = np.diagonal(m, 1)  # a view: legs[p] = m[p, p + 1], kept current by the moves
-    upper = np.arange(n)[:, None] < np.arange(n)  # only i < j
+    # Reverse order[i..j]; legs change at both segment boundaries, except
+    # past the tail where the route just ends. delta[i, j] is
+    # (m[i, j + 1] - legs[i]) + (m[i + 1, j + 2] - legs[j + 1]).
+    head_new, head_old = m[:n, 1:], legs[:, None]
+    tail_new, tail_old = m[1:, 2:], legs[1:]
+    delta = np.empty((n, n))
+    delta_inner, tail = delta[:, :-1], np.empty((n, n - 1))
+    # Only i < j is a move: below that, no delta is less than -inf.
+    bar = np.where(np.arange(n)[:, None] < np.arange(n), -1e-12, -np.inf)
+    hits = np.empty((n, n), dtype=bool)
+    flat_hits = hits.ravel()
     last = -1  # flat (i, j) index of this pass's last move; -1 while it has none
     while True:
-        # Reverse order[i..j]; legs change at both segment boundaries,
-        # except past the tail where the route just ends.
-        delta = m[:n, 1:] - legs[:, None]
-        delta[:, :-1] += m[1:, 2:] - legs[1:]
-        # `last` lies in the strict upper triangle, so the tail is never empty.
-        tail = ((delta < -1e-12) & upper).ravel()[last + 1 :]
-        k = int(tail.argmax())
-        if tail[k]:
+        if last < 0 and starts is not None:
+            if (key := tuple(ext[1:].tolist())) in seen:
+                return list(key)
+            starts.append(key)
+        np.subtract(head_new, head_old, out=delta)
+        np.subtract(tail_new, tail_old, out=tail)
+        delta_inner += tail
+        np.less(delta, bar, out=hits)
+        # `last` lies in the strict upper triangle, so the rest is never empty.
+        rest = flat_hits[last + 1 :]
+        k = int(rest.argmax())
+        if rest[k]:
             last += 1 + k
             i, j = divmod(last, n)
             block = slice(i + 1, j + 2)
@@ -156,28 +180,42 @@ def _or_opt(dist: np.ndarray, order: list[int]) -> tuple[list[int], bool]:
     i+1..i+seg of `ext`; without it, the k-th point (the start counting as
     the 0th) sits at position k while k <= i and at k + seg after that. So
     every candidate's distances are slices of `m` picked by one triangular
-    mask, with the same floats and grouping as a gather from `dist`.
+    mask, with the same floats and grouping as a gather from `dist`. Each
+    run length fills the top-left block of one candidate buffer. A run of
+    one point has one orientation: its reversal is the same floats, and
+    the first orientation wins every tie.
     """
     n = len(order)
     ext = np.array([dist.shape[0] - 1, *order], dtype=np.int64)
     m = dist[ext[:, None], ext]
     legs = np.diagonal(m, 1)
+    slot = np.arange(n)
+    below = slot <= slot[:, None]  # [i, k]: the k-th point is at k, else at k + seg
+    cost_buf, joined_buf = np.empty((n, n, 2)), np.empty((n, n - 1, 2))
     for seg in (1, 2, 3):
         if seg > n - 1:
             break
         runs = n - seg + 1  # run starts i, and slots k in the order without the run
-        first, last = slice(1, runs + 1), slice(seg, None)  # run i's end points
+        # Run i's first and last point; a run of one point is tried as is only.
+        ends = (slice(1, runs + 1), slice(seg, None))[: 1 if seg == 1 else 2]
         gain = legs[:runs].copy()
         gain[:-1] += legs[seg:] - np.diagonal(m, seg + 1)
-        slot = np.arange(runs)
-        kept = slot <= slot[:, None]  # [i, k]: the k-th point is at k, else at k + seg
-        # cost[i, k, r]: run i inserted after the k-th point, as is (r = 0) or reversed.
-        cost = np.stack([np.where(kept, m[:runs, e].T, m[seg:, e].T) for e in (first, last)], axis=2)
+        kept = below[:runs, :runs]
         after = kept[:, 1:]  # the same for the (k+1)-th point
+        # cost[i, k, r]: run i inserted after the k-th point, as is (r = 0) or reversed.
+        cost = cost_buf[:runs, :runs, : len(ends)]
+        joined = joined_buf[:runs, : runs - 1, : len(ends)]
+        # Orientation r puts ends[r] next to the k-th point and the other end
+        # next to the (k+1)-th.
+        for r, (e, f) in enumerate(zip(ends, ends[::-1])):
+            np.copyto(cost[:, :, r], m[seg:, e].T)
+            np.copyto(cost[:, :, r], m[:runs, e].T, where=kept)
+            np.copyto(joined[:, :, r], m[f, seg + 1 :])
+            np.copyto(joined[:, :, r], m[f, 1:runs], where=after)
         broken = np.where(after, legs[: runs - 1], legs[seg:])
         np.fill_diagonal(broken, np.diagonal(m, seg + 1))  # k == i: the leg over the gap
-        joined = [np.where(after, m[e, 1:runs], m[e, seg + 1 :]) for e in (last, first)]
-        cost[:, :-1] += np.stack(joined, axis=2) - broken[:, :, None]
+        joined -= broken[:, :, None]
+        cost[:, :-1] += joined
         hits = np.flatnonzero(cost < (gain - 1e-12)[:, None, None])
         if hits.size:
             i, k, flip = np.unravel_index(hits[0], cost.shape)
@@ -192,25 +230,24 @@ def _local_search(
 ) -> list[int]:
     """Alternate 2-opt and Or-opt until neither move set improves.
 
-    From a loop head, and from the 2-opt optimum handed to Or-opt, the rest
-    of the search depends on the order alone, and a 2-opt optimum passes
-    through `_two_opt` unchanged. So `seen` maps each such order of every
-    earlier search to where that search ended, and a search that reaches
-    one stops there with the same result.
+    From the order a 2-opt pass starts from, the rest of the search depends
+    on that order alone: the pass, the passes after it, then Or-opt and so
+    on. Loop heads are pass starts, and so are 2-opt optima (the last pass,
+    which applies nothing, starts from one). So `seen` maps every pass
+    start of every earlier search to where that search ended, and a search
+    whose pass would start from one stops there with the same result.
     """
-    trail: list[tuple[int, ...]] = []
-    while (key := tuple(order)) not in seen:
-        trail.append(key)
-        order = _two_opt(dist, order)
+    starts: list[tuple[int, ...]] = []
+    while True:
+        order = _two_opt(dist, order, seen, starts)
         if (key := tuple(order)) in seen:
+            result = seen[key]
             break
-        trail.append(key)
         order, improved = _or_opt(dist, order)
         if not improved:
-            seen[key] = key
+            result = key
             break
-    result = seen[key]
-    seen.update(dict.fromkeys(trail, result))
+    seen.update(dict.fromkeys(starts, result))
     return list(result)
 
 
@@ -253,10 +290,15 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     and the kick sequence is seeded, so the result is deterministic in the
     inputs.
 
-    A call remembers every order its searches passed through, and a search
-    that reaches one ends there with that earlier search's result; the dict
-    lives for the call only. Every search is deterministic in its order, so
-    the routes are those of running each search in full.
+    A call remembers the order every 2-opt pass of its searches started
+    from (each starting route, each kicked route, each route Or-opt
+    improved, the order after each 2-opt pass that moved something, and
+    each 2-opt optimum), and a search whose pass would start from one ends
+    there with that earlier search's result; the dict lives for the call
+    only. Every search is deterministic in its order, so the routes are
+    those of running each search in full. A result met before is not
+    measured again: it was compared against a best length no lower than
+    the current one, so it cannot win now.
 
     Both move scans are evaluated as numpy arrays but keep a scalar scan's
     order: each applies the first move that shortens the route by more than
@@ -275,18 +317,24 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     best: list[int] = []
     best_len = np.inf
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for route in _nearest_neighbor_routes(dist):
+    measured: set[tuple[int, ...]] = set()
+
+    def search_and_keep_if_shorter(route: list[int]) -> None:
+        nonlocal best, best_len
         order = _local_search(dist, route, seen)
+        if (key := tuple(order)) in measured:
+            return
+        measured.add(key)
         length = route_length(pts, start, order)
         if length < best_len - 1e-12:
             best, best_len = order, length
+
+    for route in _nearest_neighbor_routes(dist):
+        search_and_keep_if_shorter(route)
     if n >= 4:  # a double bridge needs three distinct interior cuts
         rng = np.random.default_rng(0)
         for _ in range(_DOUBLE_BRIDGE_KICKS):
-            cand = _local_search(dist, _double_bridge(best, rng), seen)
-            length = route_length(pts, start, cand)
-            if length < best_len - 1e-12:
-                best, best_len = cand, length
+            search_and_keep_if_shorter(_double_bridge(best, rng))
     return best
 
 

@@ -258,55 +258,57 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
     stale = 0
     steps_per_epoch = max(1, math.ceil(len(data.train_samples) / train_cfg.batch_size))
 
-    for epoch in range(train_cfg.epochs):
-        epoch_loss, val_loss = 0.0, math.nan
-        for _ in range(steps_per_epoch):
-            idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights)
-            model.store.zero_grads()
-            batch_loss = 0.0
-            batch_unmasked = 0
-            for k in idx:
-                s = data.train_samples[int(k)]
-                probs, cache = model.forward(data.train_inputs[int(k)], mode="train", rng=dropout_rng)
-                loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
-                batch_loss += loss / train_cfg.batch_size
-                batch_unmasked += int(s.masks.sum())
-                model.backward(cache, dprobs / train_cfg.batch_size)
-            if batch_unmasked == 0:
-                report.all_masked_steps += 1
-            if not math.isfinite(batch_loss):
+    # A diverging run is reported by the finiteness checks below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            epoch_loss, val_loss = 0.0, math.nan
+            for _ in range(steps_per_epoch):
+                idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights)
+                model.store.zero_grads()
+                batch_loss = 0.0
+                batch_unmasked = 0
+                for k in idx:
+                    s = data.train_samples[int(k)]
+                    probs, cache = model.forward(data.train_inputs[int(k)], mode="train", rng=dropout_rng)
+                    loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
+                    batch_loss += loss / train_cfg.batch_size
+                    batch_unmasked += int(s.masks.sum())
+                    model.backward(cache, dprobs / train_cfg.batch_size)
+                if batch_unmasked == 0:
+                    report.all_masked_steps += 1
+                if not math.isfinite(batch_loss):
+                    break
+                optimizer.step()
+                epoch_loss += batch_loss / steps_per_epoch
+            else:
+                val_probs = _eval_forward(model, data.val_inputs)
+                val_loss = sum(
+                    focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
+                    for probs, s in zip(val_probs, data.val_samples)
+                ) / len(data.val_samples)
+            if not math.isfinite(val_loss):  # a non-finite batch or validation loss; the epoch is not kept
+                logger.warning("non-finite loss at epoch %d; restoring best checkpoint", epoch)
+                report.diverged = True
+                report.epochs_run = epoch
+                _restore(model, best_snap)
+                return model, report
+            f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
+            report.train_loss.append(epoch_loss)
+            report.val_loss.append(val_loss)
+            report.val_pooled_f1.append(f1)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_snap = _snapshot(model)
+                report.best_epoch = epoch
+            if f1 > best_f1:
+                best_f1 = f1
+                stale = 0
+            else:
+                stale += 1
+            report.epochs_run = epoch + 1
+            if train_cfg.patience is not None and stale >= train_cfg.patience:
+                report.stopped_early = True
                 break
-            optimizer.step()
-            epoch_loss += batch_loss / steps_per_epoch
-        else:
-            val_probs = _eval_forward(model, data.val_inputs)
-            val_loss = sum(
-                focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
-                for probs, s in zip(val_probs, data.val_samples)
-            ) / len(data.val_samples)
-        if not math.isfinite(val_loss):  # a non-finite batch or validation loss; the epoch is not kept
-            logger.warning("non-finite loss at epoch %d; restoring best checkpoint", epoch)
-            report.diverged = True
-            report.epochs_run = epoch
-            _restore(model, best_snap)
-            return model, report
-        f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
-        report.train_loss.append(epoch_loss)
-        report.val_loss.append(val_loss)
-        report.val_pooled_f1.append(f1)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snap = _snapshot(model)
-            report.best_epoch = epoch
-        if f1 > best_f1:
-            best_f1 = f1
-            stale = 0
-        else:
-            stale += 1
-        report.epochs_run = epoch + 1
-        if train_cfg.patience is not None and stale >= train_cfg.patience:
-            report.stopped_early = True
-            break
 
     _restore(model, best_snap)
     return model, report

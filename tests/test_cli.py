@@ -327,9 +327,11 @@ class TestTrainEval:
         assert read(ra) == read(rb)
         assert read(a) == read(pipeline["ckpt"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_writes_a_strict_json_report(self, pipeline, tmp_path, capsys):
         """A non-finite validation loss ends the run as a non-finite batch loss does:
-        the epoch is not kept, and the report stays strict JSON."""
+        the epoch is not kept, the report stays strict JSON, and numpy prints
+        no warning of its own."""
         ckpt, rep = tmp_path / "m.json", tmp_path / "report.json"
         rc = dispatch(["train", "--data", str(pipeline["data"]), "--out", str(ckpt), "--report", str(rep),
                        *TRAIN_FLAGS, "--batch-size", "64", "--learning-rate", "1e100"])

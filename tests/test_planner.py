@@ -1,7 +1,9 @@
 """TSP solvers against brute force, the two planners on hand-traced
 fixtures, the oracle scorer, and the benchmark summary."""
 
+import inspect
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -141,6 +143,48 @@ def or_opt_loop(dist, order):
                     if cost < gain - 1e-12:
                         return rest[:k] + piece + rest[k:], True
     return order, False
+
+
+def patch_loop_oracles(monkeypatch):
+    """Put the loop references in place of `planner._two_opt` and
+    `planner._or_opt`; returns the counts of their calls. The 2-opt oracle
+    takes and ignores the memo arguments (`seen`, `starts`), so a search
+    run on it records no pass starts and repeats every search in full."""
+    calls = {"two_opt": 0, "or_opt": 0}
+
+    def two_opt(dist, order, *memo):
+        calls["two_opt"] += 1
+        return two_opt_loop(dist, order)
+
+    def or_opt(dist, order):
+        calls["or_opt"] += 1
+        return or_opt_loop(dist, order)
+
+    monkeypatch.setattr(planner, "_two_opt", two_opt)
+    monkeypatch.setattr(planner, "_or_opt", or_opt)
+    return calls
+
+
+def count_two_opt_scans(run):
+    """Call `run()` and count the 2-opt scans in it: the times a
+    `_two_opt` frame reaches the line that takes its next move's argmax."""
+    code = planner._two_opt.__code__
+    lines, first = inspect.getsourcelines(planner._two_opt)
+    target = first + next(k for k, line in enumerate(lines) if ".argmax()" in line)
+    scans = 0
+
+    def local(frame, event, arg):
+        nonlocal scans
+        scans += event == "line" and frame.f_lineno == target
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(outer)
+    return result, scans
 
 
 def forced_nearest_neighbor_loop(dist, first):
@@ -367,10 +411,10 @@ class TestTsp:
         rng = np.random.default_rng(14)
         cases = [make_points(rng, n) for n in (2, 3, 4, 5, 8, 13, 17, 22, 30)]
         got = [heuristic_tsp(points, start) for points, start in cases]
-        monkeypatch.setattr(planner, "_two_opt", two_opt_loop)
-        monkeypatch.setattr(planner, "_or_opt", or_opt_loop)
+        calls = patch_loop_oracles(monkeypatch)
         for (points, start), order in zip(cases, got):
             assert order == heuristic_tsp(points, start), len(points)
+        assert calls["two_opt"] > 0 and calls["or_opt"] > 0, calls
 
     def test_heuristic_matches_loop_reference_on_acceptance_instances(self, monkeypatch):
         # The ten-point instances of the acceptance gate's route check.
@@ -379,10 +423,10 @@ class TestTsp:
             rng = np.random.default_rng(seed)
             cases.append((rng.uniform(0, 10, size=(10, 2)), rng.uniform(0, 10, size=2)))
         got = [heuristic_tsp(points, start) for points, start in cases]
-        monkeypatch.setattr(planner, "_two_opt", two_opt_loop)
-        monkeypatch.setattr(planner, "_or_opt", or_opt_loop)
+        calls = patch_loop_oracles(monkeypatch)
         for (points, start), order in zip(cases, got):
             assert order == heuristic_tsp(points, start)
+        assert calls["two_opt"] > 0 and calls["or_opt"] > 0, calls
 
     @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid, _all_equal])
     def test_nearest_neighbor_routes_match_loop_reference(self, make_points):
@@ -428,9 +472,9 @@ class TestTsp:
         calls = {"two_opt": 0, "or_opt": 0}
 
         def counting(name, scan):
-            def wrapped(dist, order):
+            def wrapped(dist, order, *memo):
                 calls[name] += 1
-                return scan(dist, order)
+                return scan(dist, order, *memo)
             return wrapped
 
         monkeypatch.setattr(planner, "_two_opt", counting("two_opt", _two_opt))
@@ -441,6 +485,35 @@ class TestTsp:
         assert got == heuristic_tsp_reference(points, start)
         assert memo_calls["two_opt"] < calls["two_opt"], (memo_calls, calls)
         assert memo_calls["or_opt"] < calls["or_opt"], (memo_calls, calls)
+
+    def test_seen_holds_every_two_opt_pass_start(self, monkeypatch):
+        # Besides loop heads and 2-opt optima, `seen` holds the orders the
+        # later passes of a 2-opt call started from, so a search whose pass
+        # would start from one stops there, and the call runs fewer scans.
+        rng = np.random.default_rng(0)
+        points, start = _uniform_3d(rng, 22)
+        got, scans = count_two_opt_scans(lambda: heuristic_tsp(points, start))
+        assert got == heuristic_tsp_reference(points, start)
+        # 358 scans; remembering only loop heads and 2-opt optima, 397.
+        assert scans < 397, scans
+
+        heads, optima = set(), set()
+
+        def two_opt(dist, order, *memo):
+            heads.add(tuple(order))
+            return _two_opt(dist, order, *memo)
+
+        def or_opt(dist, order):
+            optima.add(tuple(order))  # Or-opt only ever starts from a 2-opt optimum
+            return _or_opt(dist, order)
+
+        monkeypatch.setattr(planner, "_two_opt", two_opt)
+        monkeypatch.setattr(planner, "_or_opt", or_opt)
+        dist = _extended_distances(points, start)
+        seen = {}
+        for route in _nearest_neighbor_routes(dist):
+            _local_search(dist, route, seen)
+        assert set(seen) - heads - optima
 
     def test_threshold_switches_to_heuristic(self):
         rng = np.random.default_rng(4)
