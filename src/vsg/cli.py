@@ -288,11 +288,6 @@ def cmd_compare_planners(args) -> int:
         raise UsageError(f"--seeds must be >= 1; got {args.seeds}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0; got {args.seed}")
-    _echo_config(
-        "compare-planners",
-        {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,
-         "seed": args.seed, "split": args.split, "out": args.out},
-    )
     # --seeds bounds the number of episodes per n, drawn deterministically.
     rng = np.random.default_rng(args.seed)
     chosen: list[Episode] = []
@@ -303,6 +298,11 @@ def cmd_compare_planners(args) -> int:
             eps = [eps[int(i)] for i in sorted(idx)]
         chosen.extend(eps)
     summary = run_benchmark(chosen, model, tax)
+    _echo_config(
+        "compare-planners",
+        {"data": args.data, "ckpt": args.ckpt, "n_range": n_values, "seeds": args.seeds,
+         "seed": args.seed, "split": args.split, "out": args.out},
+    )
     write_benchmark_csv(summary, args.out)
     for row in summary.rows:
         print(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import compress
+from math import comb
 
 import numpy as np
 
@@ -47,23 +48,27 @@ def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> flo
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     """Exact open-path TSP from a fixed start, dynamic programming over subsets.
 
-    `cost[mask, j]` is the shortest path from the start through the points
-    in `mask` that ends at `j`. One numpy step fills each subset size k from
-    size k - 1: every endpoint j is held by C(n - 1, k - 1) size-k masks, so
-    the (j, mask) pairs form an (n, C(n - 1, k - 1)) block, row j in
-    ascending mask order, and `cost[mask ^ (1 << j), i] + dist[i, j]` is
-    computed for every pair and predecessor i at once. Both tables are flat
-    (entry `mask * n + j`), so a layer writes them through one index array.
+    `cost[j, mask]` is the shortest path from the start through the points
+    in `mask` that ends at `j` (inf if `j` is not in `mask`). Row j of
+    `ending` holds the masks that contain j, by size and then ascending, so
+    the size-k masks are one (n, C(n - 1, k - 1)) column slice `layer`. Each
+    size k is filled from size k - 1 in one step: an `np.take` of `cost` at
+    `layer ^ (1 << j)` gathers the (i, j, m) block of predecessor costs, the
+    leg `step[i, j]` (inf if i == j) is added, and the min over i is kept.
 
-    Ties are broken by taking the lowest point index at every argmin (each
-    predecessor choice and the final endpoint), so the result is deterministic:
+    No parent table is kept: the route is read back from the full mask's
+    cheapest endpoint, one point at a time, as the argmin over i of
+    `cost[i, mask] + step[i, last]`. Each entry is the same float sum the
+    layer's min was taken over, so the argmin's lowest index is the parent
+    an argmin during the fill would have stored. Ties thus go to the lowest
+    point index at every choice, each predecessor and the final endpoint:
     between equal-length routes the one ending at the lower index wins.
 
-    Memory: an n * 2**n float64 cost table and an int8 parent table of the
-    same size, plus one layer block of n * C(n - 1, k - 1) * n float64s at
-    a time. `solve_tsp` never calls this with more than EXACT_TSP_LIMIT = 15
-    points; called directly past it, the tracemalloc peak is 26.0, 56.8 and
-    119 MiB at 16, 17 and 18 points.
+    Memory: an n * 2**n float64 cost table, an n * 2**(n - 1) int64 `ending`
+    and one layer block of n * n * C(n - 1, k - 1) float64s at a time, freed
+    before the next is gathered. The tracemalloc peak is 12.1 MiB at
+    EXACT_TSP_LIMIT = 15 points, the most `solve_tsp` passes; called
+    directly past it, 25.6, 56.1 and 118 MiB at 16, 17 and 18 points.
     """
     n = len(points)
     if n == 0:
@@ -71,36 +76,31 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     extended = _extended_distances(
         np.asarray(points, dtype=np.float64), np.asarray(start, dtype=np.float64)
     )
-    dist, d_start = extended[:n, :n], extended[:n, n]
-    full = 1 << n
-    masks = np.arange(full)
-    # Subset sizes by shifting, not np.bitwise_count, which needs numpy 2.
-    sizes = sum((masks >> b) & 1 for b in range(n))
-    cost = np.full(full * n, np.inf)
-    parent = np.full(full * n, -1, dtype=np.int8)  # a 2**n table keeps n far below 128
     points_idx = np.arange(n)
-    end = points_idx[:, None]  # row j of a layer block ends at point j
-    into = np.where(points_idx == end, np.inf, dist.T)  # [j, i] = dist[i, j], inf if i == j
-    cost[(1 << points_idx) * n + points_idx] = d_start
+    step = extended[:n, :n]
+    step[points_idx, points_idx] = np.inf  # a point is never its own predecessor
+    full = 1 << n
+    cost = np.full((n, full), np.inf)
+    cost[points_idx, 1 << points_idx] = extended[:n, n]
+    # Masks over the other n - 1 points by size (np.bitwise_count needs numpy 2).
+    rest = np.arange(full >> 1)
+    rest = np.argsort(sum(((rest >> b) & 1 for b in range(n - 1)), np.zeros_like(rest)), kind="stable")
+    end = points_idx[:, None]
+    low = (1 << end) - 1
+    ending = (rest & ~low) << 1 | (1 << end) | (rest & low)  # bit j put into each
+    lo = 1  # column 0 is the size-1 mask {j}
     for k in range(2, n + 1):
-        layer = masks[sizes == k]
-        holds = (layer >> end) & 1 == 1
-        ending = np.broadcast_to(layer, holds.shape)[holds].reshape(n, -1)
-        # candidates[j, m, i], inf for i outside prev (so for i == j too)
-        candidates = cost.reshape(full, n)[ending ^ (1 << end)]
-        candidates += into[:, None, :]
-        best = np.argmin(candidates, axis=2).ravel()  # argmin takes the lowest index on ties
-        ending = ending * n + end  # now the flat entries mask * n + j
-        cost[ending.ravel()] = candidates.ravel()[np.arange(0, best.size * n, n) + best]
-        parent[ending.ravel()] = best
-        del candidates  # free this layer's block before the next is gathered
+        layer = ending[:, lo:lo + comb(n - 1, k - 1)]
+        lo += layer.shape[1]
+        block = np.take(cost, layer ^ (1 << end), axis=1)  # [i, j, m], inf for i outside the mask
+        block += step[:, :, None]
+        cost[end, layer] = block.min(axis=0)
+        del block  # free this layer's block before the next is gathered
     mask = full - 1
-    last = int(np.argmin(cost[-n:]))  # the full mask's row
-    order = [last]
-    while (prev := int(parent[mask * n + last])) >= 0:
-        mask ^= 1 << last
-        order.append(prev)
-        last = prev
+    order = [int(np.argmin(cost[:, mask]))]  # argmin takes the lowest index on ties
+    for _ in range(n - 1):
+        mask ^= 1 << order[-1]
+        order.append(int(np.argmin(cost[:, mask] + step[:, order[-1]])))
     order.reverse()
     return order
 

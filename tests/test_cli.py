@@ -160,6 +160,16 @@ class TestExitCodes:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: UsageError: {flag}"), err
 
+    def test_compare_planners_no_feasible_episodes_refused_before_echo(self, pipeline, tmp_path, capsys):
+        # No scan pair of this world changes 5 objects, so every episode is infeasible.
+        out_csv = tmp_path / "benchmark.csv"
+        rc = dispatch(["compare-planners", "--data", str(pipeline["data"]), "--ckpt", str(pipeline["ckpt"]),
+                       "--n-range", "5", "--split", "all", "--out", str(out_csv)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "" and not out_csv.exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: EvaluationError: no feasible episodes"), err
+
     @pytest.mark.parametrize("n_range", ["1,1", "2,1,2"])
     def test_repeated_n_in_n_range_refused_before_echo(self, pipeline, tmp_path, capsys, n_range):
         out_csv = tmp_path / "benchmark.csv"
@@ -565,8 +575,7 @@ class TestPredict:
         assert rc == 1 and len(err) == 1, captured.err
         assert err[0].startswith("error: CheckpointError: scan '") and "not finite" in err[0]
         assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]  # no output file written
-        if command != "compare-planners":  # it predicts per episode, after its echo
-            assert "resolved-config:" not in captured.out
+        assert "resolved-config:" not in captured.out
 
     def test_too_wide_pca_components_is_one_error_line(self, pipeline, tmp_path, capsys):
         data = json.loads(pipeline["ckpt"].read_text())

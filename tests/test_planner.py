@@ -321,6 +321,15 @@ class TestTsp:
             assert order == held_karp_loop(points, start), (trial, n)
             assert all(type(k) is int for k in order), order
 
+    @pytest.mark.parametrize("make_points", [_duplicated, _integer_grid])
+    def test_exact_matches_loop_reference_up_to_the_limit(self, make_points):
+        # Coverage tours reach EXACT_TSP_LIMIT points; these two generators
+        # make many exact ties, so the tie rule is checked at full size too.
+        rng = np.random.default_rng(13)
+        for n in range(13, EXACT_TSP_LIMIT + 1):
+            points, start = make_points(rng, n)
+            assert held_karp(points, start) == held_karp_loop(points, start), n
+
     def test_exact_ignores_self_distances(self, monkeypatch):
         # A point is never its own predecessor: those entries are masked,
         # so even a NaN on the distance diagonal leaves every route as is.
@@ -336,9 +345,10 @@ class TestTsp:
             assert held_karp(points, start) == held_karp_loop(points, start), n
 
     def test_exact_memory_at_limit(self):
-        # A float64 cost table of 2**15 * 15 * 8 bytes = 3.75 MiB, an int8
-        # parent table of 0.47 MiB, and one layer block of at most
-        # 15 * C(14, 7) * 15 * 8 bytes = 5.9 MiB (6.2 MB) at a time.
+        # A float64 cost table of 15 * 2**15 * 8 bytes = 3.75 MiB, the int64
+        # masks by endpoint, 15 * 2**14 * 8 bytes = 1.9 MiB, and one layer
+        # block of at most 15 * 15 * C(14, 7) * 8 bytes = 5.9 MiB at a time:
+        # no parent table, and a second block alive at once would pass 16 MiB.
         rng = np.random.default_rng(12)
         points = rng.uniform(0, 10, size=(EXACT_TSP_LIMIT, 3))
         tracemalloc.start()
