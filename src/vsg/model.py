@@ -10,6 +10,9 @@ gate when configured). Two such layers with ReLU and dropout between them
 feed a linear head with three independent sigmoid outputs: the probabilities
 of position, state, and instance change for each object.
 
+A forward pass takes one embedded graph or a `GraphUnion` of several; each
+graph gets the same floats either way (training.py says how).
+
 A checkpoint bundles the parameters with the PCA model, edge config, and
 taxonomy name used at train time, so a loaded model embeds scenes exactly as
 it was trained to.
@@ -18,6 +21,7 @@ it was trained to.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,11 +48,75 @@ CHECKPOINT_VERSION = 1
 def _scatter_add(base: np.ndarray, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``base`` (n, d) with ``rows[k]`` added to row ``index[k]`` in k order: one
     ``np.bincount`` adding each bin's terms in input order, so ``np.add.at``'s
-    sums bit for bit, except that bins start at +0.0 and so all -0.0 sums to +0.0."""
+    sums bit for bit, except that bins start at +0.0 and so all -0.0 sums to +0.0.
+    In a union no bin spans two graphs, so each bin adds its graph's terms."""
     n, d = base.shape
     bins = np.concatenate([np.arange(n * d), (index[:, None] * d + np.arange(d)).ravel()])
     weights = np.concatenate([base.ravel(), rows.ravel()])
     return np.bincount(bins, weights).reshape(n, d)
+
+
+@dataclass(frozen=True)
+class GraphUnion:
+    """Embedded graphs as one disjoint union (Fey & Lenssen, arXiv:1903.02428).
+
+    Node rows and edge rows are stacked in graph order, and each graph's edge
+    indices are offset by its first node row. Graph g owns node rows
+    ``node_spans[g]``; ``edge_spans`` holds the edge rows of each graph that
+    has edges, the only graphs the edge MLP runs on.
+    """
+
+    node_features: np.ndarray
+    edge_index: np.ndarray
+    edge_features: np.ndarray
+    node_spans: tuple[tuple[int, int], ...]
+    edge_spans: tuple[tuple[int, int], ...]
+
+    @property
+    def num_nodes(self) -> int:
+        return self.node_features.shape[0]
+
+    @property
+    def num_edges(self) -> int:
+        return self.edge_index.shape[0]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    if len(arrays) == 1:
+        return arrays[0]
+    try:
+        return np.concatenate(arrays)
+    except ValueError as e:
+        raise DimensionError(f"graphs of different feature widths in one union ({e})") from e
+
+
+def graph_union(graphs: Sequence[EmbeddedGraph]) -> GraphUnion:
+    """One union of `graphs`, in order. Each graph's edge indices are checked
+    against its own node count before the offset (GraphError), so no edge
+    can point into the next graph's nodes."""
+    node_spans, edge_spans, firsts, sizes = [], [], [], []
+    n = e = 0
+    for g in graphs:
+        node_spans.append((n, n + g.num_nodes))
+        if g.num_edges:
+            edge_spans.append((e, e + g.num_edges))
+            firsts.append(n)
+            sizes.append(g.num_nodes)
+        n += g.num_nodes
+        e += g.num_edges
+    edge_index = _stack([g.edge_index for g in graphs])
+    if e:
+        counts = [stop - start for start, stop in edge_spans]
+        # As unsigned, a negative index wraps past every node count.
+        limit = np.repeat(sizes, counts)[:, None] if len(sizes) > 1 else sizes[0]
+        if (edge_index.astype(np.uint64) >= limit).any():
+            raise GraphError("edge index out of range for its graph's nodes")
+        if len(graphs) > 1:
+            edge_index = edge_index + np.repeat(firsts, counts)[:, None]
+    return GraphUnion(
+        _stack([g.node_features for g in graphs]), edge_index,
+        _stack([g.edge_features for g in graphs]), tuple(node_spans), tuple(edge_spans),
+    )
 
 
 class MpConv:
@@ -72,14 +140,22 @@ class MpConv:
         self.h = Mlp([edge_dim, hidden_dim, gate_dim], store, f"{prefix}.h", rng)
 
     def forward(
-        self, z: np.ndarray, edge_index: np.ndarray, edge_features: np.ndarray
-    ) -> tuple[np.ndarray, tuple]:
+        self,
+        z: np.ndarray,
+        edge_index: np.ndarray,
+        edge_features: np.ndarray,
+        node_spans: Sequence[tuple[int, int]] | None = None,
+        edge_spans: Sequence[tuple[int, int]] | None = None,
+        keep_cache: bool = True,
+    ) -> tuple[np.ndarray, tuple | None]:
+        """One graph, or a union whose graphs own the given row spans (see
+        `Mlp.forward`); the cache is None when not keep_cache."""
         n = z.shape[0]
         if z.shape[1] != self.dim:
             raise DimensionError(f"node width {z.shape[1]} != layer dim {self.dim}")
         if edge_index.size and (edge_index.min() < 0 or edge_index.max() >= n):
             raise GraphError(f"edge index out of range for {n} nodes")
-        out, f_cache = self.f.forward(z)
+        out, f_cache = self.f.forward(z, node_spans, keep_cache)
         if edge_index.shape[0]:
             if edge_features.shape[1] != self.edge_dim:
                 raise DimensionError(
@@ -87,12 +163,12 @@ class MpConv:
                 )
             src = edge_index[:, 0]
             tgt = edge_index[:, 1]
-            gates, h_cache = self.h.forward(edge_features)
+            gates, h_cache = self.h.forward(edge_features, edge_spans, keep_cache)
             messages = z[src] * gates  # broadcasts when the gate is scalar
             out = _scatter_add(out, tgt, messages)
         else:
             gates, h_cache = None, None
-        cache = (z, edge_index, f_cache, h_cache, gates)
+        cache = (z, edge_index, f_cache, h_cache, gates) if keep_cache else None
         return out, cache
 
     def backward(self, cache: tuple, dout: np.ndarray, input_grad: bool = True):
@@ -185,7 +261,7 @@ class _VariabilityModel:
     def hyperparameters(self) -> dict:
         return {k: getattr(self, k) for k in self._HYPERPARAMETERS} | {"rng_seed": self.store.rng_seed}
 
-    def _check_graph(self, eg: EmbeddedGraph) -> None:
+    def _check_graph(self, eg: GraphUnion) -> None:
         if eg.node_features.shape[1] != self.d_v and eg.num_nodes:
             raise DimensionError(
                 f"node features have width {eg.node_features.shape[1]}, model expects {self.d_v}"
@@ -237,30 +313,32 @@ class DeltaVsgModel(_VariabilityModel):
         self.head = Mlp([self.d_v, 3], self.store, "head", rng)
 
     def forward(
-        self, eg: EmbeddedGraph, mode: str = "eval", rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, tuple]:
-        """Per-node probabilities (N, 3) plus a cache for backward."""
-        self._check_graph(eg)
-        z0 = eg.node_features
-        a1, c1 = self.conv1.forward(z0, eg.edge_index, eg.edge_features)
+        self, eg: EmbeddedGraph | GraphUnion, mode: str = "eval", rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, tuple | None]:
+        """Per-node probabilities (N, 3) of one graph or a union, plus the
+        cache backward reads (None in eval mode)."""
+        g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
+        self._check_graph(g)
+        train = mode == "train"
+        graph = (g.edge_index, g.edge_features, g.node_spans, g.edge_spans, train)
+        a1, c1 = self.conv1.forward(g.node_features, *graph)
         r1 = relu(a1)
         d1, mask = dropout(r1, self.dropout_rate, mode, rng)
-        a2, c2 = self.conv2.forward(d1, eg.edge_index, eg.edge_features)
-        logits, ch = self.head.forward(a2)
+        a2, c2 = self.conv2.forward(d1, *graph)
+        logits, ch = self.head.forward(a2, g.node_spans, train)
         probs = sigmoid(logits)
-        cache = (mode, c1, a1, mask, c2, ch, probs)
-        return probs, cache
+        return probs, ((c1, a1 > 0, mask, c2, ch, probs) if train else None)
 
-    def backward(self, cache: tuple, dprobs: np.ndarray) -> None:
+    def backward(self, cache: tuple | None, dprobs: np.ndarray) -> None:
         """Accumulate exact parameter gradients from dLoss/dProbabilities."""
-        mode, c1, a1, mask, c2, ch, probs = cache
-        if mode != "train":
+        if cache is None:
             raise UsageError("backward requires a cache from a train-mode forward")
+        c1, active1, mask, c2, ch, probs = cache
         dlogits = dprobs * probs * (1.0 - probs)
         da2 = self.head.backward(ch, dlogits)
         dd1 = self.conv2.backward(c2, da2)
         dr1 = dropout_backward(dd1, mask, self.dropout_rate)
-        da1 = dr1 * (a1 > 0)
+        da1 = dr1 * active1
         self.conv1.backward(c1, da1, input_grad=False)
 
 
@@ -273,17 +351,19 @@ class MlpBaseline(_VariabilityModel):
         self.net = Mlp([self.d_v, self.hidden_dim, self.hidden_dim, 3], self.store, "net", rng)
 
     def forward(
-        self, eg: EmbeddedGraph, mode: str = "eval", rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, tuple]:
-        self._check_graph(eg)
-        logits, c = self.net.forward(eg.node_features)
+        self, eg: EmbeddedGraph | GraphUnion, mode: str = "eval", rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, tuple | None]:
+        g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
+        self._check_graph(g)
+        train = mode == "train"
+        logits, c = self.net.forward(g.node_features, g.node_spans, train)
         probs = sigmoid(logits)
-        return probs, (mode, c, probs)
+        return probs, ((c, probs) if train else None)
 
-    def backward(self, cache: tuple, dprobs: np.ndarray) -> None:
-        mode, c, probs = cache
-        if mode != "train":
+    def backward(self, cache: tuple | None, dprobs: np.ndarray) -> None:
+        if cache is None:
             raise UsageError("backward requires a cache from a train-mode forward")
+        c, probs = cache
         dlogits = dprobs * probs * (1.0 - probs)
         self.net.backward(c, dlogits, input_grad=False)
 

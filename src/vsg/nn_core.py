@@ -91,26 +91,55 @@ def check_dropout_rate(rate: float) -> None:
 
 def dropout(
     x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: survivors are scaled by 1/(1-rate) at train time.
 
-    Returns (output, mask); eval mode passes the input through untouched.
+    Returns (output, mask). Eval mode and a zero rate pass the input through
+    untouched and build no mask (None).
     """
     check_dropout_rate(rate)
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:
-        return x, np.ones_like(x)
+        return x, None
     if rng is None:
         raise ConfigError("train-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= rate).astype(np.float64)
     return x * mask / (1.0 - rate), mask
 
 
-def dropout_backward(dy: np.ndarray, mask: np.ndarray, rate: float) -> np.ndarray:
+def dropout_backward(dy: np.ndarray, mask: np.ndarray | None, rate: float) -> np.ndarray:
     if rate == 0.0:
         return dy
     return dy * mask / (1.0 - rate)
+
+
+def _matmul_per_graph(x: np.ndarray, m: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+    """x @ m, each graph's rows of x multiplied on their own: the floats of
+    that graph's product alone, which a stacked product does not keep."""
+    if len(spans) == 1:
+        return x @ m
+    out = np.empty((x.shape[0], m.shape[1]))
+    for start, stop in spans:
+        np.matmul(x[start:stop], m, out=out[start:stop])
+    return out
+
+
+def _add_rows_in_order(grad: np.ndarray, rows: np.ndarray) -> None:
+    """grad += rows[1], then rows[2], and so on; rows[0] is scratch.
+
+    With grad in row 0, ``np.add.reduce`` over axis 0 adds row after row
+    whenever a row has two or more elements: the reduced axis is then the
+    outer loop, and each element's sum runs in row order. A one-element
+    row would make it the inner loop, which numpy sums pairwise from 8
+    terms on, so that case uses ``np.add.accumulate``, sequential by
+    definition (and over 10 times slower on a weight matrix).
+    """
+    rows[0] = grad
+    if grad.size > 1:
+        np.add.reduce(rows, axis=0, out=grad)
+    else:
+        grad[...] = np.add.accumulate(rows, axis=0)[-1]
 
 
 class Mlp:
@@ -142,44 +171,64 @@ class Mlp:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """x is (N, input_dim); returns (y, cache) with y (N, output_dim)."""
+    def forward(
+        self, x: np.ndarray, spans: Sequence[tuple[int, int]] | None = None, keep_cache: bool = True
+    ) -> tuple[np.ndarray, tuple | None]:
+        """x is (N, input_dim); returns (y, cache) with y (N, output_dim).
+
+        x holds one graph's rows, or a union's: graph g owns rows
+        ``spans[g]`` = (start, stop), and the spans cover every row (default:
+        one graph of all N rows). Each product runs on one graph's rows, so
+        its floats are those of that graph alone; bias and ReLU run once on
+        the union. The cache is None when not keep_cache.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(f"input shape {x.shape} is not (N, {self.input_dim})")
-        cache = []
+        if spans is None:
+            spans = ((0, x.shape[0]),)
+        layers = []
         h = x
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.value + b.value
+            z = _matmul_per_graph(h, w.value, spans)
+            z += b.value
+            active = z > 0 if keep_cache and l < last else None
             if l < last:
-                a = relu(z)
-            else:
-                a = z
-            cache.append((h, z))
-            h = a
-        return h, cache
+                np.maximum(z, 0.0, out=z)
+            if keep_cache:
+                layers.append((h, active))
+            h = z
+        return h, ((spans, layers) if keep_cache else None)
 
-    def backward(self, cache: list, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Add parameter gradients (+=); return the input gradient, or None if not input_grad."""
+    def backward(self, cache: tuple, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Add parameter gradients; return the input gradient, or None if not input_grad.
+
+        Graph g's weight and bias gradients go to row g + 1 of a buffer,
+        added to the gradient in graph order: the floats of one ``+=`` per
+        graph (`_add_rows_in_order`).
+        """
         dy = np.asarray(dy, dtype=np.float64)
-        if len(cache) != len(self.weights):
+        spans, layers = cache
+        if len(layers) != len(self.weights):
             raise DimensionError("cache does not match this MLP")
         da = dy
-        last = len(self.weights) - 1
-        for l in range(last, -1, -1):
-            h, z = cache[l]
-            if da.shape != (h.shape[0], self.weights[l].value.shape[1]):
+        for l in range(len(layers) - 1, -1, -1):
+            h, active = layers[l]
+            w, b = self.weights[l], self.biases[l]
+            if da.shape != (h.shape[0], w.value.shape[1]):
                 raise DimensionError("stale cache shape in MLP backward")
-            if l < last:
-                dz = da * (z > 0)
-            else:
-                dz = da
-            self.weights[l].grad += h.T @ dz
-            self.biases[l].grad += dz.sum(axis=0)
+            dz = da if active is None else da * active
+            dw = np.empty((len(spans) + 1, *w.grad.shape))
+            db = np.empty((len(spans) + 1, *b.grad.shape))
+            for q, (start, stop) in enumerate(spans, 1):
+                np.matmul(h[start:stop].T, dz[start:stop], out=dw[q])
+                np.add.reduce(dz[start:stop], axis=0, out=db[q])
+            _add_rows_in_order(w.grad, dw)
+            _add_rows_in_order(b.grad, db)
             if l == 0 and not input_grad:
                 return None
-            da = dz @ self.weights[l].value.T
+            da = _matmul_per_graph(dz, w.value.T, spans)
         return da
 
 

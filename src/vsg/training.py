@@ -18,15 +18,27 @@ best-validation-loss snapshot, and the whole run is deterministic per
 (config, seed).
 
 Where speed stops keeping the bits. A run does each graph's float
-operations in a fixed order, and these speed-ups keep that order: the
-message sum as one ``np.bincount`` that adds in input order (model.py's
-``_scatter_add``), skipping input gradients nobody reads, and one flat
-parameter buffer that Adam, ``zero_grads`` and the snapshots update
-elementwise. Two faster designs change floats, so they are left out: a
-sort plus ``np.add.reduceat`` for the message sum differs from the
-sequential sum in 292 of 300 random graphs, and batching graphs as one
-disjoint union (Fey & Lenssen, arXiv:1903.02428) gives stacked matmuls
-that differ from per-graph ones under OpenBLAS in 372 of 600 cases.
+operations in a fixed order, and every speed-up keeps that order. A step
+trains its batch as one disjoint union of graphs (Fey & Lenssen,
+arXiv:1903.02428; model.py's ``GraphUnion``), and validation runs in unions
+of ``batch_size`` graphs. Everything elementwise runs once over the union:
+gathers, ReLU, sigmoid, the dropout draw (one draw over the union is the
+graphs' draws in batch order), the focal-loss elements, and the message
+sum, one ``np.bincount`` that adds in input order (model.py's
+``_scatter_add``), where no bin spans two graphs. What the floats depend
+on stays per graph:
+- each matrix product: a stacked product differs from the per-graph ones
+  under OpenBLAS in 372 of 600 cases;
+- each bias-gradient and loss sum over a graph's own rows:
+  ``np.add.reduceat`` differs from the per-graph ``sum`` in 294 of 300
+  random cases, so it is not used;
+- the order in which graphs' gradients are added: each goes to a row of
+  a buffer that ``np.add.reduce`` adds row after row (see nn_core's
+  ``_add_rows_in_order`` for the one-element case it would sum pairwise).
+Input gradients nobody reads are skipped, and one flat parameter buffer
+serves Adam, ``zero_grads`` and the snapshots. A sort plus
+``np.add.reduceat`` for the message sum differs from the sequential sum in
+292 of 300 random graphs, so it is left out.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from .dataset import (
 from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed, encode_nodes,
                         fit_pca, pairwise_distance_percentile)
 from .errors import ConfigError, EvaluationError, TrainingError
-from .model import MODEL_CLASSES, ModelConfig
+from .model import MODEL_CLASSES, ModelConfig, graph_union
 from .nn_core import Adam, check_dropout_rate
 
 logger = logging.getLogger(__name__)
@@ -89,21 +101,30 @@ def class_weights_from_samples(samples: list[Sample]) -> tuple:
 
 
 def focal_loss(
-    probs: np.ndarray, labels: np.ndarray, masks: np.ndarray, cfg: LossConfig = LossConfig()
-) -> tuple[float, np.ndarray]:
+    probs: np.ndarray,
+    labels: np.ndarray,
+    masks: np.ndarray,
+    cfg: LossConfig = LossConfig(),
+    spans: Sequence[tuple[int, int]] | None = None,
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Masked focal loss and its exact gradient w.r.t. the probabilities.
 
     All inputs are (N, 3). Returns (mean loss over unmasked elements,
     dLoss/dprobs with zeros at masked entries). All-masked input is defined
     as loss 0 with zero gradient.
+
+    With ``spans``, the rows are a union of graphs, graph g owning rows
+    ``spans[g]`` = (start, stop): the loss is then the (G,) array of each
+    graph's own loss, and each graph's gradient is that of its own loss.
+    The elements are computed once over the union; each graph's sums are
+    sums over its own rows, as for the graph alone.
     """
     if probs.shape != labels.shape or probs.shape != masks.shape:
         raise ConfigError(
             f"shape mismatch: probs {probs.shape}, labels {labels.shape}, masks {masks.shape}"
         )
-    count = masks.sum()
-    if count == 0:
-        return 0.0, np.zeros_like(probs)
+    rows = ((0, probs.shape[0]),) if spans is None else spans
+    counts = np.array([masks[start:stop].sum() for start, stop in rows])
     cw = np.asarray(cfg.class_weights, dtype=np.float64)
     positive = labels > 0.5
     w = np.where(positive, cw[None, :, 0], cw[None, :, 1])
@@ -111,15 +132,21 @@ def focal_loss(
     p_t = np.where(positive, clamped, 1.0 - clamped)
     one_minus = 1.0 - p_t
     log_pt = np.log(p_t)
-    loss_elements = -w * one_minus**cfg.gamma * log_pt
-    loss = float((loss_elements * masks).sum() / count)
+    weighted = -w * one_minus**cfg.gamma * log_pt * masks
+    sums = np.array([weighted[start:stop].sum() for start, stop in rows])
+    empty = counts == 0
+    counts[empty] = 1.0
+    losses = np.where(empty, 0.0, sums / counts)
     # d/dp_t of -w (1-p_t)^g log p_t. The clamp keeps 1 - p_t > 0, so at g = 0
     # the first term is a signed zero and this is exactly -w / p_t.
     dpt = w * cfg.gamma * one_minus ** (cfg.gamma - 1.0) * log_pt - w * one_minus**cfg.gamma / p_t
     sign = np.where(positive, 1.0, -1.0)
     inside = (probs > _CLAMP_LO) & (probs < _CLAMP_HI)
-    dprobs = dpt * sign * masks * inside / count
-    return loss, dprobs
+    sizes = [stop - start for start, stop in rows]
+    dprobs = dpt * sign * masks * inside / np.repeat(counts, sizes)[:, None]
+    if empty.any():
+        dprobs[np.repeat(empty, sizes)] = 0.0
+    return (float(losses[0]), dprobs) if spans is None else (losses, dprobs)
 
 
 @dataclass(frozen=True)
@@ -172,8 +199,36 @@ def _embed_inputs(samples: list[Sample], embed_scan) -> list[EmbeddedGraph]:
     return [cache[(s.environment_id, s.input.scan_id)] for s in samples]
 
 
-def _eval_forward(model, graphs: list[EmbeddedGraph]) -> list[np.ndarray]:
-    return [model.forward(g, mode="eval")[0] for g in graphs]
+def _train_step(model, graphs: list[EmbeddedGraph], samples: list[Sample], loss_cfg: LossConfig,
+                rng: np.random.Generator) -> tuple[float, int]:
+    """Add the gradient of the batch loss, the mean of its graphs' losses, as
+    one union; returns (batch loss, unmasked element count)."""
+    batch = graph_union(graphs)
+    masks = np.concatenate([s.masks for s in samples])
+    probs, cache = model.forward(batch, mode="train", rng=rng)
+    losses, dprobs = focal_loss(probs, np.concatenate([s.labels for s in samples]), masks, loss_cfg,
+                                batch.node_spans)
+    batch_loss = 0.0
+    for loss in losses.tolist():
+        batch_loss += loss / len(graphs)
+    model.backward(cache, dprobs / len(graphs))
+    return batch_loss, int(masks.sum())
+
+
+def _validation_pass(model, graphs: list[EmbeddedGraph], samples: list[Sample], loss_cfg: LossConfig,
+                     chunk: int) -> tuple[float, float]:
+    """(mean graph loss, pooled F1 at 0.5) in eval mode, one union per
+    `chunk` graphs, so memory does not grow with the split."""
+    probs, labels, masks, losses = [], [], [], []
+    for start in range(0, len(graphs), chunk):
+        batch = graph_union(graphs[start:start + chunk])
+        part = samples[start:start + chunk]
+        labels.append(np.concatenate([s.labels for s in part]))
+        masks.append(np.concatenate([s.masks for s in part]))
+        probs.append(model.forward(batch, mode="eval")[0])
+        losses += focal_loss(probs[-1], labels[-1], masks[-1], loss_cfg, batch.node_spans)[0].tolist()
+    f1 = evaluate_probabilities(probs, labels, masks, [0.5])[0].metrics["pooled"].f1
+    return sum(losses) / len(samples), f1
 
 
 def sample_probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
@@ -244,7 +299,6 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
         dropout_rate=train_cfg.dropout_rate, seed=train_cfg.seed, scalar_gate=model_cfg.scalar_gate,
     )
     optimizer = Adam(model.store, lr=train_cfg.learning_rate)
-    val_labels, val_masks = [s.labels for s in data.val_samples], [s.masks for s in data.val_samples]
     weights = importance_sample(data.train_samples)
 
     draw_rng = np.random.default_rng([train_cfg.seed, 1])
@@ -263,17 +317,12 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
         for epoch in range(train_cfg.epochs):
             epoch_loss, val_loss = 0.0, math.nan
             for _ in range(steps_per_epoch):
-                idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights)
+                idx = draw_rng.choice(len(data.train_samples), size=train_cfg.batch_size, p=weights).tolist()
                 model.store.zero_grads()
-                batch_loss = 0.0
-                batch_unmasked = 0
-                for k in idx:
-                    s = data.train_samples[int(k)]
-                    probs, cache = model.forward(data.train_inputs[int(k)], mode="train", rng=dropout_rng)
-                    loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
-                    batch_loss += loss / train_cfg.batch_size
-                    batch_unmasked += int(s.masks.sum())
-                    model.backward(cache, dprobs / train_cfg.batch_size)
+                batch_loss, batch_unmasked = _train_step(
+                    model, [data.train_inputs[k] for k in idx], [data.train_samples[k] for k in idx],
+                    loss_cfg, dropout_rng,
+                )
                 if batch_unmasked == 0:
                     report.all_masked_steps += 1
                 if not math.isfinite(batch_loss):
@@ -281,18 +330,15 @@ def train_prepared(data: PreparedTraining, train_cfg: TrainConfig = TrainConfig(
                 optimizer.step()
                 epoch_loss += batch_loss / steps_per_epoch
             else:
-                val_probs = _eval_forward(model, data.val_inputs)
-                val_loss = sum(
-                    focal_loss(probs, s.labels, s.masks, loss_cfg)[0]
-                    for probs, s in zip(val_probs, data.val_samples)
-                ) / len(data.val_samples)
+                val_loss, f1 = _validation_pass(
+                    model, data.val_inputs, data.val_samples, loss_cfg, train_cfg.batch_size
+                )
             if not math.isfinite(val_loss):  # a non-finite batch or validation loss; the epoch is not kept
                 logger.warning("non-finite loss at epoch %d; restoring best checkpoint", epoch)
                 report.diverged = True
                 report.epochs_run = epoch
                 _restore(model, best_snap)
                 return model, report
-            f1 = evaluate_probabilities(val_probs, val_labels, val_masks, [0.5])[0].metrics["pooled"].f1
             report.train_loss.append(epoch_loss)
             report.val_loss.append(val_loss)
             report.val_pooled_f1.append(f1)

@@ -24,7 +24,7 @@ from vsg import (
 )
 from vsg.cli import dispatch
 from vsg.embedding import EmbeddedGraph
-from vsg.model import MlpBaseline, MpConv, _scatter_add
+from vsg.model import MlpBaseline, MpConv, _scatter_add, graph_union
 from vsg.nn_core import Mlp, ParamStore
 
 from conftest import identity_pca, random_embedded_graph
@@ -258,6 +258,30 @@ class TestSkippedInputGradient:
             dout = rng.normal(size=out.shape)
             dz = self._both_ways(store, lambda g: layer.backward(cache, dout, input_grad=g))
             assert dz.shape == eg.node_features.shape
+
+
+class TestGraphUnion:
+    def test_edge_index_checked_against_its_own_graph(self):
+        rng = np.random.default_rng(0)
+        first, second = random_embedded_graph(rng, 4, 5, 2), random_embedded_graph(rng, 3, 5, 2)
+        graph_union([first, second])
+        # Node 3 of a 3-node graph: offset in the union, it would be row 7,
+        # the third graph's first node, so the check runs before the offset.
+        index = second.edge_index.copy()
+        index[-1, 1] = second.num_nodes
+        bad = EmbeddedGraph(second.node_features, index, second.edge_features, second.node_ids)
+        with pytest.raises(GraphError, match="out of range"):
+            graph_union([first, bad, first])
+
+    @pytest.mark.parametrize("kind", ["graph", "mlp"])
+    def test_union_predicts_each_graph_as_alone(self, kind):
+        rng = np.random.default_rng(1)
+        model = make_model(seed=2, kind=kind, scalar_gate=True)
+        graphs = [random_embedded_graph(rng, n, 5, 2) for n in (5, 1, 0, 7, 3)]
+        probs, cache = model.forward(graph_union(graphs), mode="eval")
+        assert cache is None
+        alone = np.concatenate([model.forward(g, mode="eval")[0] for g in graphs])
+        npt.assert_array_equal(probs.view(np.int64), alone.view(np.int64))
 
 
 class TestDeltaVsgModel:

@@ -4,6 +4,7 @@ and the training loop's determinism and control flow."""
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -32,11 +33,13 @@ import vsg.model as model_module
 import vsg.training as training_module
 from vsg.model import MlpBaseline, MpConv, checkpoint_to_json
 from vsg.training import class_weights_from_samples, evaluate_probabilities, prepare_training, train_prepared
-from vsg.nn_core import Adam, Mlp
+from vsg.dataset import Sample
+from vsg.embedding import EmbeddedGraph
+from vsg.nn_core import Adam, Mlp, relu
 
-from conftest import make_graph, make_node, make_sample
+from conftest import make_graph, make_node, make_sample, random_embedded_graph
 from gradcheck import max_relative_error, numerical_gradient
-from test_model import scatter_add_reference
+from test_model import jitter_params, make_model, scatter_add_reference
 
 
 def unit_weights():
@@ -430,11 +433,12 @@ class TestTrain:
         real = training_module.focal_loss
         calls = {"n": 0}
 
-        def exploding(probs, labels, masks, cfg=LossConfig()):
+        def exploding(probs, labels, masks, cfg=LossConfig(), spans=None):
             calls["n"] += 1
+            losses, dprobs = real(probs, labels, masks, cfg, spans)
             if calls["n"] > 4:
-                return float("nan"), np.zeros_like(probs)
-            return real(probs, labels, masks, cfg)
+                return losses * np.nan, np.zeros_like(probs)
+            return losses, dprobs
 
         monkeypatch.setattr(training_module, "focal_loss", exploding)
         model, report = train(bundle, small_model_cfg(), quick_train_cfg(epochs=5))
@@ -502,13 +506,150 @@ class TestTrain:
             TrainConfig(patience=0)
 
 
+def test_validation_memory_stays_at_one_batch(monkeypatch):
+    # 36 validation graphs with 4,024 edges in all: one union of them would
+    # hold a 4,024 x 64 float64 edge-MLP hidden layer, 2.0 MiB, and peak at
+    # 3.0 MiB. Unions of batch_size = 2 graphs hold at most 340 edges, and
+    # the peak, then set by a training step, is 1.0 MiB.
+    data = generate_dataset(GeneratorConfig(num_environments=8, scans_per_environment=3,
+                                            objects_min=24, objects_max=30, seed=3))
+    splits = {e: "train" if k < 2 else "val" for k, e in enumerate(data.environments)}
+    prepared = prepare_training(DatasetBundle(data.taxonomy, data.environments, splits),
+                                small_model_cfg(hidden_dim=64, tau=2.0))
+    assert len(prepared.val_inputs) == 36
+    assert sum(g.num_edges for g in prepared.val_inputs) == 4024
+    sizes = []
+
+    def recording_union(graphs):
+        sizes.append(len(graphs))
+        return union(graphs)
+
+    union = training_module.graph_union
+    monkeypatch.setattr(training_module, "graph_union", recording_union)
+    tracemalloc.start()
+    try:
+        train_prepared(prepared, quick_train_cfg(epochs=1, batch_size=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == 2
+    assert peak < 1.5 * 2**20
+
+
 # Reference kernels for the whole-run test: the forms training used before
-# the bincount scatter, the skipped input gradients and the flat buffer.
+# the bincount scatter, the skipped input gradients, the flat buffer and the
+# disjoint-union batch.
 def full_backward(original):
     def backward(self, cache, dy, input_grad=True):
         return original(self, cache, dy, input_grad=True)
 
     return backward
+
+
+def mlp_forward_reference(self, x, spans=None, keep_cache=True):
+    """Mlp.forward of one graph: one product per layer over all its rows,
+    each pre-activation cached."""
+    assert spans is None or len(spans) == 1
+    cache = []
+    h = np.asarray(x, dtype=np.float64)
+    last = len(self.weights) - 1
+    for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        z = h @ w.value + b.value
+        cache.append((h, z))
+        h = relu(z) if l < last else z
+    return h, cache
+
+
+def mlp_backward_reference(self, cache, dy, input_grad=True):
+    """Mlp.backward of one graph: one ``+=`` per parameter."""
+    da = np.asarray(dy, dtype=np.float64)
+    last = len(self.weights) - 1
+    for l in range(last, -1, -1):
+        h, z = cache[l]
+        dz = da * (z > 0) if l < last else da
+        self.weights[l].grad += h.T @ dz
+        self.biases[l].grad += dz.sum(axis=0)
+        da = dz @ self.weights[l].value.T
+    return da
+
+
+def per_graph_step(model, graphs, samples, loss_cfg, rng):
+    """A training step graph by graph: forward, focal_loss, then backward
+    of the loss divided by the batch size."""
+    batch_loss, unmasked = 0.0, 0
+    for g, s in zip(graphs, samples, strict=True):
+        probs, cache = model.forward(g, mode="train", rng=rng)
+        loss, dprobs = focal_loss(probs, s.labels, s.masks, loss_cfg)
+        batch_loss += loss / len(graphs)
+        unmasked += int(s.masks.sum())
+        model.backward(cache, dprobs / len(graphs))
+    return batch_loss, unmasked
+
+
+def per_graph_validation(model, graphs, samples, loss_cfg, chunk):
+    """The validation pass graph by graph, whatever the chunk size."""
+    probs = [model.forward(g, mode="eval")[0] for g in graphs]
+    loss = sum(focal_loss(p, s.labels, s.masks, loss_cfg)[0] for p, s in zip(probs, samples)) / len(samples)
+    report = evaluate_probabilities(probs, [s.labels for s in samples], [s.masks for s in samples], [0.5])[0]
+    return loss, report.metrics["pooled"].f1
+
+
+def per_graph_kernels(monkeypatch):
+    """Patch in the per-graph step, validation and MLP kernels."""
+    monkeypatch.setattr(Mlp, "forward", mlp_forward_reference)
+    monkeypatch.setattr(Mlp, "backward", mlp_backward_reference)
+    monkeypatch.setattr(training_module, "_train_step", per_graph_step)
+    monkeypatch.setattr(training_module, "_validation_pass", per_graph_validation)
+
+
+def hand_built_batch(d_v, seed):
+    """Ten graphs with labels: a repeated graph, one without edges, a one-node
+    and a zero-node graph, and an all-masked sample among random ones."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_embedded_graph(rng, int(n), d_v, 2) for n in (6, 4, 7, 1, 0, 8, 5)]
+    graphs.append(EmbeddedGraph(rng.normal(size=(5, d_v)), np.zeros((0, 2), dtype=np.int64),
+                                np.zeros((0, 5)), tuple("abcde")))
+    graphs += [graphs[0], graphs[2]]  # repeats: the same arrays twice in one union
+    samples = []
+    for k, g in enumerate(graphs):
+        scene = make_graph([make_node(f"o{i}") for i in range(g.num_nodes)], scan=f"s{k}")
+        labels = (rng.random((g.num_nodes, 3)) < 0.4).astype(float)
+        masks = (rng.random((g.num_nodes, 3)) < 0.7).astype(float)
+        masks[:, 2] = 1.0
+        if k == 1:
+            masks[...] = 0.0  # all masked
+        masks[:, :2] *= 1.0 - labels[:, 2:]
+        samples.append(Sample(scene, labels, masks, (f"s{k}", "t")))
+    return graphs, samples
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "kind, d_v, hidden, scalar_gate",
+    [("graph", 5, 8, False), ("graph", 5, 8, True), ("mlp", 5, 8, False), ("graph", 1, 1, True)],
+    ids=["deltavsg", "scalar_gate", "mlp_baseline", "scalar_gate_width_1"],
+)
+def test_union_step_matches_per_graph_step(monkeypatch, kind, d_v, hidden, scalar_gate, dropout):
+    # Width 1 makes one-element weights and biases, whose gradient buffers
+    # numpy would sum pairwise from 8 graphs on.
+    graphs, samples = hand_built_batch(d_v, seed=7)
+    model = make_model(d_v=d_v, hidden=hidden, seed=3, dropout=dropout, scalar_gate=scalar_gate, kind=kind)
+    jitter_params(model.store, 3)
+    cfg = LossConfig(gamma=0.5, class_weights=((3.0, 1.0), (2.0, 1.0), (1.0, 1.5)))
+
+    def one_step(step):
+        model.store.zero_grads()
+        rng = np.random.default_rng(11)
+        result = step(model, graphs, samples, cfg, rng)
+        return result, model.store.grads.copy(), rng.random()
+
+    union = one_step(training_module._train_step)
+    with monkeypatch.context() as patched:
+        per_graph_kernels(patched)
+        reference = one_step(per_graph_step)
+    assert union[0] == reference[0] and union[2] == reference[2]
+    npt.assert_array_equal(union[1].view(np.int64), reference[1].view(np.int64))
+    assert reference[1].any()
 
 
 def adam_step_loop(self):
@@ -550,6 +691,7 @@ def test_whole_run_matches_reference_kernels(monkeypatch, model_cfg):
         return checkpoint_to_json(model, bundle.taxonomy), report.to_json()
 
     shipped = run()
+    per_graph_kernels(monkeypatch)
     monkeypatch.setattr(model_module, "_scatter_add", scatter_add_reference)
     monkeypatch.setattr(Mlp, "backward", full_backward(Mlp.backward))
     monkeypatch.setattr(MpConv, "backward", full_backward(MpConv.backward))
