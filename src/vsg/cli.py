@@ -265,7 +265,8 @@ def _parse_n_range(text: str, n_max: int) -> list[int]:
         values = ()
     if not values or lo < 1:
         raise UsageError(f"bad --n-range {text!r}; expected like 1..5 or 1,3,5")
-    if len(set(values)) < len(values):
+    # A range never repeats; a set of it would hold every n up to hi.
+    if not isinstance(values, range) and len(set(values)) < len(values):
         raise UsageError(f"--n-range {text!r} repeats an n; each n runs its episodes once")
     if hi > n_max:
         raise UsageError(

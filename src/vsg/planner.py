@@ -111,9 +111,15 @@ def _extended_distances(pts: np.ndarray, start: np.ndarray) -> np.ndarray:
     return distance(stacked[:, None, :], stacked[None, :, :])
 
 
+def _two_opt_bar(n: int) -> np.ndarray:
+    """2-opt's move threshold: -1e-12 at i < j, -inf elsewhere (no move)."""
+    return np.where(np.arange(n)[:, None] < np.arange(n), -1e-12, -np.inf)
+
+
 def _two_opt(
     dist: np.ndarray, order: list[int],
     seen: Container[tuple[int, ...]] = (), starts: list[tuple[int, ...]] | None = None,
+    bar: np.ndarray | None = None,
 ) -> list[int]:
     """Apply improving segment reversals until a whole pass finds none.
 
@@ -126,7 +132,8 @@ def _two_opt(
     gather from `dist` or the scalar loop, so the floats, the moves and the
     route are theirs. `dist` itself is never written. The slices are views
     made once, which the moves keep current, and each scan writes into the
-    same delta and mask buffers.
+    same delta and mask buffers. `bar` holds `_two_opt_bar(n)`, built here
+    if not given (it depends on n alone; `heuristic_tsp` builds it once).
 
     With `starts` given, the order each pass starts from is appended to it,
     and a pass that would start from an order in `seen` is not run: that
@@ -143,8 +150,7 @@ def _two_opt(
     tail_new, tail_old = m[1:, 2:], legs[1:]
     delta = np.empty((n, n))
     delta_inner, tail = delta[:, :-1], np.empty((n, n - 1))
-    # Only i < j is a move: below that, no delta is less than -inf.
-    bar = np.where(np.arange(n)[:, None] < np.arange(n), -1e-12, -np.inf)
+    bar = _two_opt_bar(n) if bar is None else bar
     hits = np.empty((n, n), dtype=bool)
     flat_hits = hits.ravel()
     last = -1  # flat (i, j) index of this pass's last move; -1 while it has none
@@ -173,49 +179,51 @@ def _two_opt(
             return ext[1:].tolist()
 
 
-def _or_opt(dist: np.ndarray, order: list[int]) -> tuple[list[int], bool]:
+def _or_opt_tables(n: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per run length seg, flat indices into `_or_opt`'s (n + 1, n + 1) `m`.
+
+    Run i holds positions i+1..i+seg of `ext`; without it, the k-th point
+    (the start counting as the 0th) sits at pos_k = k while k <= i and at
+    k + seg after that. Orientation r puts end e_r of the run (its first
+    point, or for r = 1 its last) next to the k-th point and the other end
+    f_r next to the (k+1)-th, so `at[i, k, r]` indexes m[pos_k, e_r],
+    `joined[i, k, r]` m[f_r, pos_{k+1}] and `broken[i, k]` m[pos_k,
+    pos_{k+1}]. A run of one point has one orientation: its reversal is
+    the same floats, and the first orientation wins every tie.
+    """
+    tables = []
+    for seg in range(1, min(n, 4)):
+        runs = n - seg + 1  # run starts i, and slots k in the order without the run
+        i, k = np.ogrid[:runs, :runs]
+        pos = np.where(k <= i, k, k + seg)
+        ends = np.stack((i + 1, i + seg), axis=-1)[..., : 1 if seg == 1 else 2]
+        at = pos[..., None] * (n + 1) + ends
+        joined = ends[..., ::-1] * (n + 1) + pos[:, 1:, None]
+        tables.append((seg, at, joined, pos[:, :-1] * (n + 1) + pos[:, 1:]))
+    return tables
+
+
+def _or_opt(dist: np.ndarray, order: list[int], tables: list | None = None) -> tuple[list[int], bool]:
     """One first-improvement pass relocating a run of 1-3 points.
 
-    Reads the route-ordered matrix `m` of `_two_opt`. Run i holds positions
-    i+1..i+seg of `ext`; without it, the k-th point (the start counting as
-    the 0th) sits at position k while k <= i and at k + seg after that. So
-    every candidate's distances are slices of `m` picked by one triangular
-    mask, with the same floats and grouping as a gather from `dist`. Each
-    run length fills the top-left block of one candidate buffer. A run of
-    one point has one orientation: its reversal is the same floats, and
-    the first orientation wins every tie.
+    Reads the route-ordered matrix `m` of `_two_opt` through the flat
+    indices of `_or_opt_tables(len(order))`, built here unless `tables`
+    holds them: they depend on the route length alone, so `heuristic_tsp`
+    builds them once per call. Per run length, cost[i, k, r] (run i put
+    after the k-th point, as is or reversed) is three gathers grouped as
+    `at + (joined - broken)`: the same floats and grouping as a gather from
+    `dist` or the scalar loop, so the first hit in (run length, i, k,
+    orientation) order is theirs.
     """
     n = len(order)
     ext = np.array([dist.shape[0] - 1, *order], dtype=np.int64)
     m = dist[ext[:, None], ext]
-    legs = np.diagonal(m, 1)
-    slot = np.arange(n)
-    below = slot <= slot[:, None]  # [i, k]: the k-th point is at k, else at k + seg
-    cost_buf, joined_buf = np.empty((n, n, 2)), np.empty((n, n - 1, 2))
-    for seg in (1, 2, 3):
-        if seg > n - 1:
-            break
-        runs = n - seg + 1  # run starts i, and slots k in the order without the run
-        # Run i's first and last point; a run of one point is tried as is only.
-        ends = (slice(1, runs + 1), slice(seg, None))[: 1 if seg == 1 else 2]
-        gain = legs[:runs].copy()
+    flat, legs = m.ravel(), np.diagonal(m, 1)
+    for seg, at, joined, broken in _or_opt_tables(n) if tables is None else tables:
+        gain = legs[: n - seg + 1].copy()
         gain[:-1] += legs[seg:] - np.diagonal(m, seg + 1)
-        kept = below[:runs, :runs]
-        after = kept[:, 1:]  # the same for the (k+1)-th point
-        # cost[i, k, r]: run i inserted after the k-th point, as is (r = 0) or reversed.
-        cost = cost_buf[:runs, :runs, : len(ends)]
-        joined = joined_buf[:runs, : runs - 1, : len(ends)]
-        # Orientation r puts ends[r] next to the k-th point and the other end
-        # next to the (k+1)-th.
-        for r, (e, f) in enumerate(zip(ends, ends[::-1])):
-            np.copyto(cost[:, :, r], m[seg:, e].T)
-            np.copyto(cost[:, :, r], m[:runs, e].T, where=kept)
-            np.copyto(joined[:, :, r], m[f, seg + 1 :])
-            np.copyto(joined[:, :, r], m[f, 1:runs], where=after)
-        broken = np.where(after, legs[: runs - 1], legs[seg:])
-        np.fill_diagonal(broken, np.diagonal(m, seg + 1))  # k == i: the leg over the gap
-        joined -= broken[:, :, None]
-        cost[:, :-1] += joined
+        cost = flat[at]
+        cost[:, :-1] += flat[joined] - flat[broken][..., None]
         hits = np.flatnonzero(cost < (gain - 1e-12)[:, None, None])
         if hits.size:
             i, k, flip = np.unravel_index(hits[0], cost.shape)
@@ -226,7 +234,8 @@ def _or_opt(dist: np.ndarray, order: list[int]) -> tuple[list[int], bool]:
 
 
 def _local_search(
-    dist: np.ndarray, order: list[int], seen: dict[tuple[int, ...], tuple[int, ...]]
+    dist: np.ndarray, order: list[int], seen: dict[tuple[int, ...], tuple[int, ...]],
+    tables: tuple | None = None,
 ) -> list[int]:
     """Alternate 2-opt and Or-opt until neither move set improves.
 
@@ -236,14 +245,17 @@ def _local_search(
     which applies nothing, starts from one). So `seen` maps every pass
     start of every earlier search to where that search ended, and a search
     whose pass would start from one stops there with the same result.
+    `tables`, when given, holds the scans' index tables for this route
+    length: 2-opt's `bar` and `_or_opt_tables`.
     """
+    bar, or_tables = tables or (None, None)
     starts: list[tuple[int, ...]] = []
     while True:
-        order = _two_opt(dist, order, seen, starts)
+        order = _two_opt(dist, order, seen, starts, bar)
         if (key := tuple(order)) in seen:
             result = seen[key]
             break
-        order, improved = _or_opt(dist, order)
+        order, improved = _or_opt(dist, order, or_tables)
         if not improved:
             result = key
             break
@@ -304,9 +316,11 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     order: each applies the first move that shortens the route by more than
     1e-12, 2-opt in (i, j) order resuming after its last move until a pass
     applies none, Or-opt in (run length, i, k, orientation) order. Each scan
-    reads slices of its own copy of the distance matrix in route order (2-opt
+    reads its own copy of the distance matrix in route order (2-opt
     reverses a block of its rows and columns per move), never writing the
-    matrix all searches share.
+    matrix all searches share. Which entries they compare depends on n
+    alone, so 2-opt's `bar` and Or-opt's index tables are built once per
+    call for all its searches; the floats compared are the same.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
@@ -318,10 +332,11 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     best_len = np.inf
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     measured: set[tuple[int, ...]] = set()
+    tables = (_two_opt_bar(n), _or_opt_tables(n))
 
     def search_and_keep_if_shorter(route: list[int]) -> None:
         nonlocal best, best_len
-        order = _local_search(dist, route, seen)
+        order = _local_search(dist, route, seen, tables)
         if (key := tuple(order)) in measured:
             return
         measured.add(key)

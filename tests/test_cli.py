@@ -10,6 +10,7 @@ import json
 import os
 import shutil
 import subprocess
+import tracemalloc
 
 import pytest
 
@@ -31,7 +32,8 @@ from vsg import (
 from vsg import planner
 import vsg.dataset as dataset_module
 import vsg.model as model_module
-from vsg.cli import _TRAIN_SECTIONS, build_parser, dispatch
+from vsg.cli import _TRAIN_SECTIONS, _parse_n_range, build_parser, dispatch
+from vsg.errors import UsageError
 from vsg.model import _VariabilityModel
 
 GEN_SPEC = {
@@ -148,7 +150,8 @@ class TestExitCodes:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: UsageError: --seeds"), err
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n-range", "1..99"), ("--n-range", "2,99")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--n-range", "1..99"), ("--n-range", "2,99"), ("--n-range", "1..1000000000000")])
     def test_compare_planners_negative_seed_or_n_above_largest_map_refused_before_echo(
         self, pipeline, tmp_path, capsys, flag, value
     ):
@@ -179,6 +182,18 @@ class TestExitCodes:
         assert rc == 1 and "resolved-config:" not in out and not out_csv.exists()
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: UsageError: --n-range") and "repeats" in err[0], err
+
+    def test_n_range_is_refused_without_listing_its_values(self):
+        # A range cannot repeat an n, so it is never expanded to check; a
+        # set of 1..3000000 alone peaks near 270 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="reaches n = 3000000"):
+                _parse_n_range("1..3000000", 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
     @pytest.mark.parametrize(

@@ -36,7 +36,9 @@ from vsg.planner import (
     _local_search,
     _nearest_neighbor_routes,
     _or_opt,
+    _or_opt_tables,
     _two_opt,
+    _two_opt_bar,
 )
 
 from conftest import MAGNITUDES, make_graph, make_node
@@ -148,15 +150,17 @@ def or_opt_loop(dist, order):
 def patch_loop_oracles(monkeypatch):
     """Put the loop references in place of `planner._two_opt` and
     `planner._or_opt`; returns the counts of their calls. The 2-opt oracle
-    takes and ignores the memo arguments (`seen`, `starts`), so a search
-    run on it records no pass starts and repeats every search in full."""
+    takes and ignores the memo arguments (`seen`, `starts`) and the
+    threshold `bar`, so a search run on it records no pass starts and
+    repeats every search in full; the Or-opt oracle ignores the index
+    tables."""
     calls = {"two_opt": 0, "or_opt": 0}
 
     def two_opt(dist, order, *memo):
         calls["two_opt"] += 1
         return two_opt_loop(dist, order)
 
-    def or_opt(dist, order):
+    def or_opt(dist, order, *tables):
         calls["or_opt"] += 1
         return or_opt_loop(dist, order)
 
@@ -415,6 +419,13 @@ class TestTsp:
             for before in (order, polished):
                 assert _or_opt(dist, list(before)) == or_opt_loop(dist, list(before)), (trial, n)
                 assert dist.tobytes() == frozen, (trial, n)
+        # Or-opt from a 2-opt optimum at 100 and 200 points reads deep into
+        # the largest index tables.
+        for n in (100, 200):
+            points, start = make_points(rng, n)
+            dist = _extended_distances(points, start)
+            polished = _two_opt(dist, [int(k) for k in rng.permutation(n)])
+            assert _or_opt(dist, list(polished)) == or_opt_loop(dist, list(polished)), n
 
     @pytest.mark.parametrize("make_points", [_uniform_3d, _uniform_2d, _duplicated, _integer_grid])
     def test_heuristic_matches_loop_reference(self, make_points, monkeypatch):
@@ -513,9 +524,9 @@ class TestTsp:
             heads.add(tuple(order))
             return _two_opt(dist, order, *memo)
 
-        def or_opt(dist, order):
+        def or_opt(dist, order, *tables):
             optima.add(tuple(order))  # Or-opt only ever starts from a 2-opt optimum
-            return _or_opt(dist, order)
+            return _or_opt(dist, order, *tables)
 
         monkeypatch.setattr(planner, "_two_opt", two_opt)
         monkeypatch.setattr(planner, "_or_opt", or_opt)
@@ -524,6 +535,42 @@ class TestTsp:
         for route in _nearest_neighbor_routes(dist):
             _local_search(dist, route, seen)
         assert set(seen) - heads - optima
+
+    def test_scan_tables_built_once_per_call(self, monkeypatch):
+        # The tables depend on n alone: one heuristic_tsp call builds them
+        # once for all its searches and keeps none for the next call.
+        rng = np.random.default_rng(21)
+        cases = [_uniform_3d(rng, n) for n in (22, 30)]
+        expected = [heuristic_tsp(points, start) for points, start in cases]
+        built = {"bar": [], "or_opt": []}
+
+        def counting(name, build):
+            def wrapped(n):
+                built[name].append(n)
+                return build(n)
+            return wrapped
+
+        monkeypatch.setattr(planner, "_two_opt_bar", counting("bar", _two_opt_bar))
+        monkeypatch.setattr(planner, "_or_opt_tables", counting("or_opt", _or_opt_tables))
+        assert heuristic_tsp(*cases[0]) == expected[0]
+        assert built == {"bar": [22], "or_opt": [22]}
+        assert heuristic_tsp(*cases[1]) == expected[1]
+        assert built == {"bar": [22, 30], "or_opt": [22, 30]}
+
+    def test_heuristic_memory_at_200_points(self):
+        # About 7.5 MiB without the index tables, mostly the orders held in
+        # `seen`; Or-opt's tables for the three run lengths add 3.9 MiB of
+        # int64, and one scan's gathers about 2.2 MiB at a time (11.9 MiB in
+        # all). Tables kept for each search would pass 16 MiB.
+        rng = np.random.default_rng(22)
+        points, start = _uniform_3d(rng, 200)
+        tracemalloc.start()
+        try:
+            heuristic_tsp(points, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_threshold_switches_to_heuristic(self):
         rng = np.random.default_rng(4)
