@@ -387,8 +387,8 @@ class GeneratorConfig:
         if min(self.room_size[:2]) < 0.6 or not 0 < self.room_size[2] or max(self.room_size) > MAX_COORDINATE:
             raise ConfigError(f"room x and y must be in [0.6, {MAX_COORDINATE:g}] m and its height in (0, "
                               f"{MAX_COORDINATE:g}], got {self.room_size}")
-        if self.support_radius < 0:
-            raise ConfigError(f"support_radius must be >= 0, got {self.support_radius!r}")
+        if not 0 <= self.support_radius <= MAX_COORDINATE:
+            raise ConfigError(f"support_radius must be in [0, {MAX_COORDINATE:g}] m, got {self.support_radius!r}")
         LabelConfig(self.epsilon)  # epsilon > 0
         if not 0 < self.move_distance[0] <= self.move_distance[1]:
             raise ConfigError(f"move_distance must be 0 < low <= high, got {self.move_distance}")

@@ -125,23 +125,6 @@ def _matmul_per_graph(x: np.ndarray, m: np.ndarray, spans: Sequence[tuple[int, i
     return out
 
 
-def _add_rows_in_order(grad: np.ndarray, rows: np.ndarray) -> None:
-    """grad += rows[1], then rows[2], and so on; rows[0] is scratch.
-
-    With grad in row 0, ``np.add.reduce`` over axis 0 adds row after row
-    whenever a row has two or more elements: the reduced axis is then the
-    outer loop, and each element's sum runs in row order. A one-element
-    row would make it the inner loop, which numpy sums pairwise from 8
-    terms on, so that case uses ``np.add.accumulate``, sequential by
-    definition (and over 10 times slower on a weight matrix).
-    """
-    rows[0] = grad
-    if grad.size > 1:
-        np.add.reduce(rows, axis=0, out=grad)
-    else:
-        grad[...] = np.add.accumulate(rows, axis=0)[-1]
-
-
 class Mlp:
     """Fully connected net: ReLU on hidden layers, identity on the output.
 
@@ -204,9 +187,8 @@ class Mlp:
     def backward(self, cache: tuple, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Add parameter gradients; return the input gradient, or None if not input_grad.
 
-        Graph g's weight and bias gradients go to row g + 1 of a buffer,
-        added to the gradient in graph order: the floats of one ``+=`` per
-        graph (`_add_rows_in_order`).
+        Each graph's weight and bias gradients are added with their own
+        ``+=``, in graph order: the floats of training on one graph at a time.
         """
         dy = np.asarray(dy, dtype=np.float64)
         spans, layers = cache
@@ -219,13 +201,9 @@ class Mlp:
             if da.shape != (h.shape[0], w.value.shape[1]):
                 raise DimensionError("stale cache shape in MLP backward")
             dz = da if active is None else da * active
-            dw = np.empty((len(spans) + 1, *w.grad.shape))
-            db = np.empty((len(spans) + 1, *b.grad.shape))
-            for q, (start, stop) in enumerate(spans, 1):
-                np.matmul(h[start:stop].T, dz[start:stop], out=dw[q])
-                np.add.reduce(dz[start:stop], axis=0, out=db[q])
-            _add_rows_in_order(w.grad, dw)
-            _add_rows_in_order(b.grad, db)
+            for start, stop in spans:
+                w.grad += h[start:stop].T @ dz[start:stop]
+                b.grad += dz[start:stop].sum(axis=0)
             if l == 0 and not input_grad:
                 return None
             da = _matmul_per_graph(dz, w.value.T, spans)

@@ -32,9 +32,9 @@ on stays per graph:
 - each bias-gradient and loss sum over a graph's own rows:
   ``np.add.reduceat`` differs from the per-graph ``sum`` in 294 of 300
   random cases, so it is not used;
-- the order in which graphs' gradients are added: each goes to a row of
-  a buffer that ``np.add.reduce`` adds row after row (see nn_core's
-  ``_add_rows_in_order`` for the one-element case it would sum pairwise).
+- the order in which graphs' gradients are added: each graph's weight and
+  bias gradients are added with their own ``+=``, in batch order, and no
+  batched reduction over graphs is used.
 Input gradients nobody reads are skipped, and one flat parameter buffer
 serves Adam, ``zero_grads`` and the snapshots. A sort plus
 ``np.add.reduceat`` for the message sum differs from the sequential sum in
@@ -80,11 +80,11 @@ class LossConfig:
     class_weights: tuple[tuple[float, float], ...] = ((1.0, 1.0),) * 3
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma!r}")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         w = np.asarray(self.class_weights, dtype=np.float64)
-        if w.shape != (3, 2) or not (w > 0).all():
-            raise ConfigError("class_weights must be a (3, 2) table of positive weights")
+        if w.shape != (3, 2) or not ((w > 0) & (w < math.inf)).all():
+            raise ConfigError("class_weights must be a (3, 2) table of finite positive weights")
         object.__setattr__(
             self, "class_weights", tuple(tuple(float(x) for x in row) for row in w)
         )
@@ -159,8 +159,10 @@ class TrainConfig:
     patience: int | None = 20  # epochs without val pooled-F1 improvement; None disables
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs, batch_size and learning_rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         check_dropout_rate(self.dropout_rate)
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")

@@ -109,6 +109,7 @@ BAD_SPEC_VALUES = [
     ("room_size", [8, 8, 0]),
     ("room_size", [2e9, 8, 3]),  # each object lies in the room, and a coordinate is at most 1e9 m
     ("room_size", [8, 8, 1e200]),
+    ("support_radius", 1.7e308),  # _place draws offsets in +-0.6 r, which overflows numpy's range
 ]
 
 

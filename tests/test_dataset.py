@@ -437,6 +437,9 @@ class TestGenerator:
             dict(room_size=(0.5, 0.5, 3.0)),  # inside the two 0.3 m wall margins
             dict(room_size=(-8.0, 8.0, 3.0)),
             dict(support_radius=-1.0),
+            dict(support_radius=float("nan")),
+            dict(support_radius=float("inf")),
+            dict(support_radius=2e9),  # offsets around a support reach +-0.6 r
             dict(move_distance=(0.9, 0.25)),
             dict(epsilon=-1.0),
             dict(appear_prob=1.5),

@@ -149,6 +149,12 @@ class TestFocalLoss:
             LossConfig(class_weights=((1.0, 0.0),) * 3)
         with pytest.raises(ConfigError):
             LossConfig(class_weights=((1.0, 1.0),) * 2)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="gamma"):
+                LossConfig(gamma=gamma)
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="class_weights"):
+                LossConfig(class_weights=((1.0, 1.0), (weight, 1.0), (1.0, 1.0)))
 
 
 def sample_with_labels(tiny_tax, rows: list, scan="s0"):
@@ -504,6 +510,9 @@ class TestTrain:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
+        for lr in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
 
 
 def test_validation_memory_stays_at_one_batch(monkeypatch):
@@ -534,6 +543,25 @@ def test_validation_memory_stays_at_one_batch(monkeypatch):
         tracemalloc.stop()
     assert max(sizes) == 2
     assert peak < 1.5 * 2**20
+
+
+def test_train_step_memory_does_not_scale_with_batch_times_weights():
+    # 256 four-node graphs through an MLP with 128 x 128 hidden weights: one
+    # 128 KiB gradient per graph and layer would make 32 MiB per layer; the
+    # union's 1,024 x 128 activations and their gradients are 1 MiB each.
+    rng = np.random.default_rng(5)
+    graphs = [random_embedded_graph(rng, 4, 8, 2) for _ in range(256)]
+    rows = [(i % 2, i // 2, 0, 1, 1) for i in range(4)]
+    samples = [make_sample(make_graph([make_node(f"o{i}") for i in range(4)], scan=f"s{k}"), rows, (f"s{k}", "t"))
+               for k in range(256)]
+    model = make_model(d_v=8, hidden=128, seed=3, kind="mlp")
+    tracemalloc.start()
+    try:
+        training_module._train_step(model, graphs, samples, LossConfig(), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # Reference kernels for the whole-run test: the forms training used before
@@ -630,8 +658,9 @@ def hand_built_batch(d_v, seed):
     ids=["deltavsg", "scalar_gate", "mlp_baseline", "scalar_gate_width_1"],
 )
 def test_union_step_matches_per_graph_step(monkeypatch, kind, d_v, hidden, scalar_gate, dropout):
-    # Width 1 makes one-element weights and biases, whose gradient buffers
-    # numpy would sum pairwise from 8 graphs on.
+    # Width 1 makes one-element weights and biases: a batched reduction of
+    # their per-graph gradients over 8 or more graphs would be summed
+    # pairwise, not in graph order.
     graphs, samples = hand_built_batch(d_v, seed=7)
     model = make_model(d_v=d_v, hidden=hidden, seed=3, dropout=dropout, scalar_gate=scalar_gate, kind=kind)
     jitter_params(model.store, 3)
