@@ -1,8 +1,9 @@
 """Command-line pipeline: generate, train, eval, predict, plan, compare-planners.
 
-Every run echoes its fully resolved configuration (flag > config file >
-built-in default) on one `resolved-config:` line, and is deterministic given
-that configuration. Exit codes: 0 success, 1 domain error (single-line
+Every run computes its answer, then echoes its fully resolved configuration
+(flag > config file > built-in default) on one `resolved-config:` line, then
+writes and prints; `train` alone trains after its echo. A run is deterministic
+given that configuration. Exit codes: 0 success, 1 domain error (single-line
 `error: <Kind>: <message>` on stderr), 2 usage error.
 """
 
@@ -32,8 +33,6 @@ from .dataset import (
 from .errors import CheckpointError, ConfigError, EvaluationError, UsageError, VsgError
 from .model import MODEL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .planner import (
-    COVERAGE,
-    VSG_PLANNER,
     Episode,
     changed_object_ids,
     check_route,
@@ -50,7 +49,6 @@ from .training import (
     SWEEP_THRESHOLDS,
     LossConfig,
     TrainConfig,
-    check_threshold,
     class_weights_from_samples,
     evaluate_probabilities,
     prepare_training,
@@ -107,10 +105,10 @@ def cmd_generate(args) -> int:
     spec = _read_json(args.spec, "generator spec", ConfigError) if args.spec else {}
     source = args.spec or "generator config"
     cfg = generator_config_from_dict(spec | _flag_values(args, GeneratorConfig), source)
-    _echo_config("generate", dataclasses.asdict(cfg) | {"out": args.out})
     data = generate_dataset(cfg)
-    write_dataset(args.out, data.taxonomy, data.environments, data.splits)
     samples = sum(len(augment_pairs(scans)) for scans in data.environments.values())
+    _echo_config("generate", dataclasses.asdict(cfg) | {"out": args.out})
+    write_dataset(args.out, data.taxonomy, data.environments, data.splits)
     print(
         f"generated {len(data.environments)} environments x "
         f"{cfg.scans_per_environment} scans -> {samples} samples at {args.out}"
@@ -159,13 +157,16 @@ def cmd_eval(args) -> int:
     bundle = load_dataset(_require_dir(args.data, "data"))
     _check_taxonomy(tax, bundle.taxonomy.name, "dataset")
     label_cfg = _config_from_json(LabelConfig, _flag_values(args, LabelConfig), "label config")
-    check_threshold(args.threshold)
     samples = bundle.samples(args.split, label_cfg)
     if not samples:
         raise EvaluationError(
             f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
         )
     probabilities = sample_probabilities(model, samples, bundle.taxonomy)
+    thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
+    report, *sweep = evaluate_probabilities(
+        probabilities, [s.labels for s in samples], [s.masks for s in samples], thresholds
+    )
     _echo_config(
         "eval",
         {
@@ -176,10 +177,6 @@ def cmd_eval(args) -> int:
             "epsilon": label_cfg.epsilon,
             "report": args.report,
         },
-    )
-    thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
-    report, *sweep = evaluate_probabilities(
-        probabilities, [s.labels for s in samples], [s.masks for s in samples], thresholds
     )
     write_eval_csv(report, args.report)
     if args.sweep:
@@ -197,11 +194,11 @@ def cmd_predict(args) -> int:
     model, tax = load_checkpoint(args.ckpt)
     scene = _load_scene(args.scene, tax)
     probabilities = model.predict_probabilities(scene, tax)
-    _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     out = scene_graph_to_dict(scene, tax)
     for node_dict in out["nodes"]:
         p_position, p_state, p_instance = probabilities[node_dict["id"]]
         node_dict["variability"] = {"p_position": p_position, "p_state": p_state, "p_instance": p_instance}
+    _echo_config("predict", {"ckpt": args.ckpt, "scene": args.scene, "out": args.out})
     _write_text(args.out, _encode_json(out, indent=2))
     print(f"wrote variability scene graph for {scene.num_nodes} objects to {args.out}")
     return 0
@@ -221,9 +218,14 @@ def cmd_plan(args) -> int:
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
     start_vec = route_start(scene, start)
-    probabilities = model.predict_probabilities(scene, tax)
-    route = ranked_route(scene, probabilities, args.n, start_vec)
+    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec)
     total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])
+    results = []
+    if realized is not None:
+        ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
+        changed = changed_object_ids(ep, tax)
+        results = [run_coverage(ep, tax, changed=changed),
+                   run_vsg_planner(ep, model, tax, first=route, changed=changed)]
     _echo_config(
         "plan",
         {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
@@ -231,24 +233,17 @@ def cmd_plan(args) -> int:
     )
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
-
-    if realized is not None:
-        ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
-        changed = changed_object_ids(ep, tax)
-        for name, result in (
-            (COVERAGE, run_coverage(ep, tax, changed=changed)),
-            (VSG_PLANNER, run_vsg_planner(ep, model, tax, probabilities=probabilities, changed=changed)),
-        ):
-            flags = []
-            if result.fallback_used:
-                flags.append("fallback")
-            if result.infeasible:
-                flags.append("infeasible")
-            print(
-                f"{name}: distance {result.distance_traveled:.6f} "
-                f"changes {result.changes_found} visits {len(result.visit_order)}"
-                + (f" [{', '.join(flags)}]" if flags else "")
-            )
+    for result in results:
+        flags = []
+        if result.fallback_used:
+            flags.append("fallback")
+        if result.infeasible:
+            flags.append("infeasible")
+        print(
+            f"{result.planner}: distance {result.distance_traveled:.6f} "
+            f"changes {result.changes_found} visits {len(result.visit_order)}"
+            + (f" [{', '.join(flags)}]" if flags else "")
+        )
     return 0
 
 

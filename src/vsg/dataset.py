@@ -387,8 +387,9 @@ class GeneratorConfig:
         if min(self.room_size[:2]) < 0.6 or not 0 < self.room_size[2] or max(self.room_size) > MAX_COORDINATE:
             raise ConfigError(f"room x and y must be in [0.6, {MAX_COORDINATE:g}] m and its height in (0, "
                               f"{MAX_COORDINATE:g}], got {self.room_size}")
-        if not 0 <= self.support_radius <= MAX_COORDINATE:
-            raise ConfigError(f"support_radius must be in [0, {MAX_COORDINATE:g}] m, got {self.support_radius!r}")
+        for name in ("support_radius", "next_to_radius", "min_spacing"):
+            if not 0 <= getattr(self, name) <= MAX_COORDINATE:  # NaN fails too
+                raise ConfigError(f"{name} must be in [0, {MAX_COORDINATE:g}] m, got {getattr(self, name)!r}")
         LabelConfig(self.epsilon)  # epsilon > 0
         if not 0 < self.move_distance[0] <= self.move_distance[1]:
             raise ConfigError(f"move_distance must be 0 < low <= high, got {self.move_distance}")

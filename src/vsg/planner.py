@@ -508,17 +508,18 @@ def ranked_route(
 
 def run_vsg_planner(
     ep: Episode, model, tax: Taxonomy, *,
-    probabilities: dict[str, tuple[float, float, float]] | None = None, changed: frozenset[str] | None = None,
+    first: list[str] | None = None, changed: frozenset[str] | None = None,
 ) -> EpisodeResult:
     """Tour the n+3 most change-prone objects first, Coverage as fallback.
 
-    `model` is anything with predict_probabilities(graph, taxonomy); the
-    first tour is `ranked_route` of its probabilities, or of `probabilities`
-    if given. `changed` is as in `run_coverage`.
+    `model` is anything with predict_probabilities(graph, taxonomy). `first`,
+    if given, is the phase-1 route: `ranked_route(ep.previous_map, p, ep.n,
+    ep.start())` of the model's probabilities p. None ranks the model's
+    predictions. `changed` is as in `run_coverage`.
     """
-    if probabilities is None:
+    if first is None:
         probabilities = model.predict_probabilities(ep.previous_map, tax)
-    first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
+        first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
     return _tour_and_walk(ep, tax, VSG_PLANNER, first, None, changed)
 
 
@@ -587,7 +588,8 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
             continue
         if pair[0] not in predicted:
             predicted[pair[0]] = model.predict_probabilities(ep.previous_map, tax)
-        vsg = run_vsg_planner(ep, model, tax, probabilities=predicted[pair[0]], changed=changed[pair])
+        first = ranked_route(ep.previous_map, predicted[pair[0]], ep.n, ep.start())
+        vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair])
         by_n.setdefault(ep.n, []).append((cov.distance_traveled, vsg.distance_traveled))
     if not by_n:
         raise EvaluationError("no feasible episodes: every realized scene had too few changes")

@@ -30,6 +30,7 @@ from vsg import (
     write_sweep_csv,
 )
 from vsg import planner
+import vsg.cli as cli_module
 import vsg.dataset as dataset_module
 import vsg.model as model_module
 from vsg.cli import _TRAIN_SECTIONS, _parse_n_range, build_parser, dispatch
@@ -196,16 +197,21 @@ class TestExitCodes:
         assert peak < 2**20, peak
 
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way to a refusal either
     @pytest.mark.parametrize(
-        "case", ["plan-n-zero", "plan-empty-scene", "eval-empty-split", "train-empty-split"])
+        "case", ["plan-n-zero", "plan-empty-scene", "eval-empty-split", "train-empty-split",
+                 "generate-unplaceable", "plan-realized-other-environment"])
     def test_refused_before_echo(self, pipeline, tmp_path, capsys, case):
         # Each case is refused after its inputs are read but before the echo,
         # so no file is written besides the input it starts from.
         empty_scene = tmp_path / "empty.json"
+        spec = tmp_path / "gen.json"
         if case == "plan-empty-scene":
             scene = json.loads(pipeline["scene"].read_text())
             empty_scene.write_text(json.dumps(scene | {"nodes": [], "edges": []}))
-        elif case != "plan-n-zero":
+        elif case == "generate-unplaceable":  # no room for objects 20 m apart
+            spec.write_text(json.dumps({"num_environments": 1, "min_spacing": 20.0}))
+        elif case in ("eval-empty-split", "train-empty-split"):
             data = tmp_path / "data"
             shutil.copytree(pipeline["data"], data)
             manifest = json.loads((data / "manifest.json").read_text())
@@ -221,13 +227,19 @@ class TestExitCodes:
                                   "--split", "val", "--report", tmp_path / "m.csv"], "EvaluationError"),
             "train-empty-split": (["train", "--data", tmp_path / "data", "--out", tmp_path / "m.json",
                                    *TRAIN_FLAGS], "TrainingError"),
+            "generate-unplaceable": (["generate", "--spec", spec, "--out", tmp_path / "data"],
+                                     "GeneratorError"),
+            "plan-realized-other-environment": (
+                ["plan", "--ckpt", pipeline["ckpt"], "--scene", pipeline["scene"], "--n", "1",
+                 "--realized", pipeline["data"] / "env001" / "scan01.json"], "PairingError"),
         }[case]
         rc = dispatch([str(a) for a in argv])
         out, err = capsys.readouterr()
         assert rc == 1 and "resolved-config:" not in out, out
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {kind}:"), err
-        inputs = {"plan-n-zero": [], "plan-empty-scene": ["empty.json"]}.get(case, ["data"])
+        inputs = {"plan-n-zero": [], "plan-empty-scene": ["empty.json"], "generate-unplaceable": ["gen.json"],
+                  "plan-realized-other-environment": []}.get(case, ["data"])
         assert [p.name for p in tmp_path.iterdir()] == inputs
 
 
@@ -668,8 +680,10 @@ class TestPlan:
         assert any(l.startswith("vsg: distance ") for l in out.splitlines())
 
     def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):
+        # ... and solves its phase-1 route once: the guided run walks the printed route.
         calls = []
         predict, labels = _VariabilityModel.predict_probabilities, planner.compute_labels
+        route = planner.ranked_route
 
         def counting_predict(self, *args):
             calls.append("predict")
@@ -679,14 +693,20 @@ class TestPlan:
             calls.append("labels")
             return labels(*args)
 
+        def counting_route(*args):
+            calls.append("phase-1")
+            return route(*args)
+
         monkeypatch.setattr(_VariabilityModel, "predict_probabilities", counting_predict)
         monkeypatch.setattr(planner, "compute_labels", counting_labels)
+        monkeypatch.setattr(planner, "ranked_route", counting_route)
+        monkeypatch.setattr(cli_module, "ranked_route", counting_route)
         realized = pipeline["data"] / "env000" / "scan01.json"
         rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
                        "--scene", str(pipeline["scene"]), "--n", "2",
                        "--realized", str(realized)])
         assert rc == 0
-        assert sorted(calls) == ["labels", "predict"]
+        assert sorted(calls) == ["labels", "phase-1", "predict"]
         capsys.readouterr()
 
     def test_bad_start_is_usage_error(self, pipeline, capsys):

@@ -271,3 +271,32 @@ def test_every_file_is_written_through_the_one_encoder_and_the_two_writers():
               if callee in ("csv.writer", "csv.DictWriter") or callee == "open" and _opens_for_writing(call)]
     assert writes == [("core_graph.py", "_write_text", "open"), ("core_graph.py", "_write_csv", "open"),
                       ("core_graph.py", "_write_csv", "csv.writer")]
+
+
+# Calls a command may make after its echo: writers and the rows they write.
+# Training is the one computation after the echo, so its log names the config.
+_AFTER_ECHO = ("save_checkpoint", "_write_text", "_encode_json", "sweep_rows")
+
+
+def test_every_command_computes_before_its_echo():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                for a in node.names}
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 6
+    late = []
+    for command in commands:
+        calls = sorted((c for c in ast.walk(command) if isinstance(c, ast.Call)), key=lambda c: c.lineno)
+        echoes = [c for c in calls if ast.unparse(c.func) == "_echo_config"]
+        assert len(echoes) == 1, command.name
+        for call in calls:
+            root = call.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            name = getattr(root, "id", None)
+            if call.lineno > echoes[0].end_lineno and name in imported and not (
+                name.startswith("write_") or name in _AFTER_ECHO
+                or (command.name, name) == ("cmd_train", "train_prepared")
+            ):
+                late.append((command.name, call.lineno, name))
+    assert late == [], late

@@ -440,6 +440,10 @@ class TestGenerator:
             dict(support_radius=float("nan")),
             dict(support_radius=float("inf")),
             dict(support_radius=2e9),  # offsets around a support reach +-0.6 r
+            dict(min_spacing=float("nan")),
+            dict(min_spacing=-1.0),
+            dict(next_to_radius=float("nan")),
+            dict(next_to_radius=-3.0),
             dict(move_distance=(0.9, 0.25)),
             dict(epsilon=-1.0),
             dict(appear_prob=1.5),

@@ -943,10 +943,9 @@ class TestBenchmark:
                 fallbacks += vsg.fallback_used
                 assert run_coverage(ep, tiny_tax, changed=changed) == cov
                 assert run_vsg_planner(ep, scorer, tiny_tax, changed=changed) == vsg
-                assert run_vsg_planner(ep, scorer, tiny_tax, probabilities=probabilities) == vsg
-                assert run_vsg_planner(
-                    ep, scorer, tiny_tax, probabilities=probabilities, changed=changed
-                ) == vsg
+                first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
+                assert run_vsg_planner(ep, scorer, tiny_tax, first=first) == vsg
+                assert run_vsg_planner(ep, scorer, tiny_tax, first=first, changed=changed) == vsg
         assert fallbacks > 0
 
     def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
