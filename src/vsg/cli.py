@@ -217,9 +217,10 @@ def cmd_plan(args) -> int:
     check_route(scene, args.n)
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
-    start_vec = route_start(scene, start)
-    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec)
-    total = route_length(scene.positions(), start_vec, [scene.node_index(oid) for oid in route])
+    positions = scene.positions()
+    start_vec = route_start(positions, start)
+    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec, positions)
+    total = route_length(positions, start_vec, [scene.node_index(oid) for oid in route])
     results = []
     if realized is not None:
         ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)

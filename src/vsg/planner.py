@@ -12,6 +12,11 @@ TSP route. The variability-guided planner first tours the n+3 objects with
 the highest predicted change probability (score = max of the three), and
 falls back to a Coverage tour over the unvisited remainder, from wherever it
 stopped, if that was not enough. Motion is point-to-point Euclidean.
+
+A walk's length is its legs summed left to right, read off the coordinates
+(`route_length`) or, the same float, off a distance matrix with the start as
+its last index (`_path_length`). The benchmark builds each map's positions
+and start once, and one such matrix per episode for both runners.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, _write_csv, check_position, distance, node_positions
+from .core_graph import SceneGraph, Taxonomy, _write_csv, check_position, distance
 from .dataset import LabelConfig, compute_labels
 from .errors import ConfigError, EvaluationError
 
@@ -37,12 +42,20 @@ def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> flo
     """Total length of the open path start -> points[order[0]] -> ...
 
     The legs are summed left to right in Python, so the total is the same
-    float as a running sum over a precomputed distance matrix.
+    float as `_path_length` reads from `_extended_distances(points, start)`.
+    No matrix is built: a call takes memory linear in the route.
     """
     pts = np.asarray(points, dtype=np.float64)
     path = np.vstack([np.asarray(start, dtype=np.float64), pts[list(order)]])
     legs = distance(path[1:], path[:-1])
     return float(sum(legs.tolist()))
+
+
+def _path_length(dist: np.ndarray, first: int, order: list[int]) -> float:
+    """Length of the open path first -> order[0] -> ..., as legs of the
+    `_extended_distances` matrix `dist` summed as `route_length` sums them."""
+    path = [first, *order]
+    return float(sum(dist[path[:-1], path[1:]].tolist()))
 
 
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
@@ -320,14 +333,14 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     reverses a block of its rows and columns per move), never writing the
     matrix all searches share. Which entries they compare depends on n
     alone, so 2-opt's `bar` and Or-opt's index tables are built once per
-    call for all its searches; the floats compared are the same.
+    call for all its searches; the floats compared are the same. Each
+    search result is measured on that matrix too, by `_path_length`.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n <= 1:
         return list(range(n))
-    start = np.asarray(start, dtype=np.float64)
-    dist = _extended_distances(pts, start)
+    dist = _extended_distances(pts, np.asarray(start, dtype=np.float64))
     best: list[int] = []
     best_len = np.inf
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -340,7 +353,7 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
         if (key := tuple(order)) in measured:
             return
         measured.add(key)
-        length = route_length(pts, start, order)
+        length = _path_length(dist, n, order)
         if length < best_len - 1e-12:
             best, best_len = order, length
 
@@ -383,11 +396,12 @@ def check_route(graph: SceneGraph, n: int) -> None:
         raise ConfigError(f"a route needs n >= 1 and a non-empty map; got n = {n}, {graph.num_nodes} objects")
 
 
-def route_start(graph: SceneGraph, start_position=None) -> np.ndarray:
-    """Where a route on `graph` starts: `start_position`, or else the map's centroid."""
+def route_start(positions: np.ndarray, start_position=None) -> np.ndarray:
+    """Where a route on a map starts: `start_position`, or else the centroid
+    of the map's `positions`."""
     if start_position is not None:
         return np.asarray(start_position, dtype=np.float64)
-    return graph.positions().mean(axis=0)
+    return positions.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -403,10 +417,11 @@ class Episode:
     def __post_init__(self):
         check_route(self.previous_map, self.n)
         if self.start_position is not None:
-            check_position(self.start_position, ConfigError, "start_position")
+            start = check_position(self.start_position, ConfigError, "start_position")
+            object.__setattr__(self, "start_position", start)
 
     def start(self) -> np.ndarray:
-        return route_start(self.previous_map, self.start_position)
+        return route_start(self.previous_map.positions(), self.start_position)
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,6 +454,7 @@ def _walk(route: list[int], changed: set[int], need: int) -> tuple[list[int], in
 def _tour_and_walk(
     ep: Episode, tax: Taxonomy, planner: str, first: list[str],
     tour: list[int] | None, changed: frozenset[str] | None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> EpisodeResult:
     """Walk the route `first`, then, if fewer than n changes were found, a
     TSP tour over the objects not yet visited, from where the first walk
@@ -446,25 +462,38 @@ def _tour_and_walk(
 
     Coverage is this with an empty first route; for the guided planner the
     tour is the Coverage fallback after its phase-1 route. `tour` (that
-    tour's solve_tsp order) and `changed` (`changed_object_ids`) are the
-    caller's, or None. A walk's distance is the `route_length` of its prefix.
+    tour's solve_tsp order, so a permutation of the map's indices: only
+    Coverage passes one), `changed` (`changed_object_ids`) and `geometry`
+    (the map's positions, the start and their `_extended_distances`) are
+    the caller's, or None. A route that repeats an object is a ConfigError.
+
+    Each walk's length is `_path_length` on the geometry's matrix; the
+    fallback's legs are summed on their own and added to the first walk's.
     """
     graph = ep.previous_map
-    ids, positions, start = graph.node_ids, graph.positions(), ep.start()
+    ids = graph.node_ids
+    route = [graph.node_index(oid) for oid in first]
+    if len(set(route)) < len(route) or tour is not None and sorted(tour) != list(range(graph.num_nodes)):
+        raise ConfigError(f"a {planner} route visits each object once: got first route {first}, tour {tour}")
+    if geometry is None:
+        positions = graph.positions()
+        start = route_start(positions, ep.start_position)
+        geometry = positions, start, _extended_distances(positions, start)
+    positions, start, dist = geometry
     changed = changed_object_ids(ep, tax) if changed is None else changed
     changed = {graph.node_index(oid) for oid in changed}
-    visited, found = _walk([graph.node_index(oid) for oid in first], changed, ep.n)
-    walked = route_length(positions, start, visited)
+    visited, found = _walk(route, changed, ep.n)
+    walked = _path_length(dist, len(positions), visited)
     fallback = False
     if found < ep.n:
         remaining = sorted(set(range(graph.num_nodes)).difference(visited))
         if remaining:
             fallback = bool(first)
-            stop = positions[visited[-1]] if visited else start
+            stop = visited[-1] if visited else len(positions)  # the start is dist's last index
             if tour is None:
-                tour = solve_tsp(positions[remaining], stop)
+                tour = solve_tsp(positions[remaining], positions[stop] if visited else start)
             more, found_more = _walk([remaining[k] for k in tour], changed, ep.n - found)
-            walked += route_length(positions, stop, more)
+            walked += _path_length(dist, stop, more)
             visited, found = visited + more, found + found_more
     return EpisodeResult(
         planner=planner,
@@ -477,12 +506,17 @@ def _tour_and_walk(
 
 
 def run_coverage(
-    ep: Episode, tax: Taxonomy, *, tour: list[int] | None = None, changed: frozenset[str] | None = None
+    ep: Episode, tax: Taxonomy, *, tour: list[int] | None = None, changed: frozenset[str] | None = None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> EpisodeResult:
     """TSP tour over every previous-map object, walked until n changes.
-    `tour`, if given, is `solve_tsp(ep.previous_map.positions(), ep.start())`
-    and `changed`, if given, is `changed_object_ids(ep, tax)`."""
-    return _tour_and_walk(ep, tax, COVERAGE, [], tour, changed)
+
+    `tour`, if given, is `solve_tsp(positions, start)`, a permutation of the
+    map's indices (else a ConfigError); `changed`, if given, is
+    `changed_object_ids(ep, tax)`; `geometry`, if given, is `(positions,
+    start, _extended_distances(positions, start))` for `positions =
+    ep.previous_map.positions()` and `start = ep.start()`."""
+    return _tour_and_walk(ep, tax, COVERAGE, [], tour, changed, geometry)
 
 
 def ranked_route(
@@ -490,37 +524,42 @@ def ranked_route(
     probabilities: dict[str, tuple[float, float, float]],
     n: int,
     start: np.ndarray,
+    positions: np.ndarray | None = None,
 ) -> list[str]:
     """Phase-1 route of the guided planner: a TSP tour over the n+3 objects
     most likely to have changed.
 
     An object's score is the max of its three probabilities, ties broken
     toward the lower object id; the chosen objects keep node order before
-    the tour is solved. `check_route` refuses the graph and n, as an
-    `Episode` does.
+    the tour is solved. `positions`, if given, is `graph.positions()`.
+    `check_route` refuses the graph and n, as an `Episode` does.
     """
     check_route(graph, n)
     ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
     top = set(ranked[: n + 3])
-    ids = [oid for oid in graph.node_ids if oid in top]
-    return [ids[k] for k in solve_tsp(node_positions(graph.node(oid) for oid in ids), start)]
+    ids = graph.node_ids
+    chosen = [i for i, oid in enumerate(ids) if oid in top]
+    positions = graph.positions() if positions is None else positions
+    return [ids[chosen[k]] for k in solve_tsp(positions[chosen], start)]
 
 
 def run_vsg_planner(
     ep: Episode, model, tax: Taxonomy, *,
     first: list[str] | None = None, changed: frozenset[str] | None = None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> EpisodeResult:
     """Tour the n+3 most change-prone objects first, Coverage as fallback.
 
     `model` is anything with predict_probabilities(graph, taxonomy). `first`,
     if given, is the phase-1 route: `ranked_route(ep.previous_map, p, ep.n,
-    ep.start())` of the model's probabilities p. None ranks the model's
-    predictions. `changed` is as in `run_coverage`.
+    ep.start())` of the model's probabilities p; a route that repeats an
+    object is a ConfigError. None ranks the model's predictions. `changed`
+    and `geometry` are as in `run_coverage`.
     """
     if first is None:
         probabilities = model.predict_probabilities(ep.previous_map, tax)
         first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
-    return _tour_and_walk(ep, tax, VSG_PLANNER, first, None, changed)
+    return _tour_and_walk(ep, tax, VSG_PLANNER, first, None, changed, geometry)
 
 
 class OracleScorer:
@@ -564,32 +603,44 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
     excluded from the statistics. The speedup column is relative to the
     Coverage baseline, so Coverage's own rows carry 0.
 
-    The Coverage tour depends on neither n nor the realized scene, so it is
-    solved once per (map, start) and shared by the episodes that have both.
-    Labels are found once per scan pair and predictions once per map, so a
-    model's predict_probabilities must depend on (graph, taxonomy) alone.
+    Each map's positions are built once per call, and its start and
+    Coverage tour once per (map, start): the tour depends on neither n nor
+    the realized scene, so the episodes that share both share it. Each
+    episode builds one distance matrix from them, which both runners walk
+    on and which is dropped after the episode, so what is kept grows with
+    the number of maps. Labels are found once per scan pair and predictions
+    once per map, so a model's predict_probabilities must depend on (graph,
+    taxonomy) alone.
     """
     by_n: dict[int, list[tuple[float, float]]] = {}
     infeasible = 0
-    tours: dict[tuple[bytes, bytes], list[int]] = {}
     # By graph identity (`episodes` keeps each alive); compare-planners sorts by n.
+    positions: dict[int, np.ndarray] = {}
+    tours: dict[tuple[int, tuple[float, float, float] | None], tuple[np.ndarray, list[int]]] = {}
     changed: dict[tuple[int, int, LabelConfig], frozenset[str]] = {}
     predicted: dict[int, dict[str, tuple[float, float, float]]] = {}
     for ep in episodes:
-        key = (ep.previous_map.positions().tobytes(), ep.start().tobytes())
+        graph = ep.previous_map
+        if id(graph) not in positions:
+            positions[id(graph)] = graph.positions()
+        pts = positions[id(graph)]
+        key = (id(graph), ep.start_position)
         if key not in tours:
-            tours[key] = solve_tsp(ep.previous_map.positions(), ep.start())
-        pair = (id(ep.previous_map), id(ep.realized_scene), ep.label_cfg)
+            start = route_start(pts, ep.start_position)
+            tours[key] = start, solve_tsp(pts, start)
+        start, tour = tours[key]
+        geometry = pts, start, _extended_distances(pts, start)
+        pair = (id(graph), id(ep.realized_scene), ep.label_cfg)
         if pair not in changed:
             changed[pair] = changed_object_ids(ep, tax)
-        cov = run_coverage(ep, tax, tour=tours[key], changed=changed[pair])
+        cov = run_coverage(ep, tax, tour=tour, changed=changed[pair], geometry=geometry)
         if cov.infeasible:
             infeasible += 1
             continue
-        if pair[0] not in predicted:
-            predicted[pair[0]] = model.predict_probabilities(ep.previous_map, tax)
-        first = ranked_route(ep.previous_map, predicted[pair[0]], ep.n, ep.start())
-        vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair])
+        if id(graph) not in predicted:
+            predicted[id(graph)] = model.predict_probabilities(graph, tax)
+        first = ranked_route(graph, predicted[id(graph)], ep.n, start, pts)
+        vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair], geometry=geometry)
         by_n.setdefault(ep.n, []).append((cov.distance_traveled, vsg.distance_traveled))
     if not by_n:
         raise EvaluationError("no feasible episodes: every realized scene had too few changes")

@@ -27,7 +27,7 @@ from vsg import (
     write_benchmark_csv,
 )
 from vsg import planner
-from vsg.core_graph import MAX_COORDINATE
+from vsg.core_graph import MAX_COORDINATE, SceneGraph
 from vsg.planner import (
     _DOUBLE_BRIDGE_KICKS,
     EXACT_TSP_LIMIT,
@@ -284,18 +284,25 @@ class TestTsp:
         assert route_length(points, np.zeros(3), order) == pytest.approx(3.0)
 
     def test_route_length_is_running_sum_of_matrix_legs(self):
-        # heuristic_tsp compares candidate routes by route_length, so it must
-        # equal, float for float, the left-to-right sum of distance-matrix legs.
+        # The runners and heuristic_tsp measure walks on the distance matrix
+        # (`_path_length`), so it must equal route_length, float for float,
+        # and both the left-to-right sum of distance-matrix legs: from the
+        # start (index n) and from a node, where the fallback starts.
         rng = np.random.default_rng(7)
-        for n in range(12):
-            points = rng.uniform(-10, 10, size=(n, 3))
-            start = rng.uniform(-10, 10, size=3)
+        for v, n in itertools.product([10.0] + [v for v in MAGNITUDES if v <= MAX_COORDINATE], range(31)):
+            points = rng.uniform(-v, v, size=(n, 3))
+            start = rng.uniform(-v, v, size=3)
             order = [int(k) for k in rng.permutation(n)]
             dist = _extended_distances(points, start)
-            expected, prev = 0.0, n
-            for k in order:
-                expected, prev = expected + dist[prev, k], k
-            assert route_length(points, start, order) == expected, n
+            walks = [(n, order, start)]
+            if n:
+                walks.append((order[0], order[1:], points[order[0]]))
+            for first, rest, begin in walks:
+                expected, prev = 0.0, first
+                for k in rest:
+                    expected, prev = expected + dist[prev, k], k
+                assert route_length(points, begin, rest) == expected, (v, n, first)
+                assert planner._path_length(dist, first, rest) == expected, (v, n, first)
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -646,6 +653,23 @@ class TestCoverage:
         centroid_ep = Episode(ep.previous_map, ep.realized_scene, n=1)
         npt.assert_allclose(centroid_ep.start(), [2.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("start", [np.array([1, 2, 3]), [1, 2, 3], (1.0, np.float32(2), np.int64(3))])
+    def test_start_position_is_kept_as_a_float_tuple(self, tiny_tax, start):
+        # So episodes compare and hash whatever sequence their start came as.
+        ep = line_episode(tiny_tax)
+        same = [Episode(ep.previous_map, ep.realized_scene, n=1, start_position=start) for _ in range(2)]
+        assert same[0].start_position == (1.0, 2.0, 3.0)
+        assert all(type(c) is float for c in same[0].start_position)
+        assert same[0] == same[1]
+        floats = Episode(ep.previous_map, ep.realized_scene, n=1, start_position=(1.0, 2.0, 3.0))
+        assert hash(same[0]) == hash(floats)
+
+    @pytest.mark.parametrize("tour", [[0, 0, 1], [0, 1], [0, 1, 3], [2, 1, 0, 0]])
+    def test_tour_that_is_not_a_permutation_is_refused(self, tiny_tax, tour):
+        ep = line_episode(tiny_tax, n=2, changed_ids=("a",))
+        with pytest.raises(ConfigError, match="visits each object once"):
+            run_coverage(ep, tiny_tax, tour=tour)
+
 
 class TestHostileMagnitudes:
     @pytest.mark.parametrize("v", MAGNITUDES + [float("nan"), float("inf")])
@@ -751,6 +775,13 @@ class TestVsgPlanner:
         # kicks in and the first four visits stay inside that set.
         assert set(result.visit_order[:4]) == {"u0", "u1", "u2", "u3"}
         assert result.fallback_used
+
+    def test_first_route_that_repeats_an_object_is_refused(self, tiny_tax):
+        # Visiting "a" twice would count its one change twice.
+        ep = line_episode(tiny_tax, n=2, changed_ids=("a",))
+        with pytest.raises(ConfigError, match="visits each object once"):
+            run_vsg_planner(ep, UniformScorer(), tiny_tax, first=["a", "a", "c"])
+        assert run_vsg_planner(ep, UniformScorer(), tiny_tax, first=["a", "c"]).infeasible
 
     def test_fallback_accumulates_distance(self, tiny_tax):
         ep = cluster_episode(tiny_tax, n=1)
@@ -898,7 +929,7 @@ class TestBenchmark:
         cov_calls = []
         coverage = planner.run_coverage
 
-        def coverage_without_tour(ep, tax, *, tour=None, changed=None):
+        def coverage_without_tour(ep, tax, *, tour=None, changed=None, geometry=None):
             cov_calls.append(ep)
             return coverage(ep, tax)
 
@@ -938,15 +969,67 @@ class TestBenchmark:
             for ep in scan_pair_episodes(rng, 10, moved):
                 changed = planner.changed_object_ids(ep, tiny_tax)
                 probabilities = scorer.predict_probabilities(ep.previous_map, tiny_tax)
+                positions, start = ep.previous_map.positions(), ep.start()
+                geometry = positions, start, _extended_distances(positions, start)
+                tour = solve_tsp(positions, start)
                 cov = run_coverage(ep, tiny_tax)
                 vsg = run_vsg_planner(ep, scorer, tiny_tax)
                 fallbacks += vsg.fallback_used
                 assert run_coverage(ep, tiny_tax, changed=changed) == cov
+                assert run_coverage(ep, tiny_tax, geometry=geometry) == cov
+                assert run_coverage(ep, tiny_tax, tour=tour, changed=changed, geometry=geometry) == cov
                 assert run_vsg_planner(ep, scorer, tiny_tax, changed=changed) == vsg
+                assert run_vsg_planner(ep, scorer, tiny_tax, geometry=geometry) == vsg
                 first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
+                assert ranked_route(ep.previous_map, probabilities, ep.n, start, positions) == first
                 assert run_vsg_planner(ep, scorer, tiny_tax, first=first) == vsg
                 assert run_vsg_planner(ep, scorer, tiny_tax, first=first, changed=changed) == vsg
+                assert run_vsg_planner(
+                    ep, scorer, tiny_tax, first=first, changed=changed, geometry=geometry
+                ) == vsg
         assert fallbacks > 0
+
+    def test_geometry_built_once_per_map_and_matrix_once_per_episode(self, tiny_tax, monkeypatch):
+        # The maps of test_coverage_tour_solved_once_per_map_and_start: the
+        # planner builds each map's positions once and its centroid once, and
+        # run_benchmark one distance matrix per episode, which the runners
+        # and ranked_route use instead of building their own.
+        rng = np.random.default_rng(21)
+        episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
+        episodes += [
+            Episode(ep.previous_map, ep.realized_scene, ep.n, start_position=(1.0, 2.0, 0.5))
+            for ep in episodes[3:]
+        ]
+        built, starts, matrices = [], [], []
+        positions, route_start = SceneGraph.positions, planner.route_start
+        extended = planner._extended_distances
+
+        def counting_positions(graph):
+            if sys._getframe(1).f_globals["__name__"] == "vsg.planner":
+                built.append(id(graph))
+            return positions(graph)
+
+        def counting_route_start(points, start_position=None):
+            starts.append((points.tobytes(), start_position))
+            return route_start(points, start_position)
+
+        def counting_extended(pts, start):
+            matrices.append(sys._getframe(1).f_code.co_name)
+            return extended(pts, start)
+
+        monkeypatch.setattr(SceneGraph, "positions", counting_positions)
+        monkeypatch.setattr(planner, "route_start", counting_route_start)
+        monkeypatch.setattr(planner, "_extended_distances", counting_extended)
+        summary = run_benchmark(episodes, PositionScorer(), tiny_tax)
+        assert summary.feasible_episodes == len(episodes)
+        maps = {id(ep.previous_map) for ep in episodes}
+        assert len(maps) == 2 and sorted(built) == sorted(maps)
+        assert sorted(starts, key=repr) == sorted(
+            {(ep.previous_map.positions().tobytes(), ep.start_position) for ep in episodes}, key=repr
+        )
+        assert sum(start is None for _, start in starts) == len(maps)
+        assert matrices.count("run_benchmark") == len(episodes)
+        assert set(matrices) <= {"run_benchmark", "held_karp", "heuristic_tsp"}
 
     def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
         rng = np.random.default_rng(23)
