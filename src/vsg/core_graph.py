@@ -196,6 +196,7 @@ class SceneGraph:
                         "does not resolve to a node"
                     )
         object.__setattr__(self, "_index_of", index_of)
+        object.__setattr__(self, "_node_ids", tuple(index_of))
 
     @property
     def num_nodes(self) -> int:
@@ -207,7 +208,8 @@ class SceneGraph:
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
+        """Node ids in node order, one tuple built at construction."""
+        return self._node_ids  # type: ignore[attr-defined]
 
     def has_node(self, object_id: str) -> bool:
         return object_id in self._index_of  # type: ignore[attr-defined]

@@ -63,11 +63,13 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
 
     `cost[j, mask]` is the shortest path from the start through the points
     in `mask` that ends at `j` (inf if `j` is not in `mask`). Row j of
-    `ending` holds the masks that contain j, by size and then ascending, so
-    the size-k masks are one (n, C(n - 1, k - 1)) column slice `layer`. Each
-    size k is filled from size k - 1 in one step: an `np.take` of `cost` at
-    `layer ^ (1 << j)` gathers the (i, j, m) block of predecessor costs, the
-    leg `step[i, j]` (inf if i == j) is added, and the min over i is kept.
+    `prev`, built once per call, holds the masks without bit j by size and
+    then ascending, so the predecessors of the size-k masks ending at j are
+    one (n, C(n - 1, k - 1)) column slice. Each size k is filled from size
+    k - 1 in one step: an `np.take` of `cost` at that slice gathers the
+    (i, j, m) block of predecessor costs, the leg `step[i, j]` (inf if
+    i == j) is added, and the min over i is written to `cost[j, mask | 1 << j]`
+    through flat indices, the slice plus (1 << j) + j * 2**n.
 
     No parent table is kept: the route is read back from the full mask's
     cheapest endpoint, one point at a time, as the argmin over i of
@@ -77,11 +79,13 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     point index at every choice, each predecessor and the final endpoint:
     between equal-length routes the one ending at the lower index wins.
 
-    Memory: an n * 2**n float64 cost table, an n * 2**(n - 1) int64 `ending`
+    Memory: an n * 2**n float64 cost table, an n * 2**(n - 1) int64 `prev`
     and one layer block of n * n * C(n - 1, k - 1) float64s at a time, freed
-    before the next is gathered. The tracemalloc peak is 12.1 MiB at
-    EXACT_TSP_LIMIT = 15 points, the most `solve_tsp` passes; called
-    directly past it, 25.6, 56.1 and 118 MiB at 16, 17 and 18 points.
+    before the next is gathered, with that layer's min and its write index
+    (n * C(n - 1, k - 1) each). The write indices are made per layer, not
+    kept for the call. The tracemalloc peak is 12.5 MiB at EXACT_TSP_LIMIT
+    = 15 points, the most `solve_tsp` passes; called directly past it,
+    26.4, 57.8 and 122 MiB at 16, 17 and 18 points.
     """
     n = len(points)
     if n == 0:
@@ -95,19 +99,23 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     full = 1 << n
     cost = np.full((n, full), np.inf)
     cost[points_idx, 1 << points_idx] = extended[:n, n]
-    # Masks over the other n - 1 points by size (np.bitwise_count needs numpy 2).
-    rest = np.arange(full >> 1)
-    rest = np.argsort(sum(((rest >> b) & 1 for b in range(n - 1)), np.zeros_like(rest)), kind="stable")
+    # Masks over the other n - 1 points by size: size[m] = size[m without its top bit] + 1.
+    size = np.zeros(full >> 1, dtype=np.uint8)  # a small key: the stable argsort is a radix sort
+    for b in range(n - 1):
+        size[1 << b : 2 << b] = size[: 1 << b] + 1
+    rest = np.argsort(size, kind="stable")
     end = points_idx[:, None]
-    low = (1 << end) - 1
-    ending = (rest & ~low) << 1 | (1 << end) | (rest & low)  # bit j put into each
-    lo = 1  # column 0 is the size-1 mask {j}
+    prev = rest + (rest >> end << end)  # a zero put in at bit j: bits >= j move up one
+    legs = step[:, :, None]
+    into = (1 << end) + end * full  # flat offset of cost[j, 1 << j]
+    flat = cost.ravel()
+    lo = 1  # column 0 is the empty mask, whose size-1 successor {j} is set above
     for k in range(2, n + 1):
-        layer = ending[:, lo:lo + comb(n - 1, k - 1)]
-        lo += layer.shape[1]
-        block = np.take(cost, layer ^ (1 << end), axis=1)  # [i, j, m], inf for i outside the mask
-        block += step[:, :, None]
-        cost[end, layer] = block.min(axis=0)
+        before = prev[:, lo:lo + comb(n - 1, k - 1)]
+        lo += before.shape[1]
+        block = np.take(cost, before, axis=1)  # [i, j, m], inf for i outside the mask
+        block += legs
+        flat[before + into] = block.min(axis=0)
         del block  # free this layer's block before the next is gathered
     mask = full - 1
     order = [int(np.argmin(cost[:, mask]))]  # argmin takes the lowest index on ties
@@ -610,9 +618,12 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
     on and which is dropped after the episode, so what is kept grows with
     the number of maps. Labels are found once per scan pair and predictions
     once per map, so a model's predict_probabilities must depend on (graph,
-    taxonomy) alone.
+    taxonomy) alone. Each n is summarized from one C-contiguous (2, k) array
+    of its k distances, Coverage's row then the guided planner's: one mean,
+    std and win fraction over both rows, row by row the same floats as
+    those of each planner's own 1-D array.
     """
-    by_n: dict[int, list[tuple[float, float]]] = {}
+    by_n: dict[int, tuple[list[float], list[float]]] = {}  # Coverage's distances, then the guided planner's
     infeasible = 0
     # By graph identity (`episodes` keeps each alive); compare-planners sorts by n.
     positions: dict[int, np.ndarray] = {}
@@ -641,30 +652,21 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
             predicted[id(graph)] = model.predict_probabilities(graph, tax)
         first = ranked_route(graph, predicted[id(graph)], ep.n, start, pts)
         vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair], geometry=geometry)
-        by_n.setdefault(ep.n, []).append((cov.distance_traveled, vsg.distance_traveled))
+        cov_d, vsg_d = by_n.setdefault(ep.n, ([], []))
+        cov_d.append(cov.distance_traveled)
+        vsg_d.append(vsg.distance_traveled)
     if not by_n:
         raise EvaluationError("no feasible episodes: every realized scene had too few changes")
     rows: list[BenchmarkRow] = []
     for n in sorted(by_n):
-        pairs = np.array(by_n[n], dtype=np.float64)
-        cov_d, vsg_d = pairs[:, 0], pairs[:, 1]
+        d = np.array(by_n[n], dtype=np.float64)  # (2, k), C-contiguous: Coverage, then guided
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(cov_d > 0, (cov_d - vsg_d) / cov_d, 0.0)
-        for planner, mine, rival, speedup in (
-            (COVERAGE, cov_d, vsg_d, 0.0),
-            (VSG_PLANNER, vsg_d, cov_d, float(rel.mean())),
-        ):
-            rows.append(
-                BenchmarkRow(
-                    n=n,
-                    planner=planner,
-                    mean_distance=float(mine.mean()),
-                    std_distance=float(mine.std()),
-                    win_fraction=float((mine < rival).mean()),
-                    speedup=speedup,
-                )
-            )
-    total = sum(len(v) for v in by_n.values())
+            rel = np.where(d[0] > 0, (d[0] - d[1]) / d[0], 0.0)
+        means, stds = d.mean(axis=1).tolist(), d.std(axis=1).tolist()
+        wins = (d < d[::-1]).mean(axis=1).tolist()  # each row against its rival
+        for r, (planner, speedup) in enumerate(((COVERAGE, 0.0), (VSG_PLANNER, float(rel.mean())))):
+            rows.append(BenchmarkRow(n, planner, means[r], stds[r], wins[r], speedup))
+    total = sum(len(cov_d) for cov_d, _ in by_n.values())
     return BenchmarkSummary(tuple(rows), feasible_episodes=total, infeasible_episodes=infeasible)
 
 

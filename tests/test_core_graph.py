@@ -1,6 +1,7 @@
 """Scene graph data model, the position rule, and JSON round trips."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -150,6 +151,22 @@ class TestSceneGraph:
         pos = small_graph.positions()
         assert pos.shape == (4, 3)
         npt.assert_allclose(pos[1], [1.2, 1.1, 0.8])
+
+    def test_node_ids_built_once(self, tiny_tax, small_graph, tmp_path):
+        # One tuple per graph, built at construction; it is not a field, so
+        # equality, hashing and dataclasses.replace see the nodes alone.
+        ids = small_graph.node_ids
+        assert ids is small_graph.node_ids
+        assert ids == tuple(n.id for n in small_graph.nodes)
+        same = dataclasses.replace(small_graph)
+        assert same == small_graph and hash(same) == hash(small_graph)
+        assert same.node_ids == ids and same.node_ids is same.node_ids
+        flipped = dataclasses.replace(small_graph, nodes=small_graph.nodes[::-1])
+        assert flipped.node_ids == ids[::-1]
+        assert [flipped.node_index(oid) for oid in flipped.node_ids] == list(range(len(ids)))
+        save_scene_graph(flipped, tiny_tax, tmp_path / "g.json")
+        loaded = load_scene_graph(tmp_path / "g.json", tiny_tax)
+        assert loaded == flipped and loaded.node_ids == flipped.node_ids
 
 
 class TestSerialization:

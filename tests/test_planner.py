@@ -356,10 +356,13 @@ class TestTsp:
             assert held_karp(points, start) == held_karp_loop(points, start), n
 
     def test_exact_memory_at_limit(self):
-        # A float64 cost table of 15 * 2**15 * 8 bytes = 3.75 MiB, the int64
-        # masks by endpoint, 15 * 2**14 * 8 bytes = 1.9 MiB, and one layer
-        # block of at most 15 * 15 * C(14, 7) * 8 bytes = 5.9 MiB at a time:
-        # no parent table, and a second block alive at once would pass 16 MiB.
+        # Alive at the peak: the float64 cost table, 15 * 2**15 * 8 bytes =
+        # 3.75 MiB; `prev`, the int64 predecessor masks by endpoint, 15 *
+        # 2**14 * 8 bytes = 1.9 MiB; one layer block of at most 15 * 15 *
+        # C(14, 7) * 8 bytes = 5.9 MiB; and that layer's min and write
+        # index, 15 * C(14, 7) * 8 bytes = 0.4 MiB each. No parent table and
+        # no write index kept for every layer; a second block alive at once
+        # would pass 16 MiB.
         rng = np.random.default_rng(12)
         points = rng.uniform(0, 10, size=(EXACT_TSP_LIMIT, 3))
         tracemalloc.start()
@@ -1076,6 +1079,55 @@ class TestBenchmark:
         assert vsg2.speedup == pytest.approx(
             (cov2.mean_distance - vsg2.mean_distance) / cov2.mean_distance
         )
+
+    def test_summary_rows_are_each_planners_own_reductions(self, tiny_tax, monkeypatch):
+        # k = 1 .. 5,000 episodes per n (around numpy's 128-element pairwise
+        # summation block too), with distances over many magnitudes, so a
+        # different summation order would show. Every group of four or more
+        # holds Coverage distances of 0 (speedup's `where` branch) and exact
+        # ties (neither planner wins). The runners are stubbed: only the
+        # summary is under test.
+        rng = np.random.default_rng(27)
+        graph = make_graph([make_node("a", pos=(1.0, 0.0, 0.0))])
+        sizes = [1, 2, 3, 4, 5, 7, 31, 127, 128, 129, 999, 4999, 5000]
+        groups, episodes, distance_of = {}, [], {}
+        for n, k in enumerate(sizes, start=1):
+            cov, vsg = rng.lognormal(1.0, 3.0, size=(2, k))
+            if k >= 4:
+                cov[rng.choice(k, size=k // 4 + 1, replace=False)] = 0.0
+                tied = rng.choice(k, size=k // 4 + 1, replace=False)
+                vsg[tied] = cov[tied]
+            groups[n] = cov, vsg
+            for c, v in zip(cov.tolist(), vsg.tolist()):
+                episodes.append(Episode(graph, graph, n))
+                distance_of[id(episodes[-1])] = c, v
+
+        def runner(column):
+            def run(ep, *args, **kwargs):
+                return planner.EpisodeResult("stub", (), distance_of[id(ep)][column], ep.n, False, False)
+            return run
+
+        monkeypatch.setattr(planner, "run_coverage", runner(0))
+        monkeypatch.setattr(planner, "run_vsg_planner", runner(1))
+        monkeypatch.setattr(planner, "changed_object_ids", lambda ep, tax: frozenset())
+        monkeypatch.setattr(planner, "ranked_route", lambda *args: [])
+        summary = run_benchmark(episodes, UniformScorer(), tiny_tax)
+        assert summary.feasible_episodes == sum(sizes) and summary.infeasible_episodes == 0
+
+        expected = []
+        for n, (cov, vsg) in groups.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(cov > 0, (cov - vsg) / cov, 0.0)
+            for planner_name, mine, rival, speedup in (
+                ("coverage", cov, vsg, 0.0), ("vsg", vsg, cov, rel.mean())
+            ):
+                expected.append((n, planner_name, mine.mean(), mine.std(), (mine < rival).mean(), speedup))
+        got = [(r.n, r.planner, r.mean_distance, r.std_distance, r.win_fraction, r.speedup) for r in summary.rows]
+        bits = lambda rows: [(n, p, *(float(x).hex() for x in rest)) for n, p, *rest in rows]
+        assert bits(got) == bits(expected)
+        assert all(type(x) is float for row in got for x in row[2:])
+        big = {r.planner: r.win_fraction for r in summary.rows if r.n == len(sizes)}
+        assert 0 < big["coverage"] + big["vsg"] < 1  # the ties count for neither
 
     def test_ties_count_for_neither(self, tiny_tax):
         ep = line_episode(tiny_tax, n=1, changed_ids=("c",))
