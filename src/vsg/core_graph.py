@@ -122,7 +122,14 @@ class Taxonomy:
 
 def check_position(raw, error=ValueError, what: str = "position") -> tuple[float, float, float]:
     """The one position rule: three real numbers (no bools, no text), each of
-    magnitude at most MAX_COORDINATE, as floats; else `error` naming `what`."""
+    magnitude at most MAX_COORDINATE, as floats; else `error` naming `what`.
+    A tuple of three such plain floats is returned as it is."""
+    if type(raw) is tuple and len(raw) == 3:
+        x, y, z = raw
+        if type(x) is type(y) is type(z) is float and (  # NaN fails here and below
+            abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE and abs(z) <= MAX_COORDINATE
+        ):
+            return raw
     pos = tuple(raw)
     real = [isinstance(c, (float, int, np.floating, np.integer)) and not isinstance(c, bool) for c in pos]
     if len(pos) != 3 or not all(real) or not all(abs(c) <= MAX_COORDINATE for c in pos):

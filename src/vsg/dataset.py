@@ -383,8 +383,12 @@ class GeneratorConfig:
             raise ConfigError("need at least 1 environment and 2 scans per environment")
         if self.objects_min < 4 or self.objects_max < self.objects_min:
             raise ConfigError("objects_min must be >= 4 and <= objects_max")
-        # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE
-        if min(self.room_size[:2]) < 0.6 or not 0 < self.room_size[2] or max(self.room_size) > MAX_COORDINATE:
+        # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE.
+        # Each side is tested on its own, so that NaN fails.
+        if len(self.room_size) != 3 or not (
+            0.6 <= self.room_size[0] <= MAX_COORDINATE and 0.6 <= self.room_size[1] <= MAX_COORDINATE
+            and 0 < self.room_size[2] <= MAX_COORDINATE
+        ):
             raise ConfigError(f"room x and y must be in [0.6, {MAX_COORDINATE:g}] m and its height in (0, "
                               f"{MAX_COORDINATE:g}], got {self.room_size}")
         for name in ("support_radius", "next_to_radius", "min_spacing"):
@@ -402,10 +406,16 @@ class GeneratorConfig:
             raise ConfigError(f"appear_prob must be in [0, 1], got {self.appear_prob!r}")
         if not 0 <= self.jitter_fraction < 1:
             raise ConfigError("jitter_fraction must be in [0, 1)")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
-            raise ConfigError("split fractions must be non-negative and sum to 1")
+        fractions = self.split_fractions
+        if len(fractions) != 3 or not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+            raise ConfigError(f"split fractions must be 3 non-negative numbers summing to 1, got {fractions}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        classes = sorted(_default_class_specs())
+        unknown = [c for c in self.propensity_overrides if c not in classes]
+        if unknown:
+            raise ConfigError(f"propensity_overrides names unknown class {unknown[0]!r}; "
+                              f"expected one of {classes}")
 
 
 def generator_config_from_dict(data: dict, source: str = "generator config") -> GeneratorConfig:
@@ -435,20 +445,21 @@ def _place(
     cfg: GeneratorConfig,
     taken: list,
     z: float,
-    near: np.ndarray | None = None,
-) -> np.ndarray:
+    near: tuple[float, float, float] | None = None,
+) -> tuple[float, float, float]:
     """Random in-room position respecting min spacing to the `taken` positions
     (appended to on success); near biases placement."""
     rx, ry, _ = cfg.room_size
+    others = np.array(taken, dtype=np.float64).reshape(-1, 3)[:, :2]
     for _ in range(200):
         if near is None:
-            p = np.array([rng.uniform(0.3, rx - 0.3), rng.uniform(0.3, ry - 0.3), z])
+            xy = (rng.uniform(0.3, rx - 0.3), rng.uniform(0.3, ry - 0.3))
         else:
             offset = rng.uniform(-0.6 * cfg.support_radius, 0.6 * cfg.support_radius, size=2)
-            p = np.array([*np.clip(near[:2] + offset, 0.3, (rx - 0.3, ry - 0.3)), z])
-        if (distance(p[:2], np.reshape(taken, (-1, 3))[:, :2]) >= cfg.min_spacing).all():
-            taken.append(p)
-            return p
+            xy = tuple(np.clip(np.add(near[:2], offset), 0.3, (rx - 0.3, ry - 0.3)).tolist())
+        if not len(others) or distance(xy, others).min() >= cfg.min_spacing:
+            taken.append((*xy, z))
+            return taken[-1]
     raise GeneratorError(
         f"could not place an object with spacing {cfg.min_spacing} in a "
         f"{rx} x {ry} room; too many objects for the space"
@@ -466,6 +477,16 @@ def _new_object(
     return ObjectNode(f"obj{number:03d}", tax.class_index(cls), attributes, position)
 
 
+def _class_flags(nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassSpec]) -> np.ndarray:
+    """(4, N) bool: whether each node is a support, a structure, a wall and a
+    door, from one table over the classes of `tax` (a class without a spec is none)."""
+    of_class = [specs.get(c) or ClassSpec() for c in tax.classes]
+    table = np.array([
+        (s.is_support, s.is_structure, c == "wall", c == "door") for c, s in zip(tax.classes, of_class)
+    ])
+    return table[[n.class_index for n in nodes]].T
+
+
 def _semantic_edges(
     nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassSpec], cfg: GeneratorConfig
 ) -> tuple[SemanticEdge, ...]:
@@ -481,9 +502,7 @@ def _semantic_edges(
     ids = [n.id for n in nodes]
     rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's place in str order
     pos = node_positions(nodes)
-    classes = np.array([tax.classes[n.class_index] for n in nodes], dtype=str)
-    support = np.array([specs[c].is_support for c in classes], dtype=bool)
-    structure = np.array([specs[c].is_structure for c in classes], dtype=bool)
+    support, structure, wall, door = _class_flags(nodes, tax, specs)
 
     def nearest(rows, candidates, dims):
         """Per row, the candidate at the least (distance, id), and that distance."""
@@ -493,7 +512,7 @@ def _semantic_edges(
         return candidates[k], d[np.arange(len(rows)), k]
 
     by_node: dict[int, SemanticEdge] = {}
-    walls, doors = np.flatnonzero(classes == "wall"), np.flatnonzero(classes == "door")
+    walls, doors = np.flatnonzero(wall), np.flatnonzero(door)
     if walls.size:
         for i, w in zip(doors, nearest(doors, walls, 3)[0]):
             by_node[i] = SemanticEdge(ids[i], ids[w], attached_to)
@@ -514,7 +533,7 @@ def _initial_scene(
     tax: Taxonomy, specs: dict[str, ClassSpec], cfg: GeneratorConfig, rng: np.random.Generator
 ) -> tuple[list[ObjectNode], int]:
     rx, ry, rz = cfg.room_size
-    taken: list[np.ndarray] = []
+    taken: list[tuple[float, float, float]] = []
     nodes: list[ObjectNode] = []
 
     def add(cls: str, position, state_value: str | None) -> None:
@@ -533,16 +552,16 @@ def _initial_scene(
     total = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     budget = max(total - len(nodes), 4)
     num_supports = max(2, budget // 5)
-    support_positions: list[np.ndarray] = []
+    support_positions: list[tuple[float, float, float]] = []
     for _ in range(num_supports):
-        cls = str(rng.choice(_SUPPORT_CLASSES))
+        cls = _SUPPORT_CLASSES[int(rng.integers(len(_SUPPORT_CLASSES)))]
         p = _place(rng, cfg, taken, z=0.75)
         support_positions.append(p)
         add(cls, p, initial_state(cls))
 
     movable_classes = ("chair", "lamp", "laptop", "cup", "book", "plant", "box")
     for _ in range(budget - num_supports):
-        cls = str(rng.choice(movable_classes))
+        cls = movable_classes[int(rng.integers(len(movable_classes)))]
         near = None
         if specs[cls].propensity.move_near > specs[cls].propensity.move_far:
             # Split placement so both contexts appear in the data.
@@ -571,7 +590,7 @@ def _transition(
 ) -> tuple[list[ObjectNode], int, TransitionLog]:
     rx, ry, _ = cfg.room_size
     pos = node_positions(nodes)
-    support = np.array([specs[tax.classes[n.class_index]].is_support for n in nodes], dtype=bool)
+    support = _class_flags(nodes, tax, specs)[0]
     near_support = (distance(pos[:, None, :2], pos[None, support, :2]) < cfg.support_radius).any(axis=1)
     moved: dict[str, float] = {}
     toggled: set[str] = set()
@@ -579,21 +598,21 @@ def _transition(
     appeared: set[str] = set()
     out: list[ObjectNode] = []
 
-    for n, near, position in zip(nodes, near_support, pos):
+    for n, near in zip(nodes, near_support):
         cls = tax.classes[n.class_index]
         spec = specs[cls]
         prop = cfg.propensity_overrides.get(cls, spec.propensity)
         if rng.random() < prop.vanish:
             vanished.add(n.id)
             continue
+        position = n.position
+        x, y, z = position  # a shift adds 0.0 to z, which keeps every world: -0.0 becomes 0.0
         move_p = prop.move_near if near else prop.move_far
         if rng.random() < move_p:
             for _ in range(100):
                 angle = rng.uniform(0.0, 2.0 * math.pi)
                 dist = rng.uniform(*cfg.move_distance)
-                candidate = position + np.array(
-                    [dist * math.cos(angle), dist * math.sin(angle), 0.0]
-                )
+                candidate = (x + dist * math.cos(angle), y + dist * math.sin(angle), z + 0.0)
                 if 0.0 <= candidate[0] <= rx and 0.0 <= candidate[1] <= ry:
                     moved[n.id] = float(distance(candidate, position))
                     position = candidate
@@ -601,20 +620,21 @@ def _transition(
         elif not spec.is_structure and cfg.jitter_fraction > 0:
             angle = rng.uniform(0.0, 2.0 * math.pi)
             dist = rng.uniform(0.0, cfg.jitter_fraction * cfg.epsilon)
-            wiggle = position + np.array([dist * math.cos(angle), dist * math.sin(angle), 0.0])
+            wiggle = (x + dist * math.cos(angle), y + dist * math.sin(angle), z + 0.0)
             if 0.0 <= wiggle[0] <= rx and 0.0 <= wiggle[1] <= ry:
                 position = wiggle
         attributes = n.attribute_indices
         if spec.state_pair is not None and rng.random() < prop.toggle:
-            attributes = tuple(set(attributes) ^ {tax.attribute_index(x) for x in spec.state_pair})
+            attributes = tuple(set(attributes) ^ {tax.attribute_index(name) for name in spec.state_pair})
             toggled.add(n.id)
-        out.append(replace(n, attribute_indices=attributes, position=position))
+        unchanged = position is n.position and attributes is n.attribute_indices
+        out.append(n if unchanged else ObjectNode(n.id, n.class_index, attributes, position))
 
     taken = [n.position for n in out]
     appear_classes = ("cup", "book", "box")
     for _ in range(2):
         if rng.random() < cfg.appear_prob:
-            cls = str(rng.choice(appear_classes))
+            cls = appear_classes[int(rng.integers(len(appear_classes)))]
             try:
                 p = _place(rng, cfg, taken, z=0.0)
             except GeneratorError:
@@ -638,6 +658,9 @@ def generate_environment(
     """One environment's scan sequence plus the oracle log per transition.
 
     Deterministic in (cfg.seed, env_index); environments are independent.
+    The order of the random draws is the contract: every draw keeps its
+    method, its arguments and its place in the stream, so a change made for
+    speed only changes the work around the draws and gives the same worlds.
     """
     tax = tax or default_taxonomy()
     specs = _default_class_specs()

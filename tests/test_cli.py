@@ -268,6 +268,8 @@ class TestGenerate:
         ({"objects_min": 2}, "", "objects_min must be >= 4"),
         ({"propensity_overrides": {"cup": {"vanish": 2.0}}}, ": propensity_overrides['cup']",
          "propensity vanish must be in [0, 1], got 2.0"),
+        ({"propensity_overrides": {"cupp": {"vanish": 0.5}}}, "",
+         "propensity_overrides names unknown class 'cupp'"),
     ])
     def test_out_of_range_spec_names_the_file(self, tmp_path, capsys, entry, where, message):
         spec = tmp_path / "gen.json"

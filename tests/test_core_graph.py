@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from vsg import (
 )
 from vsg.core_graph import (
     MAX_COORDINATE,
+    check_position,
     distance,
     load_taxonomy,
     node_positions,
@@ -124,6 +126,45 @@ class TestNodesAndEdges:
     def test_position_is_stored_as_floats(self):
         node = make_node("a", pos=(np.int64(1), np.float32(0.5), 2))
         assert node.position == (1.0, 0.5, 2.0) and all(type(c) is float for c in node.position)
+
+    def test_fast_path_matches_the_rule(self):
+        # check_position returns a tuple of three plain floats as it is; on
+        # every input it must accept and refuse as the general rule does.
+        def rule(raw):
+            pos = tuple(raw)
+            real = [isinstance(c, (float, int, np.floating, np.integer)) and not isinstance(c, bool)
+                    for c in pos]
+            if len(pos) != 3 or not all(real) or not all(abs(c) <= MAX_COORDINATE for c in pos):
+                raise ValueError(f"position must be 3 finite numbers of magnitude <= {MAX_COORDINATE:g} m, "
+                                 f"got {raw!r}")
+            return tuple(map(float, pos))
+
+        edges = [MAX_COORDINATE, -MAX_COORDINATE, math.nextafter(MAX_COORDINATE, math.inf),
+                 math.nextafter(-MAX_COORDINATE, -math.inf)]
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+        values = edges + specials + [1.5, -2.25]
+        inputs = [(v, 0.0, 0.0) for v in values] + [(0.0, v, 0.0) for v in values]
+        inputs += [(1.0, 2.0, v) for v in values] + [tuple(map(np.float64, (v, 0.0, 0.0))) for v in values]
+        inputs += [
+            (1.0, True, 2.0), (False, 0.0, 0.0), (1.0, 2.0, True), (np.True_, 0.0, 0.0), (1, 2, 3),
+            (1.0, 2, 3.0), (1.0, 2.0, 3), (1.0, 2.0, np.float64(3.0)), (np.float64(1.0), 2.0, 3.0),
+            (np.int64(4), 0.0, 0.0), (np.float32(0.5), 0.0, 0.0), [1.0, 2.0, 3.0], [math.nan, 0.0, 0.0],
+            np.array([1.0, 2.0, 3.0]), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (), (1.0, "2", 3.0),
+            (1.0, None, 3.0),
+        ]
+        for raw in inputs:
+            try:
+                want = rule(raw)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    check_position(raw)
+                assert str(got.value) == str(e), raw
+                continue
+            got = check_position(raw)
+            assert type(got) is tuple and all(type(c) is float for c in got), raw
+            assert [c.hex() for c in got] == [c.hex() for c in want], raw
+            if type(raw) is tuple and all(type(c) is float for c in raw):
+                assert got is raw
 
     def test_self_edge_rejected(self):
         with pytest.raises(ParseError):

@@ -2,6 +2,7 @@
 changing-scene generator with its oracle log, and dataset IO / ingestion."""
 
 import ast
+import hashlib
 import json
 import logging
 import math
@@ -448,11 +449,24 @@ class TestGenerator:
             dict(epsilon=-1.0),
             dict(appear_prob=1.5),
             dict(appear_prob=-0.1),
+            dict(room_size=(8.0, float("nan"), 3.0)),  # min() and max() would skip the NaN
+            dict(room_size=(float("nan"), 8.0, 3.0)),
+            dict(room_size=(8.0, 8.0)),
+            dict(split_fractions=(float("nan"), 0.5, 0.5)),
+            dict(split_fractions=(0.5, float("nan"), 0.5)),
+            dict(split_fractions=(1.0,)),
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
             GeneratorConfig(**kwargs)
+
+    def test_override_of_an_unknown_class_is_refused_by_name(self):
+        overrides = {"cup": ClassPropensity(vanish=0.5), "cupp": ClassPropensity(vanish=0.5)}
+        with pytest.raises(ConfigError, match="unknown class 'cupp'"):
+            GeneratorConfig(propensity_overrides=overrides)
+        for cls in default_taxonomy().classes:
+            GeneratorConfig(propensity_overrides={cls: ClassPropensity()})
 
     def test_config_dict_round_trip(self):
         overrides = {"cup": ClassPropensity(move_near=0.9, vanish=0.2)}
@@ -483,6 +497,78 @@ class TestGenerator:
             split_fractions=fractions,
         )
         assert generate_dataset(cfg).splits == expected
+
+
+# Change propensities in the style of the acceptance gate's training (HOT)
+# and planning (SPARSE) worlds; pinned here, so later edits of the gate
+# leave the digests below alone.
+HOT_STYLE = {
+    "cup": ClassPropensity(move_near=0.97, move_far=0.02, vanish=0.04),
+    "laptop": ClassPropensity(move_near=0.95, move_far=0.03, toggle=0.06, vanish=0.03),
+    "chair": ClassPropensity(move_near=0.90, move_far=0.05),
+    "door": ClassPropensity(toggle=0.95),
+    "lamp": ClassPropensity(toggle=0.92),
+    "plant": ClassPropensity(move_near=0.03, move_far=0.01, vanish=0.90),
+}
+SPARSE_STYLE = {
+    "book": ClassPropensity(move_near=0.88, move_far=0.02, vanish=0.02),
+    "box": ClassPropensity(move_near=0.04, move_far=0.02, toggle=0.03, vanish=0.02),
+    "cabinet": ClassPropensity(toggle=0.03),
+    "plant": ClassPropensity(move_near=0.02, move_far=0.01, vanish=0.85),
+}
+
+# Worlds harder than the golden one, each with the sha256 of its scans, logs
+# and splits. The generator's random draws are its contract, so a change
+# made for speed keeps every digest.
+PINNED_WORLDS = {
+    "stress": (
+        dict(num_environments=4, scans_per_environment=5, objects_min=4, objects_max=40,
+             appear_prob=0.9, jitter_fraction=0.0, seed=5),
+        "f5c8174b7b71bd5cc480dd8d35f1ba18bee64b2a0458b28c0071b086dd20c6fa",
+    ),
+    "big-room": (
+        dict(num_environments=2, room_size=(16.0, 16.0, 3.0), objects_min=150, objects_max=200, seed=3),
+        "f63834c2fdc428ec8e499895647dba530ba73c3efb3f12f00bf1125c28c3d489",
+    ),
+    "hot": (
+        dict(num_environments=6, scans_per_environment=4, objects_min=24, objects_max=30,
+             support_radius=1.8, seed=424213, propensity_overrides=HOT_STYLE),
+        "344aad1e114d05b478bd79f77ffcddd660d91c6eef4945a84ea81d6cc85cc4a4",
+    ),
+    "sparse": (
+        dict(num_environments=30, scans_per_environment=2, objects_min=11, objects_max=11,
+             support_radius=1.8, seed=99, propensity_overrides=SPARSE_STYLE),
+        "3b5565d17c995e9f2a857c5a814f4041fc50122179006ed2e99f6b04b1f2daf4",
+    ),
+    "crowded-int-room": (
+        dict(num_environments=4, room_size=(4, 5, 3), objects_min=20, objects_max=30, min_spacing=0.6,
+             jitter_fraction=0.9, appear_prob=0.5, seed=8, propensity_overrides=HOT_STYLE),
+        "df97023f2d097d6aba3d4ae3917310cc0f34e5250ca7d32391f574cac04897a8",
+    ),
+}
+
+
+def dataset_digest(ds) -> str:
+    """sha256 of a generated dataset: each scan's JSON, each log with its
+    sets sorted (frozenset order follows PYTHONHASHSEED) and its norms in
+    hex, then the splits."""
+    h = hashlib.sha256()
+    for env, scans in ds.environments.items():
+        for scan in scans:
+            h.update(scene_graph_to_json(scan, ds.taxonomy).encode())
+        for log in ds.logs[env]:
+            h.update(repr((
+                sorted((oid, norm.hex()) for oid, norm in log.moved.items()),
+                sorted(log.toggled), sorted(log.vanished), sorted(log.appeared),
+            )).encode())
+    h.update(json.dumps(ds.splits).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_WORLDS)
+def test_pinned_worlds_keep_their_digests(name):
+    kwargs, digest = PINNED_WORLDS[name]
+    assert dataset_digest(generate_dataset(GeneratorConfig(**kwargs))) == digest
 
 
 def norm_loop(v) -> float:
