@@ -44,6 +44,7 @@ from .core_graph import (
     _parse_rows,
     _read_json,
     _write_text,
+    check_count,
     load_scene_graph,
     load_taxonomy,
     node_positions,
@@ -69,8 +70,8 @@ class LabelConfig:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,10 +380,9 @@ class GeneratorConfig:
     propensity_overrides: dict[str, ClassPropensity] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.num_environments < 1 or self.scans_per_environment < 2:
-            raise ConfigError("need at least 1 environment and 2 scans per environment")
-        if self.objects_min < 4 or self.objects_max < self.objects_min:
-            raise ConfigError("objects_min must be >= 4 and <= objects_max")
+        for name, low in (("num_environments", 1), ("scans_per_environment", 2), ("objects_min", 4),
+                          ("objects_max", self.objects_min), ("seed", 0)):
+            check_count(getattr(self, name), low, name)
         # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE.
         # Each side is tested on its own, so that NaN fails.
         if len(self.room_size) != 3 or not (
@@ -394,9 +394,10 @@ class GeneratorConfig:
         for name in ("support_radius", "next_to_radius", "min_spacing"):
             if not 0 <= getattr(self, name) <= MAX_COORDINATE:  # NaN fails too
                 raise ConfigError(f"{name} must be in [0, {MAX_COORDINATE:g}] m, got {getattr(self, name)!r}")
-        LabelConfig(self.epsilon)  # epsilon > 0
-        if not 0 < self.move_distance[0] <= self.move_distance[1]:
-            raise ConfigError(f"move_distance must be 0 < low <= high, got {self.move_distance}")
+        LabelConfig(self.epsilon)  # finite and > 0
+        if not 0 < self.move_distance[0] <= self.move_distance[1] <= MAX_COORDINATE:
+            raise ConfigError(f"move_distance must be 0 < low <= high <= {MAX_COORDINATE:g} m, "
+                              f"got {self.move_distance}")
         if self.move_distance[0] < 2 * self.epsilon:
             raise ConfigError(
                 "minimum move distance must be at least 2 * epsilon so moves and "
@@ -409,8 +410,6 @@ class GeneratorConfig:
         fractions = self.split_fractions
         if len(fractions) != 3 or not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ConfigError(f"split fractions must be 3 non-negative numbers summing to 1, got {fractions}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         classes = sorted(_default_class_specs())
         unknown = [c for c in self.propensity_overrides if c not in classes]
         if unknown:

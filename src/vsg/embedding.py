@@ -112,8 +112,8 @@ class EdgeConfig:
     include_semantic_edges: bool = True
 
     def __post_init__(self):
-        if not self.tau >= 0.0:
-            raise ConfigError(f"tau must be >= 0, got {self.tau}")
+        if isinstance(self.tau, bool) or not 0.0 <= self.tau < np.inf:
+            raise ConfigError(f"tau must be finite meters >= 0, got {self.tau!r}")
 
 
 @dataclass(frozen=True)

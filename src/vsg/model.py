@@ -20,7 +20,6 @@ it was trained to.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -35,6 +34,7 @@ from .core_graph import (
     _fits,
     _read_json,
     _write_text,
+    check_count,
     taxonomy_from_dict,
     taxonomy_to_dict,
 )
@@ -204,21 +204,18 @@ class ModelConfig:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         for name in ("d_v", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            check_count(getattr(self, name), 1, name)
         if self.scalar_gate and "scalar_gate" not in MODEL_CLASSES[self.kind]._HYPERPARAMETERS:
             raise ConfigError(f"scalar_gate does not apply to model kind {self.kind!r}")
         if isinstance(self.tau, str) and self.tau in TAU_PERCENTILES:
             return
-        try:
-            tau = float(self.tau)
-        except (TypeError, ValueError):
-            tau = math.nan
-        if isinstance(self.tau, bool) or not 0 <= tau < math.inf:
+        try:  # meters, by EdgeConfig's rule
+            tau = EdgeConfig(float(self.tau) if isinstance(self.tau, str) else self.tau).tau
+        except (TypeError, ValueError, ConfigError):
             raise ConfigError(
                 f"tau must be finite meters >= 0 or a preset {list(TAU_PERCENTILES)}, got {self.tau!r}"
-            )
-        object.__setattr__(self, "tau", tau)
+            ) from None
+        object.__setattr__(self, "tau", float(tau))
 
 
 class _VariabilityModel:

@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, _write_csv, check_position, distance
+from .core_graph import SceneGraph, Taxonomy, _write_csv, check_count, check_position, distance
 from .dataset import LabelConfig, compute_labels
 from .errors import ConfigError, EvaluationError
 
@@ -399,9 +399,13 @@ def solve_tsp(points: np.ndarray, start) -> list[int]:
 
 
 def check_route(graph: SceneGraph, n: int) -> None:
-    """A route looks for n >= 1 changes on a non-empty map; else a ConfigError."""
-    if n < 1 or graph.num_nodes == 0:
-        raise ConfigError(f"a route needs n >= 1 and a non-empty map; got n = {n}, {graph.num_nodes} objects")
+    """A route looks for n >= 1 changes (a `check_count` count) on a non-empty map; else a ConfigError."""
+    try:
+        check_count(n, 1, "n")
+    except ConfigError as e:
+        raise ConfigError(f"a route needs n >= 1 and a non-empty map; {e}") from None
+    if graph.num_nodes == 0:
+        raise ConfigError(f"a route needs n >= 1 and a non-empty map; got n = {n}, 0 objects")
 
 
 def route_start(positions: np.ndarray, start_position=None) -> np.ndarray:

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core_graph import Taxonomy, _encode_json, _write_csv
+from .core_graph import Taxonomy, _encode_json, _write_csv, check_count
 from .dataset import (
     DatasetBundle,
     LabelConfig,
@@ -159,15 +159,13 @@ class TrainConfig:
     patience: int | None = 20  # epochs without val pooled-F1 improvement; None disables
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_count(getattr(self, name), low, name)
+        if self.patience is not None:
+            check_count(self.patience, 1, "patience")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         check_dropout_rate(self.dropout_rate)
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError("patience must be >= 1 or None")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

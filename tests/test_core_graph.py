@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from vsg import (
+    ConfigError,
+    GeneratorConfig,
+    ModelConfig,
     ObjectLookupError,
     ObjectNode,
     ParseError,
@@ -19,6 +22,7 @@ from vsg import (
     SemanticEdge,
     Taxonomy,
     TaxonomyError,
+    TrainConfig,
     load_scene_graph,
     save_scene_graph,
     scene_graph_from_dict,
@@ -27,6 +31,8 @@ from vsg import (
 )
 from vsg.core_graph import (
     MAX_COORDINATE,
+    _fits,
+    check_count,
     check_position,
     distance,
     load_taxonomy,
@@ -272,6 +278,34 @@ class TestSerialization:
         path.write_text('{"format_version": 1,\n  "oops"')
         with pytest.raises(ParseError, match="line"):
             load_scene_graph(path, tiny_tax)
+
+
+class TestCheckCount:
+    def test_refuses_what_the_json_reader_refuses(self):
+        values = [0, 7, -3, 10**30, np.int64(5), np.int32(-2), np.uint8(3), True, False, np.True_, 2.5, 3.0,
+                  np.float64(4.0), math.nan, math.inf, "3", None, [1]]
+        for value in values:
+            if _fits(value, "int", None):
+                check_count(value, -(10**40), "x")
+            else:
+                with pytest.raises(ConfigError, match=r"^x must be an integer, got "):
+                    check_count(value, -(10**40), "x")
+
+    @pytest.mark.parametrize("value, low", [(0, 1), (-1, 0), (np.int64(3), 4)])
+    def test_below_low_names_the_setting_and_the_bound(self, value, low):
+        with pytest.raises(ConfigError, match=rf"^size must be >= {low}, got "):
+            check_count(value, low, "size")
+
+    @pytest.mark.parametrize("cls", [GeneratorConfig, TrainConfig, ModelConfig])
+    def test_every_integer_config_field_keeps_the_count_rule(self, cls):
+        # A new `int` field that skips check_count fails here.
+        counts = [f for f in dataclasses.fields(cls) if f.type in ("int", "int | None")]
+        assert counts, cls
+        for f in counts:
+            for bad in (math.nan, 2.5, True):
+                with pytest.raises(ConfigError, match=f.name):
+                    cls(**{f.name: bad})
+            assert getattr(cls(**{f.name: np.int64(f.default)}), f.name) == f.default
 
 
 def _position_array_sites(path: Path) -> list[tuple[str, int]]:

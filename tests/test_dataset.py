@@ -89,6 +89,12 @@ class TestComputeLabels:
         cfg = LabelConfig(epsilon=0.5)
         assert labels_by_id(cur, fut, tiny_tax, cfg)["a"][0] == 0
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -0.5])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # Else an infinite epsilon labels no object as moved.
+        with pytest.raises(ConfigError, match="epsilon must be finite and > 0"):
+            LabelConfig(epsilon=epsilon)
+
     def test_state_toggle(self, tiny_tax):
         cur = make_graph([make_node("a", attrs=(1,))], scan="s0")
         fut = make_graph([make_node("a", attrs=(2,))], scan="s1", t=1)
@@ -446,6 +452,9 @@ class TestGenerator:
             dict(next_to_radius=float("nan")),
             dict(next_to_radius=-3.0),
             dict(move_distance=(0.9, 0.25)),
+            dict(move_distance=(0.25, float("inf"))),  # rng.uniform overflows
+            dict(move_distance=(0.25, 2e9)),
+            dict(move_distance=(float("nan"), 0.9)),
             dict(epsilon=-1.0),
             dict(appear_prob=1.5),
             dict(appear_prob=-0.1),

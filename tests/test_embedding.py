@@ -321,6 +321,11 @@ class TestEdges:
         with pytest.raises(ConfigError):
             EdgeConfig(tau=-1.0)
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan"), True])
+    def test_tau_must_be_finite_meters(self, tau):
+        with pytest.raises(ConfigError, match="tau must be finite meters >= 0"):
+            EdgeConfig(tau=tau)
+
 
 class TestEmbed:
     def test_shapes_and_ids(self, tiny_tax, small_graph):

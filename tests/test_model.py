@@ -691,6 +691,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="scalar_gate"):
             ModelConfig(kind="mlp_baseline", scalar_gate=True)
 
+    @pytest.mark.parametrize("field", ["d_v", "hidden_dim"])
+    def test_fractional_width_refused_before_any_training(self, field):
+        # Else a model trains whose checkpoint load_checkpoint refuses.
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got 2.5"):
+            ModelConfig(**{field: 2.5})
+
 
 def make_other_taxonomy():
     from vsg import Taxonomy

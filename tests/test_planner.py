@@ -651,6 +651,17 @@ class TestCoverage:
         with pytest.raises(ConfigError, match="non-empty map"):  # the rule an Episode applies
             ranked_route(empty, {}, 1, np.zeros(3))
 
+    @pytest.mark.parametrize("n", [float("nan"), 1.5, 2.0, True])
+    def test_n_must_be_a_count(self, tiny_tax, n):
+        # Else a NaN n gives an empty 0 m Coverage walk marked feasible.
+        ep = line_episode(tiny_tax)
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            Episode(ep.previous_map, ep.realized_scene, n=n)
+        probs = OracleScorer(ep.realized_scene).predict_probabilities(ep.previous_map, tiny_tax)
+        with pytest.raises(ConfigError, match="n >= 1"):
+            ranked_route(ep.previous_map, probs, n, ep.start())
+        assert Episode(ep.previous_map, ep.realized_scene, n=np.int64(1)).n == 1
+
     def test_default_start_is_map_centroid(self, tiny_tax):
         ep = line_episode(tiny_tax)
         centroid_ep = Episode(ep.previous_map, ep.realized_scene, n=1)

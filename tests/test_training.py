@@ -510,6 +510,8 @@ class TestTrain:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
+        with pytest.raises(ConfigError, match="patience must be an integer"):  # else early stopping is off
+            TrainConfig(patience=math.nan)
         for lr in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ConfigError, match="learning_rate"):
                 TrainConfig(learning_rate=lr)
