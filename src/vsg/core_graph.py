@@ -137,13 +137,15 @@ def check_position(raw, error=ValueError, what: str = "position") -> tuple[float
     return tuple(map(float, pos))
 
 
-def check_count(value, low: int, what: str) -> None:
+def check_count(value, low: int, what: str) -> int:
     """The one count rule, the integer test `_fits` applies to JSON: a Python or
-    numpy integer (no bool, float or NaN) >= `low`; else a ConfigError naming `what`."""
+    numpy integer (no bool, float or NaN) >= `low`, returned as a Python int
+    (what the JSON writer takes); else a ConfigError naming `what`."""
     if not _fits(value, "int", None):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{what} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -382,7 +382,7 @@ class GeneratorConfig:
     def __post_init__(self):
         for name, low in (("num_environments", 1), ("scans_per_environment", 2), ("objects_min", 4),
                           ("objects_max", self.objects_min), ("seed", 0)):
-            check_count(getattr(self, name), low, name)
+            object.__setattr__(self, name, check_count(getattr(self, name), low, name))
         # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE.
         # Each side is tested on its own, so that NaN fails.
         if len(self.room_size) != 3 or not (

@@ -204,7 +204,7 @@ class ModelConfig:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         for name in ("d_v", "hidden_dim"):
-            check_count(getattr(self, name), 1, name)
+            object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
         if self.scalar_gate and "scalar_gate" not in MODEL_CLASSES[self.kind]._HYPERPARAMETERS:
             raise ConfigError(f"scalar_gate does not apply to model kind {self.kind!r}")
         if isinstance(self.tau, str) and self.tau in TAU_PERCENTILES:

@@ -16,12 +16,14 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 A walk's length is its legs summed left to right, read off the coordinates
 (`route_length`) or, the same float, off a distance matrix with the start as
 its last index (`_path_length`). The benchmark builds each map's positions
-and start once, and one such matrix per episode for both runners.
+once and, per start, one such matrix for both runners: on a map of at most
+EXACT_TSP_LIMIT objects, with the Held-Karp table that gives its Coverage
+tour and every phase-1 route.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
@@ -61,44 +63,50 @@ def _path_length(dist: np.ndarray, first: int, order: list[int]) -> float:
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     """Exact open-path TSP from a fixed start, dynamic programming over subsets.
 
-    `cost[j, mask]` is the shortest path from the start through the points
-    in `mask` that ends at `j` (inf if `j` is not in `mask`). Row j of
-    `prev`, built once per call, holds the masks without bit j by size and
-    then ascending, so the predecessors of the size-k masks ending at j are
-    one (n, C(n - 1, k - 1)) column slice. Each size k is filled from size
-    k - 1 in one step: an `np.take` of `cost` at that slice gathers the
-    (i, j, m) block of predecessor costs, the leg `step[i, j]` (inf if
-    i == j) is added, and the min over i is written to `cost[j, mask | 1 << j]`
-    through flat indices, the slice plus (1 << j) + j * 2**n.
+    A `_held_karp_fill` of the points followed by a `_held_karp_route` over
+    all of them. Ties go to the lowest point index at every choice, each
+    predecessor and the final endpoint: between equal-length routes the one
+    ending at the lower index wins.
 
-    No parent table is kept: the route is read back from the full mask's
-    cheapest endpoint, one point at a time, as the argmin over i of
-    `cost[i, mask] + step[i, last]`. Each entry is the same float sum the
-    layer's min was taken over, so the argmin's lowest index is the parent
-    an argmin during the fill would have stored. Ties thus go to the lowest
-    point index at every choice, each predecessor and the final endpoint:
-    between equal-length routes the one ending at the lower index wins.
-
-    Memory: an n * 2**n float64 cost table, an n * 2**(n - 1) int64 `prev`
-    and one layer block of n * n * C(n - 1, k - 1) float64s at a time, freed
-    before the next is gathered, with that layer's min and its write index
-    (n * C(n - 1, k - 1) each). The write indices are made per layer, not
-    kept for the call. The tracemalloc peak is 12.5 MiB at EXACT_TSP_LIMIT
-    = 15 points, the most `solve_tsp` passes; called directly past it,
-    26.4, 57.8 and 122 MiB at 16, 17 and 18 points.
+    Memory: the fill's n * 2**n float64 cost table, an n * 2**(n - 1) int64
+    `prev` and one layer block of n * n * C(n - 1, k - 1) float64s at a
+    time. The tracemalloc peak is 12.5 MiB at EXACT_TSP_LIMIT = 15 points,
+    the most `solve_tsp` passes; called directly past it, 26.4, 57.8 and
+    122 MiB at 16, 17 and 18 points.
     """
     n = len(points)
     if n == 0:
         return []
-    extended = _extended_distances(
+    return _held_karp_route(_held_karp_fill(points, start), range(n))
+
+
+def _held_karp_fill(points: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Held-Karp's table over n >= 1 points: `(dist, step, cost)`.
+
+    `dist` is `_extended_distances(points, start)`, as built, and `step`
+    its (n, n) point block with inf on the diagonal (a point is never its
+    own predecessor). `cost[j, mask]` is the shortest path from the start
+    through the points in `mask` that ends at `j` (inf if `j` is not in
+    `mask`). Row j of `prev`, built once per call, holds the masks without
+    bit j by size and then ascending, so the predecessors of the size-k
+    masks ending at j are one (n, C(n - 1, k - 1)) column slice. Each size
+    k is filled from size k - 1 in one step: an `np.take` of `cost` at that
+    slice gathers the (i, j, m) block of predecessor costs, the leg
+    `step[i, j]` is added, and the min over i is written to
+    `cost[j, mask | 1 << j]` through flat indices, the slice plus
+    (1 << j) + j * 2**n. Each layer's block is freed before the next is
+    gathered, and the write indices are made per layer, not kept.
+    """
+    n = len(points)
+    dist = _extended_distances(
         np.asarray(points, dtype=np.float64), np.asarray(start, dtype=np.float64)
     )
     points_idx = np.arange(n)
-    step = extended[:n, :n]
-    step[points_idx, points_idx] = np.inf  # a point is never its own predecessor
+    step = dist[:n, :n].copy()
+    step[points_idx, points_idx] = np.inf
     full = 1 << n
     cost = np.full((n, full), np.inf)
-    cost[points_idx, 1 << points_idx] = extended[:n, n]
+    cost[points_idx, 1 << points_idx] = dist[:n, n]
     # Masks over the other n - 1 points by size: size[m] = size[m without its top bit] + 1.
     size = np.zeros(full >> 1, dtype=np.uint8)  # a small key: the stable argsort is a radix sort
     for b in range(n - 1):
@@ -117,9 +125,31 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
         block += legs
         flat[before + into] = block.min(axis=0)
         del block  # free this layer's block before the next is gathered
-    mask = full - 1
+    return dist, step, cost
+
+
+def _held_karp_route(table: tuple[np.ndarray, np.ndarray, np.ndarray], members: Sequence[int]) -> list[int]:
+    """The exact route over the point indices `members` (ascending, no
+    repeats) of a `_held_karp_fill` table, in those indices.
+
+    No parent table is kept: the route is read back from the members' mask,
+    one point at a time from its cheapest endpoint, as the argmin over i of
+    `cost[i, mask] + step[i, last]`. Each entry is the same float sum the
+    fill's min was taken over, so the argmin's lowest index is the parent
+    an argmin during the fill would have stored.
+
+    For members M this is `held_karp` on those points alone, mapped through
+    M: `cost[j, M]` is the min over the same sums of the same legs that M's
+    own table holds, every row outside M is inf, and the map from subset
+    indices to point indices is increasing, so each argmin tie resolves the
+    same way.
+    """
+    _, step, cost = table
+    mask = sum(1 << i for i in members)
+    if not mask:
+        return []
     order = [int(np.argmin(cost[:, mask]))]  # argmin takes the lowest index on ties
-    for _ in range(n - 1):
+    for _ in range(len(members) - 1):
         mask ^= 1 << order[-1]
         order.append(int(np.argmin(cost[:, mask] + step[:, order[-1]])))
     order.reverse()
@@ -537,20 +567,27 @@ def ranked_route(
     n: int,
     start: np.ndarray,
     positions: np.ndarray | None = None,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     """Phase-1 route of the guided planner: a TSP tour over the n+3 objects
     most likely to have changed.
 
     An object's score is the max of its three probabilities, ties broken
     toward the lower object id; the chosen objects keep node order before
-    the tour is solved. `positions`, if given, is `graph.positions()`.
-    `check_route` refuses the graph and n, as an `Episode` does.
+    the tour is solved. `positions`, if given, is `graph.positions()`;
+    `table`, if given, is `_held_karp_fill(positions, start)`, from which
+    the tour is read back instead of solved: the same route as `solve_tsp`
+    on the chosen objects, since a map with a table has at most
+    EXACT_TSP_LIMIT objects. `check_route` refuses the graph and n, as an
+    `Episode` does.
     """
     check_route(graph, n)
     ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
     top = set(ranked[: n + 3])
     ids = graph.node_ids
     chosen = [i for i, oid in enumerate(ids) if oid in top]
+    if table is not None:
+        return [ids[i] for i in _held_karp_route(table, chosen)]
     positions = graph.positions() if positions is None else positions
     return [ids[chosen[k]] for k in solve_tsp(positions[chosen], start)]
 
@@ -615,50 +652,61 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
     excluded from the statistics. The speedup column is relative to the
     Coverage baseline, so Coverage's own rows carry 0.
 
-    Each map's positions are built once per call, and its start and
-    Coverage tour once per (map, start): the tour depends on neither n nor
-    the realized scene, so the episodes that share both share it. Each
-    episode builds one distance matrix from them, which both runners walk
-    on and which is dropped after the episode, so what is kept grows with
-    the number of maps. Labels are found once per scan pair and predictions
-    once per map, so a model's predict_probabilities must depend on (graph,
-    taxonomy) alone. Each n is summarized from one C-contiguous (2, k) array
-    of its k distances, Coverage's row then the guided planner's: one mean,
-    std and win fraction over both rows, row by row the same floats as
-    those of each planner's own 1-D array.
+    The episodes are run one map (by graph identity) at a time, and within
+    a map one start at a time, each in order of first appearance. A map's
+    positions, labels per scan pair and predictions are built once; per
+    start, one distance matrix serves both runners. On a map of at most
+    EXACT_TSP_LIMIT objects that matrix comes from one `_held_karp_fill`,
+    and the Coverage tour (all objects) and each episode's phase-1 route
+    (its `ranked_route` members) are read back from that one table: the
+    routes `solve_tsp` would give. A larger map solves both with
+    `solve_tsp`. Each map's table and matrices are dropped before the next
+    is built, so what is kept beyond the episodes' two distances does not
+    grow with the number of maps; a model's predict_probabilities must
+    depend on (graph, taxonomy) alone.
+
+    Each n is summarized, in episode order, from one C-contiguous (2, k)
+    array of its k distances, Coverage's row then the guided planner's:
+    one mean, std and win fraction over both rows, row by row the same
+    floats as those of each planner's own 1-D array.
     """
+    # Episode indices by map (graph identity; `episodes` keeps each alive), then by start.
+    maps: dict[int, tuple[SceneGraph, dict[tuple[float, float, float] | None, list[int]]]] = {}
+    for k, ep in enumerate(episodes):
+        _, by_start = maps.setdefault(id(ep.previous_map), (ep.previous_map, {}))
+        by_start.setdefault(ep.start_position, []).append(k)
+    walked: list[tuple[float, float] | None] = [None] * len(episodes)  # None: infeasible
+    for graph, by_start in maps.values():
+        pts = graph.positions()
+        changed: dict[tuple[int, LabelConfig], frozenset[str]] = {}
+        predicted = None
+        for start_position, members in by_start.items():
+            start = route_start(pts, start_position)
+            if len(pts) <= EXACT_TSP_LIMIT:
+                table = _held_karp_fill(pts, start)
+                dist, tour = table[0], _held_karp_route(table, range(len(pts)))
+            else:
+                table, dist, tour = None, _extended_distances(pts, start), solve_tsp(pts, start)
+            geometry = pts, start, dist
+            for k in members:
+                ep = episodes[k]
+                pair = (id(ep.realized_scene), ep.label_cfg)
+                if pair not in changed:
+                    changed[pair] = changed_object_ids(ep, tax)
+                cov = run_coverage(ep, tax, tour=tour, changed=changed[pair], geometry=geometry)
+                if cov.infeasible:
+                    continue
+                if predicted is None:
+                    predicted = model.predict_probabilities(graph, tax)
+                first = ranked_route(graph, predicted, ep.n, start, pts, table)
+                vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair], geometry=geometry)
+                walked[k] = cov.distance_traveled, vsg.distance_traveled
+            del table  # free this cost table before the next is filled
     by_n: dict[int, tuple[list[float], list[float]]] = {}  # Coverage's distances, then the guided planner's
-    infeasible = 0
-    # By graph identity (`episodes` keeps each alive); compare-planners sorts by n.
-    positions: dict[int, np.ndarray] = {}
-    tours: dict[tuple[int, tuple[float, float, float] | None], tuple[np.ndarray, list[int]]] = {}
-    changed: dict[tuple[int, int, LabelConfig], frozenset[str]] = {}
-    predicted: dict[int, dict[str, tuple[float, float, float]]] = {}
-    for ep in episodes:
-        graph = ep.previous_map
-        if id(graph) not in positions:
-            positions[id(graph)] = graph.positions()
-        pts = positions[id(graph)]
-        key = (id(graph), ep.start_position)
-        if key not in tours:
-            start = route_start(pts, ep.start_position)
-            tours[key] = start, solve_tsp(pts, start)
-        start, tour = tours[key]
-        geometry = pts, start, _extended_distances(pts, start)
-        pair = (id(graph), id(ep.realized_scene), ep.label_cfg)
-        if pair not in changed:
-            changed[pair] = changed_object_ids(ep, tax)
-        cov = run_coverage(ep, tax, tour=tour, changed=changed[pair], geometry=geometry)
-        if cov.infeasible:
-            infeasible += 1
-            continue
-        if id(graph) not in predicted:
-            predicted[id(graph)] = model.predict_probabilities(graph, tax)
-        first = ranked_route(graph, predicted[id(graph)], ep.n, start, pts)
-        vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair], geometry=geometry)
-        cov_d, vsg_d = by_n.setdefault(ep.n, ([], []))
-        cov_d.append(cov.distance_traveled)
-        vsg_d.append(vsg.distance_traveled)
+    for ep, distances in zip(episodes, walked):
+        if distances is not None:
+            for column, d in zip(by_n.setdefault(ep.n, ([], [])), distances):
+                column.append(d)
     if not by_n:
         raise EvaluationError("no feasible episodes: every realized scene had too few changes")
     rows: list[BenchmarkRow] = []
@@ -670,8 +718,8 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
         wins = (d < d[::-1]).mean(axis=1).tolist()  # each row against its rival
         for r, (planner, speedup) in enumerate(((COVERAGE, 0.0), (VSG_PLANNER, float(rel.mean())))):
             rows.append(BenchmarkRow(n, planner, means[r], stds[r], wins[r], speedup))
-    total = sum(len(cov_d) for cov_d, _ in by_n.values())
-    return BenchmarkSummary(tuple(rows), feasible_episodes=total, infeasible_episodes=infeasible)
+    infeasible = walked.count(None)
+    return BenchmarkSummary(tuple(rows), len(episodes) - infeasible, infeasible)
 
 
 def write_benchmark_csv(summary: BenchmarkSummary, path) -> None:

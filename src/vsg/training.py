@@ -160,9 +160,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            check_count(getattr(self, name), low, name)
+            object.__setattr__(self, name, check_count(getattr(self, name), low, name))
         if self.patience is not None:
-            check_count(self.patience, 1, "patience")
+            object.__setattr__(self, "patience", check_count(self.patience, 1, "patience"))
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         check_dropout_rate(self.dropout_rate)

@@ -305,7 +305,8 @@ class TestCheckCount:
             for bad in (math.nan, 2.5, True):
                 with pytest.raises(ConfigError, match=f.name):
                     cls(**{f.name: bad})
-            assert getattr(cls(**{f.name: np.int64(f.default)}), f.name) == f.default
+            kept = getattr(cls(**{f.name: np.int64(f.default)}), f.name)
+            assert kept == f.default and type(kept) is int, (f.name, kept)
 
 
 def _position_array_sites(path: Path) -> list[tuple[str, int]]:

@@ -355,6 +355,24 @@ class TestTsp:
             points, start = _integer_grid(rng, n)
             assert held_karp(points, start) == held_karp_loop(points, start), n
 
+    @pytest.mark.parametrize("make_points", EXACT_CASES)
+    def test_table_read_back_is_held_karp_on_the_members(self, make_points):
+        # One table over all points gives, for any member set, the route
+        # held_karp and the loop oracle give on those points alone.
+        rng = np.random.default_rng(17)
+        loops = 0
+        for trial in range(400):
+            n = 1 + trial % 9
+            points, start = make_points(rng, n)
+            table = planner._held_karp_fill(points, start)
+            for _ in range(2):
+                members = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+                route = planner._held_karp_route(table, members)
+                assert route == [members[k] for k in held_karp(points[members], start)], (trial, members)
+                assert route == [members[k] for k in held_karp_loop(points[members], start)], (trial, members)
+                loops += 1
+        assert loops == 800
+
     def test_exact_memory_at_limit(self):
         # Alive at the peak: the float64 cost table, 15 * 2**15 * 8 bytes =
         # 3.75 MiB; `prev`, the int64 predecessor masks by endpoint, 15 *
@@ -912,28 +930,34 @@ def scan_pair_episodes(rng, num_objects, num_moved, n_values=(1, 2, 3)):
 class TestBenchmark:
     def test_coverage_tour_solved_once_per_map_and_start(self, tiny_tax, monkeypatch):
         # Two maps (one above EXACT_TSP_LIMIT), each with episodes for n = 1, 2, 3,
-        # and the second map's episodes again from an explicit start.
+        # and the second map's episodes again from an explicit start. The
+        # small map's tour comes from one Held-Karp table fill, the large
+        # map's from one solve_tsp call per start.
         rng = np.random.default_rng(21)
         episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
         episodes += [
             Episode(ep.previous_map, ep.realized_scene, ep.n, start_position=(1.0, 2.0, 0.5))
             for ep in episodes[3:]
         ]
-        calls = []
-        solve = planner.solve_tsp
+        fills, tours = [], []
+        fill, solve = planner._held_karp_fill, planner.solve_tsp
 
-        def counting_solve_tsp(points, start):
-            calls.append((np.asarray(points).tobytes(), np.asarray(start).tobytes()))
-            return solve(points, start)
+        def counting(calls, run):
+            def wrapped(points, start):
+                calls.append((np.asarray(points).tobytes(), np.asarray(start).tobytes()))
+                return run(points, start)
+            return wrapped
 
-        monkeypatch.setattr(planner, "solve_tsp", counting_solve_tsp)
+        monkeypatch.setattr(planner, "_held_karp_fill", counting(fills, fill))
+        monkeypatch.setattr(planner, "solve_tsp", counting(tours, solve))
         run_benchmark(episodes, UniformScorer(), tiny_tax)
         full_map_tours = {
-            (ep.previous_map.positions().tobytes(), ep.start().tobytes()) for ep in episodes
+            (ep.previous_map.positions().tobytes(), ep.start().tobytes()): ep.previous_map.num_nodes
+            for ep in episodes
         }
         assert len(full_map_tours) == 3
-        for key in full_map_tours:
-            assert calls.count(key) == 1
+        for key, size in full_map_tours.items():
+            assert (fills.count(key), tours.count(key)) == ((1, 0) if size <= EXACT_TSP_LIMIT else (0, 1))
 
     def test_shared_coverage_tour_gives_the_same_summary(self, tiny_tax, monkeypatch):
         rng = np.random.default_rng(22)
@@ -1003,11 +1027,13 @@ class TestBenchmark:
                 ) == vsg
         assert fallbacks > 0
 
-    def test_geometry_built_once_per_map_and_matrix_once_per_episode(self, tiny_tax, monkeypatch):
+    def test_geometry_built_once_per_map_and_matrix_once_per_start(self, tiny_tax, monkeypatch):
         # The maps of test_coverage_tour_solved_once_per_map_and_start: the
         # planner builds each map's positions once and its centroid once, and
-        # run_benchmark one distance matrix per episode, which the runners
-        # and ranked_route use instead of building their own.
+        # one full-map distance matrix per (map, start), which the runners
+        # and ranked_route use instead of building their own: the small
+        # map's comes with its Held-Karp table, the large map's from
+        # run_benchmark itself. No matrix is built per episode.
         rng = np.random.default_rng(21)
         episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
         episodes += [
@@ -1028,7 +1054,7 @@ class TestBenchmark:
             return route_start(points, start_position)
 
         def counting_extended(pts, start):
-            matrices.append(sys._getframe(1).f_code.co_name)
+            matrices.append((sys._getframe(1).f_code.co_name, pts.tobytes(), start.tobytes()))
             return extended(pts, start)
 
         monkeypatch.setattr(SceneGraph, "positions", counting_positions)
@@ -1042,8 +1068,65 @@ class TestBenchmark:
             {(ep.previous_map.positions().tobytes(), ep.start_position) for ep in episodes}, key=repr
         )
         assert sum(start is None for _, start in starts) == len(maps)
-        assert matrices.count("run_benchmark") == len(episodes)
-        assert set(matrices) <= {"run_benchmark", "held_karp", "heuristic_tsp"}
+        full_map = {
+            (ep.previous_map.positions().tobytes(), ep.start().tobytes()): ep.previous_map.num_nodes
+            for ep in episodes
+        }
+        assert len(full_map) == 3
+        for (pts, start), size in full_map.items():  # heuristic_tsp builds its own for the tour
+            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "run_benchmark"
+            assert [c for c, *key in matrices if key == [pts, start] and c != "heuristic_tsp"] == [caller]
+        assert sum(c == "run_benchmark" for c, *_ in matrices) == 2
+        assert {c for c, *_ in matrices} <= {"run_benchmark", "_held_karp_fill", "heuristic_tsp"}
+
+    def test_phase1_routes_read_from_the_table_are_ranked_routes(self, tiny_tax, monkeypatch):
+        # Maps of 5 to EXACT_TSP_LIMIT + 2 objects, n = 1..3 in by-n order,
+        # some episodes from an explicit start: every phase-1 route that
+        # run_benchmark reads back from a map's table is the route
+        # ranked_route solves on its own.
+        rng = np.random.default_rng(28)
+        episodes = []
+        for size in (5, 8, 11, EXACT_TSP_LIMIT, EXACT_TSP_LIMIT + 2):
+            pair = scan_pair_episodes(rng, size, 4)
+            episodes += pair + [
+                Episode(ep.previous_map, ep.realized_scene, ep.n, start_position=start)
+                for ep, start in zip(pair, rng.uniform(0, 8, size=(3, 3)).tolist())
+            ]
+        episodes.sort(key=lambda ep: ep.n)
+        routes, ranked = [], planner.ranked_route
+
+        def spy(graph, probabilities, n, start, *args):
+            route = ranked(graph, probabilities, n, start, *args)
+            routes.append((args[-1] is not None, route, ranked(graph, probabilities, n, start)))
+            return route
+
+        monkeypatch.setattr(planner, "ranked_route", spy)
+        scorer = PositionScorer()
+        assert run_benchmark(episodes, scorer, tiny_tax).feasible_episodes == len(episodes)
+        assert len(routes) == len(episodes)
+        assert sum(from_table for from_table, *_ in routes) == len(episodes) - 6
+        for _, route, solved in routes:
+            assert route == solved
+
+    def test_memory_does_not_grow_with_the_number_of_maps(self, tiny_tax):
+        # 15-object maps in compare-planners' by-n order: one map's Held-Karp
+        # table is alive at a time, so 12 maps peak as 2 do, under
+        # test_exact_memory_at_limit's bound for one held_karp call.
+        rng = np.random.default_rng(29)
+        episodes = [scan_pair_episodes(rng, EXACT_TSP_LIMIT, 3) for _ in range(12)]
+
+        def peak(maps):
+            chosen = sorted((ep for pair in episodes[:maps] for ep in pair), key=lambda ep: ep.n)
+            tracemalloc.start()
+            try:
+                run_benchmark(chosen, PositionScorer(), tiny_tax)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(2), peak(12)
+        assert abs(many - few) < 2**20, (few, many)
+        assert max(few, many) < 16 * 2**20
 
     def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
         rng = np.random.default_rng(23)

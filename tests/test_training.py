@@ -517,6 +517,32 @@ class TestTrain:
                 TrainConfig(learning_rate=lr)
 
 
+def test_numpy_integer_config_fields_save_the_same_bytes(tmp_path):
+    # Every count field is stored as a Python int, so a numpy integer in
+    # each one gives the Python-int run's world, checkpoint and report.json
+    # byte for byte (the JSON writer refuses numpy integers).
+    counts = {
+        GeneratorConfig: dict(num_environments=3, scans_per_environment=3, objects_min=6, objects_max=8,
+                              seed=4),
+        TrainConfig: dict(epochs=2, batch_size=4, seed=3, patience=1),
+        ModelConfig: dict(d_v=4, hidden_dim=8),
+    }
+    for cls, values in counts.items():
+        assert set(values) == {f.name for f in dataclasses.fields(cls) if f.type in ("int", "int | None")}
+
+    def run(as_count):
+        cfg = {cls: cls(**{k: as_count(v) for k, v in values.items()}) for cls, values in counts.items()}
+        ds = generate_dataset(cfg[GeneratorConfig])
+        splits = {e: "val" if k == 0 else "train" for k, e in enumerate(ds.environments)}
+        model, report = train(DatasetBundle(ds.taxonomy, ds.environments, splits), cfg[ModelConfig],
+                              cfg[TrainConfig])
+        path = tmp_path / f"{as_count.__name__}.json"
+        model_module.save_checkpoint(model, ds.taxonomy, path)
+        return path.read_bytes(), report.to_json().encode()
+
+    assert run(np.int64) == run(int)
+
+
 def test_validation_memory_stays_at_one_batch(monkeypatch):
     # 36 validation graphs with 4,024 edges in all: one union of them would
     # hold a 4,024 x 64 float64 edge-MLP hidden layer, 2.0 MiB, and peak at
