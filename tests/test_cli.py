@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 from vsg import (
+    Episode,
     compute_labels,
     embed,
     evaluate,
@@ -23,6 +24,8 @@ from vsg import (
     load_scene_graph,
     ranked_route,
     route_length,
+    run_coverage,
+    run_vsg_planner,
     save_checkpoint,
     scene_graph_to_dict,
     threshold_sweep,
@@ -651,6 +654,34 @@ def test_malformed_scene_is_one_error_line(pipeline, tmp_path, capsys, command, 
     assert "phase1-route:" not in captured.out
 
 
+@pytest.fixture(scope="module")
+def sized_scenes(pipeline, tmp_path_factory):
+    """Scan pairs of 10 and of 20 objects, in the checkpoint's taxonomy: the
+    first is planned with Held-Karp, the second above EXACT_TSP_LIMIT."""
+    root = tmp_path_factory.mktemp("sized")
+    scenes = {}
+    for objects in (10, 20):
+        spec = root / f"gen{objects}.json"
+        spec.write_text(json.dumps({"num_environments": 1, "scans_per_environment": 2,
+                                    "objects_min": objects, "objects_max": objects, "seed": 7}))
+        data = root / str(objects)
+        assert dispatch(["generate", "--spec", str(spec), "--out", str(data)]) == 0
+        scenes[objects] = data / "env000" / "scan00.json", data / "env000" / "scan01.json"
+    return scenes
+
+
+def plan_line(result):
+    """`vsg plan --realized`'s line for one planner's episode result."""
+    flags = [flag for flag, on in (("fallback", result.fallback_used), ("infeasible", result.infeasible)) if on]
+    return (f"{result.planner}: distance {result.distance_traveled:.6f} "
+            f"changes {result.changes_found} visits {len(result.visit_order)}"
+            + (f" [{', '.join(flags)}]" if flags else ""))
+
+
+def planner_lines(out):
+    return [l for l in out.splitlines() if l.startswith(("coverage: ", "vsg: "))]
+
+
 class TestPlan:
     def test_prints_route_and_distance(self, pipeline, capsys):
         rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
@@ -680,6 +711,48 @@ class TestPlan:
         out = capsys.readouterr().out
         assert any(l.startswith("coverage: distance ") for l in out.splitlines())
         assert any(l.startswith("vsg: distance ") for l in out.splitlines())
+
+    def test_infeasible_episode_prints_both_planners(self, pipeline, capsys):
+        # The scene as its own realized scene: nothing changed, so neither
+        # planner finds its change. Both lines are those of the public
+        # runners with no precomputed inputs.
+        scene_path = str(pipeline["scene"])
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]), "--scene", scene_path,
+                       "--n", "1", "--realized", scene_path])
+        assert rc == 0
+        out = capsys.readouterr().out
+        model, tax = load_checkpoint(pipeline["ckpt"])
+        scene = load_scene_graph(pipeline["scene"], tax)
+        ep = Episode(previous_map=scene, realized_scene=load_scene_graph(pipeline["scene"], tax), n=1)
+        route = next(l for l in out.splitlines() if l.startswith("phase1-route: ")).split(": ", 1)[1].split()
+        assert route == ranked_route(scene, model.predict_probabilities(scene, tax), 1, ep.start())
+        lines = planner_lines(out)
+        assert lines == [plan_line(run_coverage(ep, tax)), plan_line(run_vsg_planner(ep, model, tax, first=route))]
+        assert lines[0].startswith("coverage: ") and lines[0].endswith(" [infeasible]")
+        assert lines[1].startswith("vsg: ") and lines[1].endswith(" [fallback, infeasible]")
+
+    @pytest.mark.parametrize("start", [None, "1,2,0.5"])
+    @pytest.mark.parametrize("objects", [10, 20])
+    def test_realized_output_is_the_public_runners(self, pipeline, sized_scenes, capsys, objects, start):
+        # On a Held-Karp map and on one above EXACT_TSP_LIMIT, every planning
+        # line is the one the plain public functions give.
+        scene_path, realized_path = sized_scenes[objects]
+        n = 2
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]), "--scene", str(scene_path), "--n", str(n),
+                       "--realized", str(realized_path), *(["--start", start] if start else [])])
+        assert rc == 0
+        out = capsys.readouterr().out
+        model, tax = load_checkpoint(pipeline["ckpt"])
+        scene = load_scene_graph(scene_path, tax)
+        assert (scene.num_nodes <= planner.EXACT_TSP_LIMIT) == (objects == 10)
+        start_position = tuple(float(x) for x in start.split(",")) if start else None
+        ep = Episode(previous_map=scene, realized_scene=load_scene_graph(realized_path, tax), n=n,
+                     start_position=start_position)
+        route = ranked_route(scene, model.predict_probabilities(scene, tax), n, ep.start())
+        length = route_length(scene.positions(), ep.start(), [scene.node_index(o) for o in route])
+        assert f"phase1-route: {' '.join(route)}" in out.splitlines()
+        assert f"phase1-distance: {length:.6f}" in out.splitlines()
+        assert planner_lines(out) == [plan_line(run_coverage(ep, tax)), plan_line(run_vsg_planner(ep, model, tax))]
 
     def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):
         # ... and solves its phase-1 route once: the guided run walks the printed route.
