@@ -34,15 +34,12 @@ from .errors import CheckpointError, ConfigError, EvaluationError, UsageError, V
 from .model import MODEL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .planner import (
     Episode,
+    _MapContext,
+    _path_length,
     changed_object_ids,
     check_route,
     make_episodes,
-    ranked_route,
-    route_length,
-    route_start,
     run_benchmark,
-    run_coverage,
-    run_vsg_planner,
     write_benchmark_csv,
 )
 from .training import (
@@ -217,16 +214,15 @@ def cmd_plan(args) -> int:
     check_route(scene, args.n)
     realized = _load_scene(args.realized, tax) if args.realized else None
     start = _parse_start(args.start) if args.start else None
-    positions = scene.positions()
-    start_vec = route_start(positions, start)
-    route = ranked_route(scene, model.predict_probabilities(scene, tax), args.n, start_vec, positions)
-    total = route_length(positions, start_vec, [scene.node_index(oid) for oid in route])
-    results = []
-    if realized is not None:
+    probabilities = model.predict_probabilities(scene, tax)
+    ctx = _MapContext(scene, scene.positions(), start)
+    if realized is None:
+        results, route = [], ctx.phase1(probabilities, args.n)
+    else:  # compare-planners' per-episode path
         ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
         changed = changed_object_ids(ep, tax)
-        results = [run_coverage(ep, tax, changed=changed),
-                   run_vsg_planner(ep, model, tax, first=route, changed=changed)]
+        *results, route = ctx.run(ep, tax, changed, lambda: probabilities, guide_infeasible=True)
+    total = _path_length(ctx.dist, scene.num_nodes, [scene.node_index(oid) for oid in route])
     _echo_config(
         "plan",
         {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
@@ -234,15 +230,11 @@ def cmd_plan(args) -> int:
     )
     print("phase1-route: " + " ".join(route))
     print(f"phase1-distance: {total:.6f}")
-    for result in results:
-        flags = []
-        if result.fallback_used:
-            flags.append("fallback")
-        if result.infeasible:
-            flags.append("infeasible")
+    for r in results:
+        flags = [f for f, on in zip(("fallback", "infeasible"), (r.fallback_used, r.infeasible)) if on]
         print(
-            f"{result.planner}: distance {result.distance_traveled:.6f} "
-            f"changes {result.changes_found} visits {len(result.visit_order)}"
+            f"{r.planner}: distance {r.distance_traveled:.6f} "
+            f"changes {r.changes_found} visits {len(r.visit_order)}"
             + (f" [{', '.join(flags)}]" if flags else "")
         )
     return 0

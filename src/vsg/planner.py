@@ -15,16 +15,16 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 
 A walk's length is its legs summed left to right, read off the coordinates
 (`route_length`) or, the same float, off a distance matrix with the start as
-its last index (`_path_length`). The benchmark builds each map's positions
-once and, per start, one such matrix for both runners: on a map of at most
-EXACT_TSP_LIMIT objects, with the Held-Karp table that gives its Coverage
-tour and every phase-1 route.
+its last index (`_path_length`). The benchmark and `vsg plan` run their
+episodes through a `_MapContext`, which holds one such matrix per map and
+start.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import compress
 from math import comb
 
@@ -537,14 +537,7 @@ def _tour_and_walk(
             more, found_more = _walk([remaining[k] for k in tour], changed, ep.n - found)
             walked += _path_length(dist, stop, more)
             visited, found = visited + more, found + found_more
-    return EpisodeResult(
-        planner=planner,
-        visit_order=tuple(ids[i] for i in visited),
-        distance_traveled=walked,
-        changes_found=found,
-        fallback_used=fallback,
-        infeasible=found < ep.n,
-    )
+    return EpisodeResult(planner, tuple(ids[i] for i in visited), walked, found, fallback, found < ep.n)
 
 
 def run_coverage(
@@ -562,12 +555,8 @@ def run_coverage(
 
 
 def ranked_route(
-    graph: SceneGraph,
-    probabilities: dict[str, tuple[float, float, float]],
-    n: int,
-    start: np.ndarray,
-    positions: np.ndarray | None = None,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    graph: SceneGraph, probabilities: dict[str, tuple[float, float, float]], n: int, start: np.ndarray,
+    positions: np.ndarray | None = None, table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     """Phase-1 route of the guided planner: a TSP tour over the n+3 objects
     most likely to have changed.
@@ -645,25 +634,55 @@ class BenchmarkSummary:
     infeasible_episodes: int
 
 
+class _MapContext:
+    """What the episodes on one map from one start share: the map's
+    `positions`, the `start`, their `_extended_distances` matrix and, on a
+    map of at most EXACT_TSP_LIMIT objects, the `_held_karp_fill` table it
+    comes from (else None). The Coverage tour is solved when first needed."""
+
+    def __init__(self, graph: SceneGraph, positions: np.ndarray, start_position=None):
+        self.graph, self.positions, self.tour = graph, positions, None
+        self.start = route_start(positions, start_position)
+        self.table = _held_karp_fill(positions, self.start) if len(positions) <= EXACT_TSP_LIMIT else None
+        self.dist = _extended_distances(positions, self.start) if self.table is None else self.table[0]
+        self.geometry = positions, self.start, self.dist
+
+    def phase1(self, probabilities: dict[str, tuple[float, float, float]], n: int) -> list[str]:
+        """`ranked_route` from this start, read back from the table if there is one."""
+        return ranked_route(self.graph, probabilities, n, self.start, self.positions, self.table)
+
+    def run(self, ep: Episode, tax: Taxonomy, changed: frozenset[str], predict: Callable[[], dict],
+            guide_infeasible: bool) -> tuple[EpisodeResult, EpisodeResult | None, list[str] | None]:
+        """One episode: the Coverage result, the guided planner's and its
+        phase-1 route. `changed` is `changed_object_ids(ep, tax)`; `predict()`
+        gives the map's probabilities, asked for only when the guided planner
+        runs, which on an infeasible episode is only if `guide_infeasible`
+        (else the last two are None). Both runners walk this matrix."""
+        if self.tour is None:  # solve_tsp's tour, read back from the table if there is one
+            self.tour = (solve_tsp(self.positions, self.start) if self.table is None
+                         else _held_karp_route(self.table, range(len(self.positions))))
+        cov = run_coverage(ep, tax, tour=self.tour, changed=changed, geometry=self.geometry)
+        if cov.infeasible and not guide_infeasible:
+            return cov, None, None
+        first = self.phase1(predict(), ep.n)  # given `first`, run_vsg_planner asks no model
+        vsg = run_vsg_planner(ep, None, tax, first=first, changed=changed, geometry=self.geometry)
+        return cov, vsg, first
+
+
 def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSummary:
     """Run both planners on every episode and summarize per n.
 
     Episodes where even the full Coverage tour cannot find n changes are
-    excluded from the statistics. The speedup column is relative to the
-    Coverage baseline, so Coverage's own rows carry 0.
+    excluded from the statistics, and the guided planner skips them. The
+    speedup column is relative to the Coverage baseline, so Coverage's own
+    rows carry 0.
 
-    The episodes are run one map (by graph identity) at a time, and within
-    a map one start at a time, each in order of first appearance. A map's
-    positions, labels per scan pair and predictions are built once; per
-    start, one distance matrix serves both runners. On a map of at most
-    EXACT_TSP_LIMIT objects that matrix comes from one `_held_karp_fill`,
-    and the Coverage tour (all objects) and each episode's phase-1 route
-    (its `ranked_route` members) are read back from that one table: the
-    routes `solve_tsp` would give. A larger map solves both with
-    `solve_tsp`. Each map's table and matrices are dropped before the next
-    is built, so what is kept beyond the episodes' two distances does not
-    grow with the number of maps; a model's predict_probabilities must
-    depend on (graph, taxonomy) alone.
+    The episodes are run one map (by graph identity) at a time, then one
+    start at a time, in order of first appearance, through one `_MapContext`
+    per (map, start), dropped before the next is built: what is kept beyond
+    the episodes' two distances does not grow with the number of maps. A
+    map's labels per scan pair and predictions are made once, so a model's
+    predict_probabilities must depend on (graph, taxonomy) alone.
 
     Each n is summarized, in episode order, from one C-contiguous (2, k)
     array of its k distances, Coverage's row then the guided planner's:
@@ -677,31 +696,20 @@ def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSum
         by_start.setdefault(ep.start_position, []).append(k)
     walked: list[tuple[float, float] | None] = [None] * len(episodes)  # None: infeasible
     for graph, by_start in maps.values():
-        pts = graph.positions()
+        positions = graph.positions()
         changed: dict[tuple[int, LabelConfig], frozenset[str]] = {}
-        predicted = None
+        predict = cache(partial(model.predict_probabilities, graph, tax))  # once per map, when first needed
         for start_position, members in by_start.items():
-            start = route_start(pts, start_position)
-            if len(pts) <= EXACT_TSP_LIMIT:
-                table = _held_karp_fill(pts, start)
-                dist, tour = table[0], _held_karp_route(table, range(len(pts)))
-            else:
-                table, dist, tour = None, _extended_distances(pts, start), solve_tsp(pts, start)
-            geometry = pts, start, dist
+            ctx = _MapContext(graph, positions, start_position)
             for k in members:
                 ep = episodes[k]
                 pair = (id(ep.realized_scene), ep.label_cfg)
                 if pair not in changed:
                     changed[pair] = changed_object_ids(ep, tax)
-                cov = run_coverage(ep, tax, tour=tour, changed=changed[pair], geometry=geometry)
-                if cov.infeasible:
-                    continue
-                if predicted is None:
-                    predicted = model.predict_probabilities(graph, tax)
-                first = ranked_route(graph, predicted, ep.n, start, pts, table)
-                vsg = run_vsg_planner(ep, model, tax, first=first, changed=changed[pair], geometry=geometry)
-                walked[k] = cov.distance_traveled, vsg.distance_traveled
-            del table  # free this cost table before the next is filled
+                cov, vsg, _ = ctx.run(ep, tax, changed[pair], predict, guide_infeasible=False)
+                if vsg is not None:
+                    walked[k] = cov.distance_traveled, vsg.distance_traveled
+            del ctx  # free this start's table before the next is filled
     by_n: dict[int, tuple[list[float], list[float]]] = {}  # Coverage's distances, then the guided planner's
     for ep, distances in zip(episodes, walked):
         if distances is not None:

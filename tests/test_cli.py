@@ -33,7 +33,6 @@ from vsg import (
     write_sweep_csv,
 )
 from vsg import planner
-import vsg.cli as cli_module
 import vsg.dataset as dataset_module
 import vsg.model as model_module
 from vsg.cli import _TRAIN_SECTIONS, _parse_n_range, build_parser, dispatch
@@ -672,7 +671,7 @@ def sized_scenes(pipeline, tmp_path_factory):
 
 def plan_line(result):
     """`vsg plan --realized`'s line for one planner's episode result."""
-    flags = [flag for flag, on in (("fallback", result.fallback_used), ("infeasible", result.infeasible)) if on]
+    flags = [f for f, on in zip(("fallback", "infeasible"), (result.fallback_used, result.infeasible)) if on]
     return (f"{result.planner}: distance {result.distance_traveled:.6f} "
             f"changes {result.changes_found} visits {len(result.visit_order)}"
             + (f" [{', '.join(flags)}]" if flags else ""))
@@ -727,7 +726,8 @@ class TestPlan:
         route = next(l for l in out.splitlines() if l.startswith("phase1-route: ")).split(": ", 1)[1].split()
         assert route == ranked_route(scene, model.predict_probabilities(scene, tax), 1, ep.start())
         lines = planner_lines(out)
-        assert lines == [plan_line(run_coverage(ep, tax)), plan_line(run_vsg_planner(ep, model, tax, first=route))]
+        assert lines == [plan_line(run_coverage(ep, tax)),
+                         plan_line(run_vsg_planner(ep, model, tax, first=route))]
         assert lines[0].startswith("coverage: ") and lines[0].endswith(" [infeasible]")
         assert lines[1].startswith("vsg: ") and lines[1].endswith(" [fallback, infeasible]")
 
@@ -752,7 +752,45 @@ class TestPlan:
         length = route_length(scene.positions(), ep.start(), [scene.node_index(o) for o in route])
         assert f"phase1-route: {' '.join(route)}" in out.splitlines()
         assert f"phase1-distance: {length:.6f}" in out.splitlines()
-        assert planner_lines(out) == [plan_line(run_coverage(ep, tax)), plan_line(run_vsg_planner(ep, model, tax))]
+        assert planner_lines(out) == [plan_line(run_coverage(ep, tax)),
+                                      plan_line(run_vsg_planner(ep, model, tax))]
+
+    @pytest.mark.parametrize("realized", [True, False])
+    @pytest.mark.parametrize("objects", [10, 20])
+    def test_whole_map_is_routed_once_and_only_for_realized(self, pipeline, sized_scenes, capsys, monkeypatch,
+                                                            objects, realized):
+        # The map as its own realized scene at n = 2: the guided planner falls
+        # back over the objects its 5-object phase-1 route left, and solves
+        # that tour on its own. The whole map gets one matrix, on a Held-Karp
+        # map from its one table fill, and one Coverage tour, which a plan
+        # without --realized never solves.
+        calls = []
+
+        def spy(name):  # each call's size: its point count, or for a read-back its member count
+            run = getattr(planner, name)
+
+            def counted(*args):
+                calls.append((name, len(args[-1] if name == "_held_karp_route" else args[0])))
+                return run(*args)
+            monkeypatch.setattr(planner, name, counted)
+
+        for name in ("_held_karp_fill", "_extended_distances", "_held_karp_route", "solve_tsp"):
+            spy(name)
+        scene_path = str(sized_scenes[objects][0])
+        rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]), "--scene", scene_path, "--n", "2",
+                       *(["--realized", scene_path] if realized else [])])
+        assert rc == 0
+        lines = planner_lines(capsys.readouterr().out)
+        assert len(lines) == 2 * realized
+        assert not realized or lines[1].startswith("vsg: ") and lines[1].endswith(" [fallback, infeasible]")
+        whole = sorted(call for call in calls if call[1] == objects)
+        if objects <= planner.EXACT_TSP_LIMIT:
+            expected = [("_extended_distances", objects), ("_held_karp_fill", objects)]
+            expected += [("_held_karp_route", objects)] * realized
+        else:  # heuristic_tsp builds the tour's own matrix
+            expected = [("_extended_distances", objects)]
+            expected += [("_extended_distances", objects), ("solve_tsp", objects)] * realized
+        assert whole == sorted(expected)
 
     def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):
         # ... and solves its phase-1 route once: the guided run walks the printed route.
@@ -775,7 +813,6 @@ class TestPlan:
         monkeypatch.setattr(_VariabilityModel, "predict_probabilities", counting_predict)
         monkeypatch.setattr(planner, "compute_labels", counting_labels)
         monkeypatch.setattr(planner, "ranked_route", counting_route)
-        monkeypatch.setattr(cli_module, "ranked_route", counting_route)
         realized = pipeline["data"] / "env000" / "scan01.json"
         rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
                        "--scene", str(pipeline["scene"]), "--n", "2",

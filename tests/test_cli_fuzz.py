@@ -161,17 +161,22 @@ def _scaled_scenes(world, out, v):
 
 @pytest.fixture
 def checked_tsp(monkeypatch):
-    """Every solve_tsp result the planner gets, each checked to be a permutation."""
+    """Every route the planner gets, from `solve_tsp` or read back from a
+    Held-Karp table by `_held_karp_route`, each checked to be a permutation
+    of its points (a read-back's points are its members)."""
     orders = []
 
-    def solve_tsp(points, start):
-        order = real(points, start)
-        assert sorted(order) == list(range(len(points))), order
-        orders.append(order)
-        return order
+    def checked(real, points_of):
+        def route(*args):
+            order = real(*args)
+            assert sorted(order) == sorted(points_of(*args)), order
+            orders.append(order)
+            return order
+        return route
 
-    real = planner.solve_tsp
-    monkeypatch.setattr(planner, "solve_tsp", solve_tsp)
+    for name, points_of in (("solve_tsp", lambda points, start: range(len(points))),
+                            ("_held_karp_route", lambda table, members: members)):
+        monkeypatch.setattr(planner, name, checked(getattr(planner, name), points_of))
     return orders
 
 

@@ -1033,7 +1033,7 @@ class TestBenchmark:
         # one full-map distance matrix per (map, start), which the runners
         # and ranked_route use instead of building their own: the small
         # map's comes with its Held-Karp table, the large map's from
-        # run_benchmark itself. No matrix is built per episode.
+        # _MapContext itself. No matrix is built per episode.
         rng = np.random.default_rng(21)
         episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
         episodes += [
@@ -1074,10 +1074,10 @@ class TestBenchmark:
         }
         assert len(full_map) == 3
         for (pts, start), size in full_map.items():  # heuristic_tsp builds its own for the tour
-            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "run_benchmark"
+            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "__init__"
             assert [c for c, *key in matrices if key == [pts, start] and c != "heuristic_tsp"] == [caller]
-        assert sum(c == "run_benchmark" for c, *_ in matrices) == 2
-        assert {c for c, *_ in matrices} <= {"run_benchmark", "_held_karp_fill", "heuristic_tsp"}
+        assert sum(c == "__init__" for c, *_ in matrices) == 2
+        assert {c for c, *_ in matrices} <= {"__init__", "_held_karp_fill", "heuristic_tsp"}
 
     def test_phase1_routes_read_from_the_table_are_ranked_routes(self, tiny_tax, monkeypatch):
         # Maps of 5 to EXACT_TSP_LIMIT + 2 objects, n = 1..3 in by-n order,
