@@ -47,9 +47,8 @@ from .training import (
     LossConfig,
     TrainConfig,
     class_weights_from_samples,
-    evaluate_probabilities,
+    evaluate_samples,
     prepare_training,
-    sample_probabilities,
     sweep_rows,
     train_prepared,
     write_eval_csv,
@@ -159,11 +158,8 @@ def cmd_eval(args) -> int:
         raise EvaluationError(
             f"split {args.split!r} has no samples; pick another --split or regenerate the dataset"
         )
-    probabilities = sample_probabilities(model, samples, bundle.taxonomy)
     thresholds = (args.threshold, *SWEEP_THRESHOLDS) if args.sweep else (args.threshold,)
-    report, *sweep = evaluate_probabilities(
-        probabilities, [s.labels for s in samples], [s.masks for s in samples], thresholds
-    )
+    report, *sweep = evaluate_samples(model, samples, bundle.taxonomy, thresholds)
     _echo_config(
         "eval",
         {

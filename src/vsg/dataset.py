@@ -26,7 +26,9 @@ import logging
 import math
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -276,70 +278,38 @@ class ClassSpec:
     is_structure: bool = False
 
 
-def _default_class_specs() -> dict[str, ClassSpec]:
-    return {
-        "wall": ClassSpec(is_structure=True),
-        "floor": ClassSpec(is_structure=True),
-        "door": ClassSpec(
-            affordances=("openable",),
-            state_pair=("open", "closed"),
-            propensity=ClassPropensity(toggle=0.45),
-            is_structure=True,
-        ),
-        "table": ClassSpec(
-            static_attributes=("wooden",),
-            propensity=ClassPropensity(move_near=0.02, move_far=0.02),
-            is_support=True,
-        ),
-        "shelf": ClassSpec(static_attributes=("wooden",), is_support=True),
-        "cabinet": ClassSpec(
-            static_attributes=("wooden",),
-            affordances=("openable",),
-            state_pair=("open", "closed"),
-            propensity=ClassPropensity(toggle=0.35),
-            is_support=True,
-        ),
-        "chair": ClassSpec(
-            static_attributes=("fabric",),
-            affordances=("sittable", "movable"),
-            propensity=ClassPropensity(move_near=0.5, move_far=0.35),
-        ),
-        "lamp": ClassSpec(
-            static_attributes=("metal",),
-            affordances=("switchable",),
-            state_pair=("on", "off"),
-            propensity=ClassPropensity(move_near=0.05, move_far=0.02, toggle=0.5),
-        ),
-        "laptop": ClassSpec(
-            static_attributes=("metal",),
-            affordances=("switchable", "graspable", "movable"),
-            state_pair=("on", "off"),
-            propensity=ClassPropensity(move_near=0.55, move_far=0.1, toggle=0.5, vanish=0.08),
-        ),
-        "cup": ClassSpec(
-            static_attributes=("plastic",),
-            affordances=("graspable", "movable"),
-            propensity=ClassPropensity(move_near=0.7, move_far=0.08, vanish=0.12),
-        ),
-        "book": ClassSpec(
-            affordances=("graspable", "movable"),
-            propensity=ClassPropensity(move_near=0.6, move_far=0.06, vanish=0.1),
-        ),
-        "plant": ClassSpec(
-            affordances=("movable",),
-            propensity=ClassPropensity(move_near=0.15, move_far=0.05, vanish=0.03),
-        ),
-        "box": ClassSpec(
-            affordances=("openable", "movable", "graspable"),
-            state_pair=("open", "closed"),
-            propensity=ClassPropensity(move_near=0.5, move_far=0.1, toggle=0.3, vanish=0.08),
-        ),
-    }
+# The synthetic world's classes, built once at import; read-only, since every generator shares them.
+_CLASS_SPECS: Mapping[str, ClassSpec] = MappingProxyType({
+    "wall": ClassSpec(is_structure=True),
+    "floor": ClassSpec(is_structure=True),
+    "door": ClassSpec(affordances=("openable",), state_pair=("open", "closed"),
+                      propensity=ClassPropensity(toggle=0.45), is_structure=True),
+    "table": ClassSpec(static_attributes=("wooden",), is_support=True,
+                       propensity=ClassPropensity(move_near=0.02, move_far=0.02)),
+    "shelf": ClassSpec(static_attributes=("wooden",), is_support=True),
+    "cabinet": ClassSpec(static_attributes=("wooden",), affordances=("openable",),
+                         state_pair=("open", "closed"), propensity=ClassPropensity(toggle=0.35),
+                         is_support=True),
+    "chair": ClassSpec(static_attributes=("fabric",), affordances=("sittable", "movable"),
+                       propensity=ClassPropensity(move_near=0.5, move_far=0.35)),
+    "lamp": ClassSpec(static_attributes=("metal",), affordances=("switchable",), state_pair=("on", "off"),
+                      propensity=ClassPropensity(move_near=0.05, move_far=0.02, toggle=0.5)),
+    "laptop": ClassSpec(static_attributes=("metal",), affordances=("switchable", "graspable", "movable"),
+                        state_pair=("on", "off"),
+                        propensity=ClassPropensity(move_near=0.55, move_far=0.1, toggle=0.5, vanish=0.08)),
+    "cup": ClassSpec(static_attributes=("plastic",), affordances=("graspable", "movable"),
+                     propensity=ClassPropensity(move_near=0.7, move_far=0.08, vanish=0.12)),
+    "book": ClassSpec(affordances=("graspable", "movable"),
+                      propensity=ClassPropensity(move_near=0.6, move_far=0.06, vanish=0.1)),
+    "plant": ClassSpec(affordances=("movable",),
+                       propensity=ClassPropensity(move_near=0.15, move_far=0.05, vanish=0.03)),
+    "box": ClassSpec(affordances=("openable", "movable", "graspable"), state_pair=("open", "closed"),
+                     propensity=ClassPropensity(move_near=0.5, move_far=0.1, toggle=0.3, vanish=0.08)),
+})
 
 
 def default_taxonomy() -> Taxonomy:
     """The synthetic world's taxonomy: 13 classes, 13 attributes, 5 relations."""
-    specs = _default_class_specs()
     attributes = (
         [("wooden", "static"), ("metal", "static"), ("plastic", "static"), ("fabric", "static")]
         + [(n, "state") for pair in _STATE_PAIRS for n in pair]
@@ -353,7 +323,7 @@ def default_taxonomy() -> Taxonomy:
     )
     return Taxonomy(
         name="synthetic-rooms",
-        classes=tuple(sorted(specs)),
+        classes=tuple(sorted(_CLASS_SPECS)),
         attributes=tuple(attributes),
         relationships=("standing_on", "next_to", "attached_to", "part_of", "leaning_against"),
     )
@@ -410,7 +380,7 @@ class GeneratorConfig:
         fractions = self.split_fractions
         if len(fractions) != 3 or not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
             raise ConfigError(f"split fractions must be 3 non-negative numbers summing to 1, got {fractions}")
-        classes = sorted(_default_class_specs())
+        classes = sorted(_CLASS_SPECS)
         unknown = [c for c in self.propensity_overrides if c not in classes]
         if unknown:
             raise ConfigError(f"propensity_overrides names unknown class {unknown[0]!r}; "
@@ -466,7 +436,7 @@ def _place(
 
 
 def _new_object(
-    tax: Taxonomy, specs: dict[str, ClassSpec], cls: str, number: int, state_value: str | None, position
+    tax: Taxonomy, specs: Mapping[str, ClassSpec], cls: str, number: int, state_value: str | None, position
 ) -> ObjectNode:
     """Object `obj<number>` of class cls: its class's static attributes and
     affordances, plus state_value unless that is None."""
@@ -476,7 +446,7 @@ def _new_object(
     return ObjectNode(f"obj{number:03d}", tax.class_index(cls), attributes, position)
 
 
-def _class_flags(nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassSpec]) -> np.ndarray:
+def _class_flags(nodes: list[ObjectNode], tax: Taxonomy, specs: Mapping[str, ClassSpec]) -> np.ndarray:
     """(4, N) bool: whether each node is a support, a structure, a wall and a
     door, from one table over the classes of `tax` (a class without a spec is none)."""
     of_class = [specs.get(c) or ClassSpec() for c in tax.classes]
@@ -487,7 +457,7 @@ def _class_flags(nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassS
 
 
 def _semantic_edges(
-    nodes: list[ObjectNode], tax: Taxonomy, specs: dict[str, ClassSpec], cfg: GeneratorConfig
+    nodes: list[ObjectNode], tax: Taxonomy, specs: Mapping[str, ClassSpec], cfg: GeneratorConfig
 ) -> tuple[SemanticEdge, ...]:
     """Edges recomputed from geometry. First, in node order, each door is
     attached_to its nearest wall (3-D) and each other non-support,
@@ -529,7 +499,7 @@ def _semantic_edges(
 
 
 def _initial_scene(
-    tax: Taxonomy, specs: dict[str, ClassSpec], cfg: GeneratorConfig, rng: np.random.Generator
+    tax: Taxonomy, specs: Mapping[str, ClassSpec], cfg: GeneratorConfig, rng: np.random.Generator
 ) -> tuple[list[ObjectNode], int]:
     rx, ry, rz = cfg.room_size
     taken: list[tuple[float, float, float]] = []
@@ -583,7 +553,7 @@ def _transition(
     nodes: list[ObjectNode],
     counter: int,
     tax: Taxonomy,
-    specs: dict[str, ClassSpec],
+    specs: Mapping[str, ClassSpec],
     cfg: GeneratorConfig,
     rng: np.random.Generator,
 ) -> tuple[list[ObjectNode], int, TransitionLog]:
@@ -662,10 +632,9 @@ def generate_environment(
     speed only changes the work around the draws and gives the same worlds.
     """
     tax = tax or default_taxonomy()
-    specs = _default_class_specs()
     rng = np.random.default_rng([cfg.seed, env_index])
     env_id = f"env{env_index:03d}"
-    nodes, counter = _initial_scene(tax, specs, cfg, rng)
+    nodes, counter = _initial_scene(tax, _CLASS_SPECS, cfg, rng)
     scans: list[SceneGraph] = []
     logs: list[TransitionLog] = []
     for t in range(cfg.scans_per_environment):
@@ -676,11 +645,11 @@ def generate_environment(
                 timestamp=t,
                 taxonomy_name=tax.name,
                 nodes=tuple(nodes),
-                semantic_edges=_semantic_edges(nodes, tax, specs, cfg),
+                semantic_edges=_semantic_edges(nodes, tax, _CLASS_SPECS, cfg),
             )
         )
         if t < cfg.scans_per_environment - 1:
-            nodes, counter, log = _transition(nodes, counter, tax, specs, cfg, rng)
+            nodes, counter, log = _transition(nodes, counter, tax, _CLASS_SPECS, cfg, rng)
             logs.append(log)
     return scans, logs
 

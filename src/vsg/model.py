@@ -94,6 +94,8 @@ def graph_union(graphs: Sequence[EmbeddedGraph]) -> GraphUnion:
     """One union of `graphs`, in order. Each graph's edge indices are checked
     against its own node count before the offset (GraphError), so no edge
     can point into the next graph's nodes."""
+    if not graphs:
+        raise UsageError("a graph union needs at least one graph")
     node_spans, edge_spans, firsts, sizes = [], [], [], []
     n = e = 0
     for g in graphs:
@@ -117,6 +119,13 @@ def graph_union(graphs: Sequence[EmbeddedGraph]) -> GraphUnion:
         _stack([g.node_features for g in graphs]), edge_index,
         _stack([g.edge_features for g in graphs]), tuple(node_spans), tuple(edge_spans),
     )
+
+
+def finite_probabilities(probs: np.ndarray, scan_id: str) -> np.ndarray:
+    """`probs`, the eval-mode probabilities of scan `scan_id`; a non-finite one is a CheckpointError."""
+    if not np.isfinite(probs).all():
+        raise CheckpointError(f"scan {scan_id!r}: the model's probabilities are not finite")
+    return probs
 
 
 class MpConv:
@@ -277,24 +286,12 @@ class _VariabilityModel:
             )
         return embed(g, tax, self.pca, self.edge_config)
 
-    def eval_probabilities(self, eg: EmbeddedGraph, scan_id: str) -> np.ndarray:
-        """Eval-mode (N, 3) probabilities of one embedded scan; non-finite ones are a CheckpointError."""
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it, not numpy
-            probs, _ = self.forward(eg, mode="eval")
-        if not np.isfinite(probs).all():
-            raise CheckpointError(f"scan {scan_id!r}: the model's probabilities are not finite")
-        return probs
-
-    def predict_probabilities(
-        self, g: SceneGraph, tax: Taxonomy
-    ) -> dict[str, tuple[float, float, float]]:
+    def predict_probabilities(self, g: SceneGraph, tax: Taxonomy) -> dict[str, tuple[float, float, float]]:
         """Per-object (p_position, p_state, p_instance), eval mode; non-finite ones are a CheckpointError."""
         eg = self.embed_scene(g, tax)
-        probs = self.eval_probabilities(eg, g.scan_id)
-        return {
-            oid: (float(p[0]), float(p[1]), float(p[2]))
-            for oid, p in zip(eg.node_ids, probs)
-        }
+        with np.errstate(over="ignore", invalid="ignore"):  # finite_probabilities reports it, not numpy
+            probs = finite_probabilities(self.forward(eg, mode="eval")[0], g.scan_id)
+        return dict(zip(eg.node_ids, map(tuple, probs.tolist())))
 
 
 class DeltaVsgModel(_VariabilityModel):

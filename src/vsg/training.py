@@ -17,16 +17,16 @@ weights so rare positives are seen often. The returned model is the
 best-validation-loss snapshot, and the whole run is deterministic per
 (config, seed).
 
-Where speed stops keeping the bits. A run does each graph's float
-operations in a fixed order, and every speed-up keeps that order. A step
-trains its batch as one disjoint union of graphs (Fey & Lenssen,
-arXiv:1903.02428; model.py's ``GraphUnion``), and validation runs in unions
-of ``batch_size`` graphs. Everything elementwise runs once over the union:
+Where speed stops keeping the bits. A run does each graph's float operations
+in a fixed order, and every speed-up keeps that order. A step trains its
+batch as one disjoint union of graphs (Fey & Lenssen, arXiv:1903.02428;
+model.py's ``GraphUnion``). An eval-mode pass (validation, ``evaluate``,
+``threshold_sweep``) forwards each distinct scan once, in unions, with the
+same floats as alone. Everything elementwise runs once over the union:
 gathers, ReLU, sigmoid, the dropout draw (one draw over the union is the
-graphs' draws in batch order), the focal-loss elements, and the message
-sum, one ``np.bincount`` that adds in input order (model.py's
-``_scatter_add``), where no bin spans two graphs. What the floats depend
-on stays per graph:
+graphs' draws in batch order), the focal-loss elements, and the message sum,
+one ``np.bincount`` that adds in input order (model.py's ``_scatter_add``),
+where no bin spans two graphs. What the floats depend on stays per graph:
 - each matrix product: a stacked product differs from the per-graph ones
   under OpenBLAS in 372 of 600 cases;
 - each bias-gradient and loss sum over a graph's own rows:
@@ -62,13 +62,14 @@ from .dataset import (
 from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed, encode_nodes,
                         fit_pca, pairwise_distance_percentile)
 from .errors import ConfigError, EvaluationError, TrainingError
-from .model import MODEL_CLASSES, ModelConfig, graph_union
+from .model import MODEL_CLASSES, ModelConfig, finite_probabilities, graph_union
 from .nn_core import Adam, check_dropout_rate
 
 logger = logging.getLogger(__name__)
 
 _CLAMP_LO = 1e-7
 _CLAMP_HI = 1.0 - 1e-7
+_EVAL_UNION = 8  # graphs per union when a trained model is evaluated
 
 
 @dataclass(frozen=True)
@@ -215,29 +216,45 @@ def _train_step(model, graphs: list[EmbeddedGraph], samples: list[Sample], loss_
     return batch_loss, int(masks.sum())
 
 
+def _eval_forward(model, graphs: list[EmbeddedGraph], chunk: int) -> list[np.ndarray]:
+    """Eval-mode (N, 3) probabilities of each of `graphs`: each distinct graph
+    (`_embed_inputs` gives a scan one) is forwarded once, in unions of at most
+    `chunk` graphs, with the same floats as alone. Repeats of a graph share
+    one read-only array. Callers judge non-finite values."""
+    distinct, probs = list({id(g): g for g in graphs}.values()), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in (distinct[k:k + chunk] for k in range(0, len(distinct), chunk)):
+            batch = graph_union(part)
+            out = model.forward(batch, mode="eval")[0]
+            out.flags.writeable = False
+            probs.update((id(g), out[a:b]) for g, (a, b) in zip(part, batch.node_spans))
+    return [probs[id(g)] for g in graphs]
+
+
 def _validation_pass(model, graphs: list[EmbeddedGraph], samples: list[Sample], loss_cfg: LossConfig,
                      chunk: int) -> tuple[float, float]:
-    """(mean graph loss, pooled F1 at 0.5) in eval mode, one union per
-    `chunk` graphs, so memory does not grow with the split."""
-    probs, labels, masks, losses = [], [], [], []
-    for start in range(0, len(graphs), chunk):
-        batch = graph_union(graphs[start:start + chunk])
-        part = samples[start:start + chunk]
-        labels.append(np.concatenate([s.labels for s in part]))
-        masks.append(np.concatenate([s.masks for s in part]))
-        probs.append(model.forward(batch, mode="eval")[0])
-        losses += focal_loss(probs[-1], labels[-1], masks[-1], loss_cfg, batch.node_spans)[0].tolist()
+    """(mean graph loss, pooled F1 at 0.5) in eval mode: `_eval_forward` in
+    unions of at most `chunk` graphs, each distinct scan once and with the
+    same floats as alone; each sample is scored on its own labels and masks."""
+    probs = _eval_forward(model, graphs, chunk)
+    labels, masks = [s.labels for s in samples], [s.masks for s in samples]
+    ends = np.cumsum([len(p) for p in probs]).tolist()
+    losses = focal_loss(np.concatenate(probs), np.concatenate(labels), np.concatenate(masks), loss_cfg,
+                        tuple(zip([0, *ends[:-1]], ends)))[0]
     f1 = evaluate_probabilities(probs, labels, masks, [0.5])[0].metrics["pooled"].f1
-    return sum(losses) / len(samples), f1
+    return sum(losses.tolist()) / len(samples), f1
 
 
 def sample_probabilities(model, samples: list[Sample], tax) -> list[np.ndarray]:
-    """Eval-mode (N, 3) probabilities of each sample's input scan, embedding
-    every scan once. A taxonomy or scan that is not the model's, and a
+    """Eval-mode (N, 3) probabilities of each sample's input scan: each
+    distinct scan is embedded once and forwarded once, in unions, with the
+    same floats as alone (`_eval_forward`; the samples of one scan share one
+    read-only array). A taxonomy or scan that is not the model's, and a
     non-finite probability, are refused with the CheckpointError of
-    `predict_probabilities`."""
+    `predict_probabilities`, naming the scan."""
     graphs = _embed_inputs(samples, lambda g: model.embed_scene(g, tax))
-    return [model.eval_probabilities(g, s.input.scan_id) for g, s in zip(graphs, samples)]
+    probs = _eval_forward(model, graphs, _EVAL_UNION)
+    return [finite_probabilities(p, s.input.scan_id) for p, s in zip(probs, samples)]
 
 
 def _snapshot(model) -> np.ndarray:
@@ -451,22 +468,21 @@ def sweep_rows(reports: list[EvalReport]) -> list[dict]:
     return rows
 
 
+def evaluate_samples(model, samples: list[Sample], tax, thresholds: Sequence[float]) -> list[EvalReport]:
+    """One EvalReport per threshold, in order, from one `sample_probabilities` pass."""
+    probs = sample_probabilities(model, samples, tax)
+    return evaluate_probabilities(probs, [s.labels for s in samples], [s.masks for s in samples], thresholds)
+
+
 def evaluate(model, samples: list[Sample], tax, threshold: float = 0.5) -> EvalReport:
     """Run the model over labeled samples and report per-variability metrics."""
-    probs = sample_probabilities(model, samples, tax)
-    return evaluate_probabilities(
-        probs, [s.labels for s in samples], [s.masks for s in samples], [threshold]
-    )[0]
+    return evaluate_samples(model, samples, tax, [threshold])[0]
 
 
-def threshold_sweep(
-    model, samples: list[Sample], tax, thresholds: Sequence[float] = SWEEP_THRESHOLDS
-) -> list[dict]:
+def threshold_sweep(model, samples: list[Sample], tax,
+                    thresholds: Sequence[float] = SWEEP_THRESHOLDS) -> list[dict]:
     """Precision/recall per variability type across decision thresholds."""
-    probs = sample_probabilities(model, samples, tax)
-    return sweep_rows(evaluate_probabilities(
-        probs, [s.labels for s in samples], [s.masks for s in samples], thresholds
-    ))
+    return sweep_rows(evaluate_samples(model, samples, tax, thresholds))
 
 
 def write_eval_csv(report: EvalReport, path) -> None:

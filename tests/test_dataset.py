@@ -44,7 +44,7 @@ from vsg import (
 )
 
 from vsg.core_graph import distance
-from vsg.dataset import LabelStats, _default_class_specs, _semantic_edges
+from vsg.dataset import LabelStats, _CLASS_SPECS, _semantic_edges
 
 from conftest import build_tiny_tax, label_rows, make_graph, make_node, make_sample, tiny_graphs
 
@@ -690,7 +690,7 @@ class TestGeometry:
             support_radius=support_radius, next_to_radius=next_to_radius,
             appear_prob=appear_prob, seed=seed,
         )
-        tax, specs = default_taxonomy(), _default_class_specs()
+        tax, specs = default_taxonomy(), _CLASS_SPECS
         for e in range(cfg.num_environments):
             for scan in generate_environment(cfg, e, tax)[0]:
                 want = semantic_edges_loop(scan.nodes, tax, specs, cfg)
@@ -701,7 +701,7 @@ class TestGeometry:
     def test_semantic_edges_use_id_order_not_node_order(self):
         # In str order obj1000 < obj999, so ties and next_to direction
         # follow ids, not the node order below; the distance ties are exact.
-        tax, specs = default_taxonomy(), _default_class_specs()
+        tax, specs = default_taxonomy(), _CLASS_SPECS
         nodes = [
             make_node(oid, cls=tax.class_index(cls), pos=pos)
             for oid, cls, pos in [

@@ -273,6 +273,10 @@ class TestGraphUnion:
         with pytest.raises(GraphError, match="out of range"):
             graph_union([first, bad, first])
 
+    def test_empty_union_refused(self):
+        with pytest.raises(UsageError, match="^a graph union needs at least one graph$"):
+            graph_union([])
+
     @pytest.mark.parametrize("kind", ["graph", "mlp"])
     def test_union_predicts_each_graph_as_alone(self, kind):
         rng = np.random.default_rng(1)

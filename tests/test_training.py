@@ -709,6 +709,93 @@ def test_union_step_matches_per_graph_step(monkeypatch, kind, d_v, hidden, scala
     assert reference[1].any()
 
 
+def hand_built_model(kind, scalar_gate, graphs, samples):
+    """A jittered model whose `embed_scene` returns each sample's hand-built graph."""
+    model = make_model(d_v=5, seed=3, scalar_gate=scalar_gate, kind=kind)
+    jitter_params(model.store, 3)
+    by_scan = {s.input.scan_id: g for g, s in zip(graphs, samples)}
+    model.embed_scene = lambda g, tax: by_scan[g.scan_id]
+    return model
+
+
+@pytest.mark.parametrize("kind, scalar_gate", [("graph", False), ("graph", True), ("mlp", False)],
+                         ids=["deltavsg", "scalar_gate", "mlp_baseline"])
+def test_sample_probabilities_match_per_graph_forward(kind, scalar_gate):
+    graphs, samples = hand_built_batch(5, seed=7)
+    model = hand_built_model(kind, scalar_gate, graphs, samples)
+    got = training_module.sample_probabilities(model, samples, None)
+    assert len(got) == len(samples) and got[8] is got[0] and got[9] is got[2]  # repeats are forwarded once
+    assert not any(p.flags.writeable for p in got)
+    for g, p in zip(graphs, got, strict=True):
+        alone = model.forward(g, mode="eval")[0]
+        assert p.shape == alone.shape
+        npt.assert_array_equal(p.view(np.int64), alone.view(np.int64))
+
+
+def test_non_finite_probability_names_its_scan_inside_a_union():
+    graphs, samples = hand_built_batch(5, seed=7)
+    graphs[6] = dataclasses.replace(graphs[6], node_features=graphs[6].node_features.copy())
+    graphs[6].node_features[2, 0] = np.nan  # the seventh graph of the first union
+    model = hand_built_model("graph", False, graphs, samples)
+    with pytest.raises(CheckpointError, match=r"^scan 's6': the model's probabilities are not finite$"):
+        training_module.sample_probabilities(model, samples, None)
+
+
+def spy_eval_forwards(monkeypatch, model_class):
+    """The graphs of every eval-mode union forward, in order, recorded
+    through `graph_union`."""
+    unions, forwarded = {}, []
+
+    def recording_union(graphs):
+        batch = union(graphs)
+        unions[id(batch)] = (batch, list(graphs))
+        return batch
+
+    def spying_forward(self, eg, mode="eval", rng=None):
+        if mode == "eval":
+            forwarded.extend(unions[id(eg)][1])
+        return forward(self, eg, mode, rng)
+
+    union, forward = training_module.graph_union, model_class.forward
+    monkeypatch.setattr(training_module, "graph_union", recording_union)
+    monkeypatch.setattr(model_class, "forward", spying_forward)
+    return forwarded
+
+
+def assert_each_scan_forwarded_once(forwarded, samples):
+    scans = {(s.environment_id, s.input.scan_id) for s in samples}
+    assert len(scans) < len(samples)  # 3-scan environments: each input scan has two samples
+    assert len(forwarded) == len({id(g) for g in forwarded}) == len(scans)
+
+
+def test_each_distinct_scan_is_forwarded_once_per_eval_pass(monkeypatch):
+    bundle = small_bundle()
+    model, _ = train(bundle, small_model_cfg(), quick_train_cfg(epochs=1))
+    samples = bundle.samples("val")
+    forwarded = spy_eval_forwards(monkeypatch, type(model))
+    evaluate(model, samples, bundle.taxonomy)
+    assert_each_scan_forwarded_once(forwarded, samples)
+    forwarded.clear()
+    threshold_sweep(model, samples, bundle.taxonomy)
+    assert_each_scan_forwarded_once(forwarded, samples)
+
+
+def test_each_distinct_scan_is_forwarded_once_per_validation(monkeypatch):
+    data = prepare_training(small_bundle(), small_model_cfg())
+    forwarded = spy_eval_forwards(monkeypatch, model_module.DeltaVsgModel)
+    train_prepared(data, quick_train_cfg(epochs=1))
+    assert_each_scan_forwarded_once(forwarded, data.val_samples)
+    assert {id(g) for g in forwarded} == {id(g) for g in data.val_inputs}
+
+
+def test_empty_sample_list_is_nothing_to_evaluate():
+    model = make_model(d_v=5, seed=3)
+    with pytest.raises(EvaluationError, match="nothing to evaluate"):
+        evaluate(model, [], None)
+    with pytest.raises(EvaluationError, match="nothing to evaluate"):
+        threshold_sweep(model, [], None)
+
+
 def adam_step_loop(self):
     """Adam.step as a loop over parameters, moments kept per name. beta1,
     beta2 and eps are written out: they are the values `train` uses."""
