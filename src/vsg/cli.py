@@ -35,10 +35,10 @@ from .model import MODEL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .planner import (
     Episode,
     _MapContext,
-    _path_length,
     changed_object_ids,
     check_route,
     make_episodes,
+    route_length,
     run_benchmark,
     write_benchmark_csv,
 )
@@ -218,7 +218,7 @@ def cmd_plan(args) -> int:
         ep = Episode(previous_map=scene, realized_scene=realized, n=args.n, start_position=start)
         changed = changed_object_ids(ep, tax)
         *results, route = ctx.run(ep, tax, changed, lambda: probabilities, guide_infeasible=True)
-    total = _path_length(ctx.dist, scene.num_nodes, [scene.node_index(oid) for oid in route])
+    total = route_length(ctx.positions, ctx.start, [scene.node_index(oid) for oid in route])
     _echo_config(
         "plan",
         {"ckpt": args.ckpt, "scene": args.scene, "n": args.n, "start": start,
@@ -267,7 +267,10 @@ def cmd_compare_planners(args) -> int:
     environments = {e: bundle.environments[e] for e in env_ids}
     if not environments:
         raise EvaluationError(f"no environments in split {args.split!r}")
-    n_max = max((ep.previous_map.num_nodes for ep in make_episodes(environments, [1])), default=0)
+    pairs = make_episodes(environments, [1])
+    if not pairs:
+        raise EvaluationError(f"no scan pair in split {args.split!r}: each of its environments holds one scan")
+    n_max = max(ep.previous_map.num_nodes for ep in pairs)
     n_values = _parse_n_range(args.n_range, n_max)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1; got {args.seeds}")

@@ -15,18 +15,19 @@ stopped, if that was not enough. Motion is point-to-point Euclidean.
 
 A walk's length is its legs summed left to right, read off the coordinates
 (`route_length`) or, the same float, off a distance matrix with the start as
-its last index (`_path_length`). The benchmark and `vsg plan` run their
-episodes through a `_MapContext`, which holds one such matrix per map and
-start.
+its last index (`_path_length`). Each episode is walked by a `_MapContext`
+of its map and start, which builds that matrix, the Coverage tour and the
+phase-1 routes when first needed. The runners build one per call unless
+given one; the benchmark and `vsg plan` give one per map and start.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import compress
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -493,98 +494,121 @@ def _walk(route: list[int], changed: set[int], need: int) -> tuple[list[int], in
     return route, found
 
 
-def _tour_and_walk(
-    ep: Episode, tax: Taxonomy, planner: str, first: list[str],
-    tour: list[int] | None, changed: frozenset[str] | None,
-    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-) -> EpisodeResult:
-    """Walk the route `first`, then, if fewer than n changes were found, a
-    TSP tour over the objects not yet visited, from where the first walk
-    stopped.
+class _MapContext:
+    """One map's episode state from one start, each part built when first
+    needed: `dist`, the `_extended_distances` matrix, and `tour`, Coverage's
+    `solve_tsp(positions, start)`, read back on a map of at most
+    EXACT_TSP_LIMIT objects from a `_held_karp_fill` table kept as `table`
+    (else None), whose matrix is then `dist`."""
 
-    Coverage is this with an empty first route; for the guided planner the
-    tour is the Coverage fallback after its phase-1 route. `tour` (that
-    tour's solve_tsp order, so a permutation of the map's indices: only
-    Coverage passes one), `changed` (`changed_object_ids`) and `geometry`
-    (the map's positions, the start and their `_extended_distances`) are
-    the caller's, or None. A route that repeats an object is a ConfigError.
+    def __init__(self, graph: SceneGraph, positions: np.ndarray, start_position=None):
+        self.graph, self.positions, self.table = graph, positions, None
+        self.start = route_start(positions, start_position)
 
-    Each walk's length is `_path_length` on the geometry's matrix; the
-    fallback's legs are summed on their own and added to the first walk's.
-    """
-    graph = ep.previous_map
-    ids = graph.node_ids
-    route = [graph.node_index(oid) for oid in first]
-    if len(set(route)) < len(route) or tour is not None and sorted(tour) != list(range(graph.num_nodes)):
-        raise ConfigError(f"a {planner} route visits each object once: got first route {first}, tour {tour}")
-    if geometry is None:
-        positions = graph.positions()
-        start = route_start(positions, ep.start_position)
-        geometry = positions, start, _extended_distances(positions, start)
-    positions, start, dist = geometry
-    changed = changed_object_ids(ep, tax) if changed is None else changed
-    changed = {graph.node_index(oid) for oid in changed}
-    visited, found = _walk(route, changed, ep.n)
-    walked = _path_length(dist, len(positions), visited)
-    fallback = False
-    if found < ep.n:
-        remaining = sorted(set(range(graph.num_nodes)).difference(visited))
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return _extended_distances(self.positions, self.start) if self.table is None else self.table[0]
+
+    @cached_property
+    def tour(self) -> list[int]:
+        if len(self.positions) > EXACT_TSP_LIMIT:
+            return solve_tsp(self.positions, self.start)
+        self.table = _held_karp_fill(self.positions, self.start)
+        return _held_karp_route(self.table, range(len(self.positions)))
+
+    def phase1(self, probabilities: dict[str, tuple[float, float, float]], n: int) -> list[str]:
+        """`ranked_route` from this start, read back from the table if there
+        is one: on at most EXACT_TSP_LIMIT objects, the same route as
+        `solve_tsp` on the chosen ones. Scores not keyed by exactly the
+        map's ids, or not finite, are a ConfigError naming the first such
+        id (the map's ids in node order, then extra keys)."""
+        graph, ids = self.graph, self.graph.node_ids
+        for oid in ids:
+            p = probabilities.get(oid)
+            if p is None or not all(map(isfinite, p)):
+                raise ConfigError(f"phase-1 scores: object {oid!r} of scan {graph.scan_id!r} has "
+                                  f"{'none' if p is None else p}, not three finite probabilities")
+        if len(probabilities) > len(ids):
+            oid = next(oid for oid in probabilities if not graph.has_node(oid))
+            raise ConfigError(f"phase-1 scores: {oid!r} is not an object of scan {graph.scan_id!r}")
+        ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
+        top = set(ranked[: n + 3])
+        chosen = [i for i, oid in enumerate(ids) if oid in top]
+        if self.table is not None:
+            return [ids[i] for i in _held_karp_route(self.table, chosen)]
+        return [ids[chosen[k]] for k in solve_tsp(self.positions[chosen], self.start)]
+
+    def walk(self, ep: Episode, tax: Taxonomy, planner: str, first: list[str],
+             changed: frozenset[str] | None = None) -> EpisodeResult:
+        """Walk the route `first`, then, if fewer than n changes were found,
+        a TSP tour over the objects not yet visited from where it stopped:
+        `tour` if nothing was. Coverage is this with an empty `first`. A
+        route that repeats an object is a ConfigError; `changed` is
+        `changed_object_ids(ep, tax)` or None. Both walks' lengths are
+        `_path_length` on `dist`, summed apart and then added."""
+        graph, ids = self.graph, self.graph.node_ids
+        route = [graph.node_index(oid) for oid in first]
+        if len(set(route)) < len(route):
+            raise ConfigError(f"a {planner} route visits each object once: got first route {first}")
+        changed = changed_object_ids(ep, tax) if changed is None else changed
+        changed = {graph.node_index(oid) for oid in changed}
+        visited, found = _walk(route, changed, ep.n)
+        remaining = sorted(set(range(graph.num_nodes)).difference(visited)) if found < ep.n else []
+        stop, more = visited[-1] if visited else len(self.positions), []  # the start is dist's last index
         if remaining:
-            fallback = bool(first)
-            stop = visited[-1] if visited else len(positions)  # the start is dist's last index
-            if tour is None:
-                tour = solve_tsp(positions[remaining], positions[stop] if visited else start)
+            tour = solve_tsp(self.positions[remaining], self.positions[stop]) if visited else self.tour
             more, found_more = _walk([remaining[k] for k in tour], changed, ep.n - found)
-            walked += _path_length(dist, stop, more)
-            visited, found = visited + more, found + found_more
-    return EpisodeResult(planner, tuple(ids[i] for i in visited), walked, found, fallback, found < ep.n)
+            found += found_more
+        walked = _path_length(self.dist, len(self.positions), visited) + _path_length(self.dist, stop, more)
+        visit_order = tuple(ids[i] for i in visited + more)
+        return EpisodeResult(planner, visit_order, walked, found, bool(first and remaining), found < ep.n)
+
+    def run(self, ep: Episode, tax: Taxonomy, changed: frozenset[str], predict: Callable[[], dict],
+            guide_infeasible: bool) -> tuple[EpisodeResult, EpisodeResult | None, list[str] | None]:
+        """One episode: the Coverage result, the guided planner's and its
+        phase-1 route. `changed` is `changed_object_ids(ep, tax)`; `predict()`
+        gives the map's probabilities, asked for only when the guided planner
+        runs, which on an infeasible episode is only if `guide_infeasible`
+        (else the last two are None)."""
+        cov = run_coverage(ep, tax, changed=changed, context=self)
+        if cov.infeasible and not guide_infeasible:
+            return cov, None, None
+        first = self.phase1(predict(), ep.n)  # given `first`, run_vsg_planner asks no model
+        vsg = run_vsg_planner(ep, None, tax, first=first, changed=changed, context=self)
+        return cov, vsg, first
 
 
 def run_coverage(
-    ep: Episode, tax: Taxonomy, *, tour: list[int] | None = None, changed: frozenset[str] | None = None,
-    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ep: Episode, tax: Taxonomy, *, changed: frozenset[str] | None = None, context: _MapContext | None = None,
 ) -> EpisodeResult:
     """TSP tour over every previous-map object, walked until n changes.
 
-    `tour`, if given, is `solve_tsp(positions, start)`, a permutation of the
-    map's indices (else a ConfigError); `changed`, if given, is
-    `changed_object_ids(ep, tax)`; `geometry`, if given, is `(positions,
-    start, _extended_distances(positions, start))` for `positions =
-    ep.previous_map.positions()` and `start = ep.start()`."""
-    return _tour_and_walk(ep, tax, COVERAGE, [], tour, changed, geometry)
+    `changed`, if given, is `changed_object_ids(ep, tax)`; `context`, if
+    given, is a `_MapContext` of the episode's previous map and start,
+    whose tour and matrix serve the next episode too."""
+    context = context or _MapContext(ep.previous_map, ep.previous_map.positions(), ep.start_position)
+    return context.walk(ep, tax, COVERAGE, [], changed)
 
 
 def ranked_route(
     graph: SceneGraph, probabilities: dict[str, tuple[float, float, float]], n: int, start: np.ndarray,
-    positions: np.ndarray | None = None, table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[str]:
     """Phase-1 route of the guided planner: a TSP tour over the n+3 objects
     most likely to have changed.
 
     An object's score is the max of its three probabilities, ties broken
     toward the lower object id; the chosen objects keep node order before
-    the tour is solved. `positions`, if given, is `graph.positions()`;
-    `table`, if given, is `_held_karp_fill(positions, start)`, from which
-    the tour is read back instead of solved: the same route as `solve_tsp`
-    on the chosen objects, since a map with a table has at most
-    EXACT_TSP_LIMIT objects. `check_route` refuses the graph and n, as an
-    `Episode` does.
+    the tour is solved. `check_route` refuses the graph and n, as an
+    `Episode` does; probabilities keyed by anything but exactly the map's
+    object ids, or not finite, are a ConfigError naming the first such id.
     """
     check_route(graph, n)
-    ranked = sorted(probabilities, key=lambda oid: (-max(probabilities[oid]), oid))
-    top = set(ranked[: n + 3])
-    ids = graph.node_ids
-    chosen = [i for i, oid in enumerate(ids) if oid in top]
-    if table is not None:
-        return [ids[i] for i in _held_karp_route(table, chosen)]
-    positions = graph.positions() if positions is None else positions
-    return [ids[chosen[k]] for k in solve_tsp(positions[chosen], start)]
+    return _MapContext(graph, graph.positions(), start).phase1(probabilities, n)
 
 
 def run_vsg_planner(
     ep: Episode, model, tax: Taxonomy, *,
-    first: list[str] | None = None, changed: frozenset[str] | None = None,
-    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    first: list[str] | None = None, changed: frozenset[str] | None = None, context: _MapContext | None = None,
 ) -> EpisodeResult:
     """Tour the n+3 most change-prone objects first, Coverage as fallback.
 
@@ -592,12 +616,12 @@ def run_vsg_planner(
     if given, is the phase-1 route: `ranked_route(ep.previous_map, p, ep.n,
     ep.start())` of the model's probabilities p; a route that repeats an
     object is a ConfigError. None ranks the model's predictions. `changed`
-    and `geometry` are as in `run_coverage`.
+    and `context` are as in `run_coverage`.
     """
+    context = context or _MapContext(ep.previous_map, ep.previous_map.positions(), ep.start_position)
     if first is None:
-        probabilities = model.predict_probabilities(ep.previous_map, tax)
-        first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
-    return _tour_and_walk(ep, tax, VSG_PLANNER, first, None, changed, geometry)
+        first = context.phase1(model.predict_probabilities(ep.previous_map, tax), ep.n)
+    return context.walk(ep, tax, VSG_PLANNER, first, changed)
 
 
 class OracleScorer:
@@ -632,41 +656,6 @@ class BenchmarkSummary:
     rows: tuple[BenchmarkRow, ...]
     feasible_episodes: int
     infeasible_episodes: int
-
-
-class _MapContext:
-    """What the episodes on one map from one start share: the map's
-    `positions`, the `start`, their `_extended_distances` matrix and, on a
-    map of at most EXACT_TSP_LIMIT objects, the `_held_karp_fill` table it
-    comes from (else None). The Coverage tour is solved when first needed."""
-
-    def __init__(self, graph: SceneGraph, positions: np.ndarray, start_position=None):
-        self.graph, self.positions, self.tour = graph, positions, None
-        self.start = route_start(positions, start_position)
-        self.table = _held_karp_fill(positions, self.start) if len(positions) <= EXACT_TSP_LIMIT else None
-        self.dist = _extended_distances(positions, self.start) if self.table is None else self.table[0]
-        self.geometry = positions, self.start, self.dist
-
-    def phase1(self, probabilities: dict[str, tuple[float, float, float]], n: int) -> list[str]:
-        """`ranked_route` from this start, read back from the table if there is one."""
-        return ranked_route(self.graph, probabilities, n, self.start, self.positions, self.table)
-
-    def run(self, ep: Episode, tax: Taxonomy, changed: frozenset[str], predict: Callable[[], dict],
-            guide_infeasible: bool) -> tuple[EpisodeResult, EpisodeResult | None, list[str] | None]:
-        """One episode: the Coverage result, the guided planner's and its
-        phase-1 route. `changed` is `changed_object_ids(ep, tax)`; `predict()`
-        gives the map's probabilities, asked for only when the guided planner
-        runs, which on an infeasible episode is only if `guide_infeasible`
-        (else the last two are None). Both runners walk this matrix."""
-        if self.tour is None:  # solve_tsp's tour, read back from the table if there is one
-            self.tour = (solve_tsp(self.positions, self.start) if self.table is None
-                         else _held_karp_route(self.table, range(len(self.positions))))
-        cov = run_coverage(ep, tax, tour=self.tour, changed=changed, geometry=self.geometry)
-        if cov.infeasible and not guide_infeasible:
-            return cov, None, None
-        first = self.phase1(predict(), ep.n)  # given `first`, run_vsg_planner asks no model
-        vsg = run_vsg_planner(ep, None, tax, first=first, changed=changed, geometry=self.geometry)
-        return cov, vsg, first
 
 
 def run_benchmark(episodes: list[Episode], model, tax: Taxonomy) -> BenchmarkSummary:

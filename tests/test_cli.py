@@ -761,9 +761,9 @@ class TestPlan:
                                                             objects, realized):
         # The map as its own realized scene at n = 2: the guided planner falls
         # back over the objects its 5-object phase-1 route left, and solves
-        # that tour on its own. The whole map gets one matrix, on a Held-Karp
-        # map from its one table fill, and one Coverage tour, which a plan
-        # without --realized never solves.
+        # that tour on its own. With --realized the whole map gets one matrix,
+        # on a Held-Karp map from its one table fill, and one Coverage tour;
+        # a plan without --realized solves only its phase-1 route.
         calls = []
 
         def spy(name):  # each call's size: its point count, or for a read-back its member count
@@ -784,19 +784,19 @@ class TestPlan:
         assert len(lines) == 2 * realized
         assert not realized or lines[1].startswith("vsg: ") and lines[1].endswith(" [fallback, infeasible]")
         whole = sorted(call for call in calls if call[1] == objects)
-        if objects <= planner.EXACT_TSP_LIMIT:
-            expected = [("_extended_distances", objects), ("_held_karp_fill", objects)]
-            expected += [("_held_karp_route", objects)] * realized
+        if not realized:
+            expected = []
+        elif objects <= planner.EXACT_TSP_LIMIT:
+            expected = [(name, objects) for name in ("_extended_distances", "_held_karp_fill", "_held_karp_route")]
         else:  # heuristic_tsp builds the tour's own matrix
-            expected = [("_extended_distances", objects)]
-            expected += [("_extended_distances", objects), ("solve_tsp", objects)] * realized
+            expected = [("_extended_distances", objects)] * 2 + [("solve_tsp", objects)]
         assert whole == sorted(expected)
 
     def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):
         # ... and solves its phase-1 route once: the guided run walks the printed route.
         calls = []
         predict, labels = _VariabilityModel.predict_probabilities, planner.compute_labels
-        route = planner.ranked_route
+        route = planner._MapContext.phase1
 
         def counting_predict(self, *args):
             calls.append("predict")
@@ -812,7 +812,7 @@ class TestPlan:
 
         monkeypatch.setattr(_VariabilityModel, "predict_probabilities", counting_predict)
         monkeypatch.setattr(planner, "compute_labels", counting_labels)
-        monkeypatch.setattr(planner, "ranked_route", counting_route)
+        monkeypatch.setattr(planner._MapContext, "phase1", counting_route)
         realized = pipeline["data"] / "env000" / "scan01.json"
         rc = dispatch(["plan", "--ckpt", str(pipeline["ckpt"]),
                        "--scene", str(pipeline["scene"]), "--n", "2",
@@ -849,6 +849,23 @@ class TestComparePlanners:
         assert lines[0] == "n,planner,mean_distance,std_distance,win_fraction,speedup"
         assert len(lines) == 5  # two n values x two planners
         assert "episodes:" in capsys.readouterr().out
+
+    def test_split_without_a_scan_pair_is_refused_before_echo(self, pipeline, tmp_path, capsys):
+        # With one scan per environment there is no episode, so no largest map for --n-range to exceed.
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["environments"]:
+            entry["scans"] = entry["scans"][:1]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc = dispatch(["compare-planners", "--data", str(data), "--ckpt", str(pipeline["ckpt"]),
+                       "--n-range", "1..5", "--split", "train", "--out", str(tmp_path / "bench.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and "resolved-config:" not in out, out
+        assert err.strip().splitlines() == [
+            "error: EvaluationError: no scan pair in split 'train': each of its environments holds one scan"
+        ]
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_deterministic_csv(self, pipeline, tmp_path):
         outs = []

@@ -696,12 +696,6 @@ class TestCoverage:
         floats = Episode(ep.previous_map, ep.realized_scene, n=1, start_position=(1.0, 2.0, 3.0))
         assert hash(same[0]) == hash(floats)
 
-    @pytest.mark.parametrize("tour", [[0, 0, 1], [0, 1], [0, 1, 3], [2, 1, 0, 0]])
-    def test_tour_that_is_not_a_permutation_is_refused(self, tiny_tax, tour):
-        ep = line_episode(tiny_tax, n=2, changed_ids=("a",))
-        with pytest.raises(ConfigError, match="visits each object once"):
-            run_coverage(ep, tiny_tax, tour=tour)
-
 
 class TestHostileMagnitudes:
     @pytest.mark.parametrize("v", MAGNITUDES + [float("nan"), float("inf")])
@@ -833,6 +827,32 @@ class TestVsgPlanner:
         probs = OracleScorer(ep.realized_scene).predict_probabilities(ep.previous_map, tiny_tax)
         with pytest.raises(ConfigError, match="n >= 1"):
             ranked_route(ep.previous_map, probs, n, ep.start())
+
+    def test_phase1_scores_keyed_by_other_ids_are_refused(self, tiny_tax):
+        # Else no object is chosen and the phase-1 route is empty.
+        ep = line_episode(tiny_tax)
+        with pytest.raises(ConfigError, match="object 'a' of scan 's0' has none"):
+            ranked_route(ep.previous_map, {"zzz": (1.0, 1.0, 1.0)}, 1, ep.start())
+        every = dict.fromkeys(["a", "b", "c", "zzz", "yyy"], (0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError, match="'zzz' is not an object of scan 's0'"):
+            ranked_route(ep.previous_map, every, 1, ep.start())
+
+    def test_scorer_of_another_map_is_refused(self, tiny_tax):
+        # Else the guided planner walks only the Coverage fallback and reports no fallback.
+        ep = cluster_episode(tiny_tax, n=1)
+        foreign = FixedScorer({f"x{k}": (0.5, 0.5, 0.5) for k in range(10)})
+        with pytest.raises(ConfigError, match="object 'u0' of scan 's0' has none"):
+            run_vsg_planner(ep, foreign, tiny_tax)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase1_score_is_refused(self, tiny_tax, bad):
+        # A NaN would sort arbitrarily among the scores.
+        ep = cluster_episode(tiny_tax, n=1)
+        scores = UniformScorer().predict_probabilities(ep.previous_map, tiny_tax) | {"u3": (0.5, bad, 0.5)}
+        with pytest.raises(ConfigError, match="object 'u3' of scan 's0' has .*not three finite"):
+            run_vsg_planner(ep, FixedScorer(scores), tiny_tax)
+        with pytest.raises(ConfigError, match="'u3'"):
+            ranked_route(ep.previous_map, scores, 1, ep.start())
 
     def test_small_map_degenerates_to_coverage(self, tiny_tax):
         # With at most n + 3 objects the first phase already tours the whole
@@ -967,7 +987,7 @@ class TestBenchmark:
         cov_calls = []
         coverage = planner.run_coverage
 
-        def coverage_without_tour(ep, tax, *, tour=None, changed=None, geometry=None):
+        def coverage_without_tour(ep, tax, *, changed=None, context=None):
             cov_calls.append(ep)
             return coverage(ep, tax)
 
@@ -1000,31 +1020,35 @@ class TestBenchmark:
         assert len(predicted) == len(set(predicted)) == 3
 
     def test_runners_with_precomputed_inputs_are_unchanged(self, tiny_tax):
+        # Each runner alone equals it given the episode's labels, a fresh
+        # context (walked by the guided planner first, so its matrix comes
+        # before any table), or one context shared by the map's episodes.
         rng = np.random.default_rng(25)
         scorer = PositionScorer()
         fallbacks = 0
         for moved in (4, 2, 1, 0):
-            for ep in scan_pair_episodes(rng, 10, moved):
+            episodes = scan_pair_episodes(rng, 10, moved)
+            shared = planner._MapContext(episodes[0].previous_map, episodes[0].previous_map.positions())
+            for ep in episodes:
                 changed = planner.changed_object_ids(ep, tiny_tax)
                 probabilities = scorer.predict_probabilities(ep.previous_map, tiny_tax)
-                positions, start = ep.previous_map.positions(), ep.start()
-                geometry = positions, start, _extended_distances(positions, start)
-                tour = solve_tsp(positions, start)
                 cov = run_coverage(ep, tiny_tax)
                 vsg = run_vsg_planner(ep, scorer, tiny_tax)
                 fallbacks += vsg.fallback_used
+                fresh = planner._MapContext(ep.previous_map, ep.previous_map.positions(), ep.start_position)
+                assert run_vsg_planner(ep, scorer, tiny_tax, context=fresh) == vsg
+                assert run_coverage(ep, tiny_tax, context=fresh) == cov
                 assert run_coverage(ep, tiny_tax, changed=changed) == cov
-                assert run_coverage(ep, tiny_tax, geometry=geometry) == cov
-                assert run_coverage(ep, tiny_tax, tour=tour, changed=changed, geometry=geometry) == cov
+                assert run_coverage(ep, tiny_tax, changed=changed, context=shared) == cov
                 assert run_vsg_planner(ep, scorer, tiny_tax, changed=changed) == vsg
-                assert run_vsg_planner(ep, scorer, tiny_tax, geometry=geometry) == vsg
                 first = ranked_route(ep.previous_map, probabilities, ep.n, ep.start())
-                assert ranked_route(ep.previous_map, probabilities, ep.n, start, positions) == first
+                assert shared.table is not None and shared.phase1(probabilities, ep.n) == first
                 assert run_vsg_planner(ep, scorer, tiny_tax, first=first) == vsg
                 assert run_vsg_planner(ep, scorer, tiny_tax, first=first, changed=changed) == vsg
                 assert run_vsg_planner(
-                    ep, scorer, tiny_tax, first=first, changed=changed, geometry=geometry
+                    ep, scorer, tiny_tax, first=first, changed=changed, context=shared
                 ) == vsg
+                assert run_vsg_planner(ep, scorer, tiny_tax, context=shared) == vsg
         assert fallbacks > 0
 
     def test_geometry_built_once_per_map_and_matrix_once_per_start(self, tiny_tax, monkeypatch):
@@ -1074,10 +1098,10 @@ class TestBenchmark:
         }
         assert len(full_map) == 3
         for (pts, start), size in full_map.items():  # heuristic_tsp builds its own for the tour
-            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "__init__"
+            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "dist"
             assert [c for c, *key in matrices if key == [pts, start] and c != "heuristic_tsp"] == [caller]
-        assert sum(c == "__init__" for c, *_ in matrices) == 2
-        assert {c for c, *_ in matrices} <= {"__init__", "_held_karp_fill", "heuristic_tsp"}
+        assert sum(c == "dist" for c, *_ in matrices) == 2
+        assert {c for c, *_ in matrices} <= {"dist", "_held_karp_fill", "heuristic_tsp"}
 
     def test_phase1_routes_read_from_the_table_are_ranked_routes(self, tiny_tax, monkeypatch):
         # Maps of 5 to EXACT_TSP_LIMIT + 2 objects, n = 1..3 in by-n order,
@@ -1093,20 +1117,21 @@ class TestBenchmark:
                 for ep, start in zip(pair, rng.uniform(0, 8, size=(3, 3)).tolist())
             ]
         episodes.sort(key=lambda ep: ep.n)
-        routes, ranked = [], planner.ranked_route
+        calls, phase1 = [], planner._MapContext.phase1
 
-        def spy(graph, probabilities, n, start, *args):
-            route = ranked(graph, probabilities, n, start, *args)
-            routes.append((args[-1] is not None, route, ranked(graph, probabilities, n, start)))
+        def spy(context, probabilities, n):
+            route = phase1(context, probabilities, n)
+            calls.append((context.table is not None, route, context.graph, probabilities, n, context.start))
             return route
 
-        monkeypatch.setattr(planner, "ranked_route", spy)
+        monkeypatch.setattr(planner._MapContext, "phase1", spy)
         scorer = PositionScorer()
         assert run_benchmark(episodes, scorer, tiny_tax).feasible_episodes == len(episodes)
-        assert len(routes) == len(episodes)
-        assert sum(from_table for from_table, *_ in routes) == len(episodes) - 6
-        for _, route, solved in routes:
-            assert route == solved
+        monkeypatch.undo()
+        assert len(calls) == len(episodes)
+        assert sum(from_table for from_table, *_ in calls) == len(episodes) - 6
+        for _, route, *args in calls:
+            assert route == ranked_route(*args)
 
     def test_memory_does_not_grow_with_the_number_of_maps(self, tiny_tax):
         # 15-object maps in compare-planners' by-n order: one map's Held-Karp
@@ -1129,10 +1154,13 @@ class TestBenchmark:
         assert max(few, many) < 16 * 2**20
 
     def test_coverage_with_precomputed_tour_is_unchanged(self, tiny_tax):
+        # One context solves a heuristic map's Coverage tour and walks it for every n.
         rng = np.random.default_rng(23)
-        for ep in scan_pair_episodes(rng, EXACT_TSP_LIMIT + 2, 3):
-            tour = solve_tsp(ep.previous_map.positions(), ep.start())
-            assert run_coverage(ep, tiny_tax, tour=tour) == run_coverage(ep, tiny_tax)
+        episodes = scan_pair_episodes(rng, EXACT_TSP_LIMIT + 2, 3)
+        context = planner._MapContext(episodes[0].previous_map, episodes[0].previous_map.positions())
+        for ep in episodes:
+            assert run_coverage(ep, tiny_tax, context=context) == run_coverage(ep, tiny_tax)
+        assert context.table is None and context.tour == solve_tsp(ep.previous_map.positions(), ep.start())
 
     def test_summary_rows(self, tiny_tax):
         episodes = [
