@@ -543,9 +543,10 @@ class _MapContext:
         """Walk the route `first`, then, if fewer than n changes were found,
         a TSP tour over the objects not yet visited from where it stopped:
         `tour` if nothing was. Coverage is this with an empty `first`. A
-        route that repeats an object is a ConfigError; `changed` is
-        `changed_object_ids(ep, tax)` or None. Both walks' lengths are
-        `_path_length` on `dist`, summed apart and then added."""
+        route that repeats an object, or a `tour` (set by the caller, say)
+        that is not a permutation of the map's indices, is a ConfigError;
+        `changed` is `changed_object_ids(ep, tax)` or None. Both walks'
+        lengths are `_path_length` on `dist`, summed apart and then added."""
         graph, ids = self.graph, self.graph.node_ids
         route = [graph.node_index(oid) for oid in first]
         if len(set(route)) < len(route):
@@ -557,6 +558,8 @@ class _MapContext:
         stop, more = visited[-1] if visited else len(self.positions), []  # the start is dist's last index
         if remaining:
             tour = solve_tsp(self.positions[remaining], self.positions[stop]) if visited else self.tour
+            if not visited and sorted(tour) != remaining:  # here `remaining` is every index
+                raise ConfigError(f"a {planner} tour visits each object once: got tour {tour}")
             more, found_more = _walk([remaining[k] for k in tour], changed, ep.n - found)
             found += found_more
         walked = _path_length(self.dist, len(self.positions), visited) + _path_length(self.dist, stop, more)

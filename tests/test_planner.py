@@ -696,6 +696,16 @@ class TestCoverage:
         floats = Episode(ep.previous_map, ep.realized_scene, n=1, start_position=(1.0, 2.0, 3.0))
         assert hash(same[0]) == hash(floats)
 
+    @pytest.mark.parametrize("tour", [[0, 0, 1], [0, 1], [0, 1, 3], [2, 1, 0, 0]])
+    def test_tour_that_is_not_a_permutation_is_refused(self, tiny_tax, tour):
+        # A context's Coverage tour may be set rather than solved; a repeat
+        # or a gap would count a change twice or skip an object.
+        ep = line_episode(tiny_tax, n=2, changed_ids=("a",))
+        context = planner._MapContext(ep.previous_map, ep.previous_map.positions(), ep.start_position)
+        context.tour = tour
+        with pytest.raises(ConfigError, match="visits each object once"):
+            run_coverage(ep, tiny_tax, context=context)
+
 
 class TestHostileMagnitudes:
     @pytest.mark.parametrize("v", MAGNITUDES + [float("nan"), float("inf")])
