@@ -435,30 +435,26 @@ def _place(
     )
 
 
-def _new_object(
-    tax: Taxonomy, specs: Mapping[str, ClassSpec], cls: str, number: int, state_value: str | None, position
-) -> ObjectNode:
+def _new_object(tax: Taxonomy, cls: str, number: int, state_value: str | None, position) -> ObjectNode:
     """Object `obj<number>` of class cls: its class's static attributes and
     affordances, plus state_value unless that is None."""
     state = () if state_value is None else (state_value,)
-    names = specs[cls].static_attributes + specs[cls].affordances + state
+    names = _CLASS_SPECS[cls].static_attributes + _CLASS_SPECS[cls].affordances + state
     attributes = tuple(tax.attribute_index(n) for n in names)
     return ObjectNode(f"obj{number:03d}", tax.class_index(cls), attributes, position)
 
 
-def _class_flags(nodes: list[ObjectNode], tax: Taxonomy, specs: Mapping[str, ClassSpec]) -> np.ndarray:
+def _class_flags(nodes: list[ObjectNode], tax: Taxonomy) -> np.ndarray:
     """(4, N) bool: whether each node is a support, a structure, a wall and a
     door, from one table over the classes of `tax` (a class without a spec is none)."""
-    of_class = [specs.get(c) or ClassSpec() for c in tax.classes]
+    of_class = [_CLASS_SPECS.get(c) or ClassSpec() for c in tax.classes]
     table = np.array([
         (s.is_support, s.is_structure, c == "wall", c == "door") for c, s in zip(tax.classes, of_class)
     ])
     return table[[n.class_index for n in nodes]].T
 
 
-def _semantic_edges(
-    nodes: list[ObjectNode], tax: Taxonomy, specs: Mapping[str, ClassSpec], cfg: GeneratorConfig
-) -> tuple[SemanticEdge, ...]:
+def _semantic_edges(nodes: list[ObjectNode], tax: Taxonomy, cfg: GeneratorConfig) -> tuple[SemanticEdge, ...]:
     """Edges recomputed from geometry. First, in node order, each door is
     attached_to its nearest wall (3-D) and each other non-support,
     non-structure object standing_on its nearest support (xy) if that is
@@ -471,7 +467,7 @@ def _semantic_edges(
     ids = [n.id for n in nodes]
     rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's place in str order
     pos = node_positions(nodes)
-    support, structure, wall, door = _class_flags(nodes, tax, specs)
+    support, structure, wall, door = _class_flags(nodes, tax)
 
     def nearest(rows, candidates, dims):
         """Per row, the candidate at the least (distance, id), and that distance."""
@@ -498,18 +494,16 @@ def _semantic_edges(
     )
 
 
-def _initial_scene(
-    tax: Taxonomy, specs: Mapping[str, ClassSpec], cfg: GeneratorConfig, rng: np.random.Generator
-) -> tuple[list[ObjectNode], int]:
+def _initial_scene(tax: Taxonomy, cfg: GeneratorConfig, rng: np.random.Generator) -> tuple[list[ObjectNode], int]:
     rx, ry, rz = cfg.room_size
     taken: list[tuple[float, float, float]] = []
     nodes: list[ObjectNode] = []
 
     def add(cls: str, position, state_value: str | None) -> None:
-        nodes.append(_new_object(tax, specs, cls, len(nodes), state_value, position))
+        nodes.append(_new_object(tax, cls, len(nodes), state_value, position))
 
     def initial_state(cls: str) -> str | None:
-        pair = specs[cls].state_pair
+        pair = _CLASS_SPECS[cls].state_pair
         return None if pair is None else pair[int(rng.random() < 0.5)]
 
     # Fixed structure: four walls, a floor, a door on one wall.
@@ -532,7 +526,7 @@ def _initial_scene(
     for _ in range(budget - num_supports):
         cls = movable_classes[int(rng.integers(len(movable_classes)))]
         near = None
-        if specs[cls].propensity.move_near > specs[cls].propensity.move_far:
+        if _CLASS_SPECS[cls].propensity.move_near > _CLASS_SPECS[cls].propensity.move_far:
             # Split placement so both contexts appear in the data.
             if rng.random() < 0.55 and support_positions:
                 near = support_positions[int(rng.integers(len(support_positions)))]
@@ -553,13 +547,12 @@ def _transition(
     nodes: list[ObjectNode],
     counter: int,
     tax: Taxonomy,
-    specs: Mapping[str, ClassSpec],
     cfg: GeneratorConfig,
     rng: np.random.Generator,
 ) -> tuple[list[ObjectNode], int, TransitionLog]:
     rx, ry, _ = cfg.room_size
     pos = node_positions(nodes)
-    support = _class_flags(nodes, tax, specs)[0]
+    support = _class_flags(nodes, tax)[0]
     near_support = (distance(pos[:, None, :2], pos[None, support, :2]) < cfg.support_radius).any(axis=1)
     moved: dict[str, float] = {}
     toggled: set[str] = set()
@@ -569,7 +562,7 @@ def _transition(
 
     for n, near in zip(nodes, near_support):
         cls = tax.classes[n.class_index]
-        spec = specs[cls]
+        spec = _CLASS_SPECS[cls]
         prop = cfg.propensity_overrides.get(cls, spec.propensity)
         if rng.random() < prop.vanish:
             vanished.add(n.id)
@@ -608,8 +601,8 @@ def _transition(
                 p = _place(rng, cfg, taken, z=0.0)
             except GeneratorError:
                 break
-            state_pair = specs[cls].state_pair
-            out.append(_new_object(tax, specs, cls, counter, state_pair and state_pair[1], p))
+            state_pair = _CLASS_SPECS[cls].state_pair
+            out.append(_new_object(tax, cls, counter, state_pair and state_pair[1], p))
             appeared.add(out[-1].id)
             counter += 1
     log = TransitionLog(
@@ -634,7 +627,7 @@ def generate_environment(
     tax = tax or default_taxonomy()
     rng = np.random.default_rng([cfg.seed, env_index])
     env_id = f"env{env_index:03d}"
-    nodes, counter = _initial_scene(tax, _CLASS_SPECS, cfg, rng)
+    nodes, counter = _initial_scene(tax, cfg, rng)
     scans: list[SceneGraph] = []
     logs: list[TransitionLog] = []
     for t in range(cfg.scans_per_environment):
@@ -645,11 +638,11 @@ def generate_environment(
                 timestamp=t,
                 taxonomy_name=tax.name,
                 nodes=tuple(nodes),
-                semantic_edges=_semantic_edges(nodes, tax, _CLASS_SPECS, cfg),
+                semantic_edges=_semantic_edges(nodes, tax, cfg),
             )
         )
         if t < cfg.scans_per_environment - 1:
-            nodes, counter, log = _transition(nodes, counter, tax, _CLASS_SPECS, cfg, rng)
+            nodes, counter, log = _transition(nodes, counter, tax, cfg, rng)
             logs.append(log)
     return scans, logs
 

@@ -40,7 +40,7 @@ from .core_graph import (
 )
 from .embedding import TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed
 from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
-from .nn_core import Mlp, ParamStore, check_dropout_rate, dropout, dropout_backward, relu, sigmoid
+from .nn_core import Mlp, ParamStore, check_dropout_rate, check_mode, dropout, dropout_backward, relu, sigmoid
 
 CHECKPOINT_VERSION = 1
 
@@ -278,6 +278,15 @@ class _VariabilityModel:
                 f"model expects {self.num_relationships + 3}"
             )
 
+    def _forward_input(self, eg: EmbeddedGraph | GraphUnion, mode: str) -> tuple[GraphUnion, bool]:
+        """Both `forward`s' preamble: a lone graph wrapped in a union and
+        checked against the model, a `check_mode` mode, and whether it is
+        "train"."""
+        g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
+        self._check_graph(g)
+        check_mode(mode)
+        return g, mode == "train"
+
     def embed_scene(self, g: SceneGraph, tax: Taxonomy) -> EmbeddedGraph:
         if g.taxonomy_name != self.taxonomy_name or tax.name != self.taxonomy_name:
             raise CheckpointError(
@@ -311,9 +320,7 @@ class DeltaVsgModel(_VariabilityModel):
     ) -> tuple[np.ndarray, tuple | None]:
         """Per-node probabilities (N, 3) of one graph or a union, plus the
         cache backward reads (None in eval mode)."""
-        g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
-        self._check_graph(g)
-        train = mode == "train"
+        g, train = self._forward_input(eg, mode)
         graph = (g.edge_index, g.edge_features, g.node_spans, g.edge_spans, train)
         a1, c1 = self.conv1.forward(g.node_features, *graph)
         r1 = relu(a1)
@@ -347,9 +354,7 @@ class MlpBaseline(_VariabilityModel):
     def forward(
         self, eg: EmbeddedGraph | GraphUnion, mode: str = "eval", rng: np.random.Generator | None = None
     ) -> tuple[np.ndarray, tuple | None]:
-        g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
-        self._check_graph(g)
-        train = mode == "train"
+        g, train = self._forward_input(eg, mode)
         logits, c = self.net.forward(g.node_features, g.node_spans, train)
         probs = sigmoid(logits)
         return probs, ((c, probs) if train else None)

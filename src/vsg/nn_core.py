@@ -89,6 +89,12 @@ def check_dropout_rate(rate: float) -> None:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
 
 
+def check_mode(mode: str) -> None:
+    """The one mode rule: a forward pass runs in "train" or "eval" mode."""
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
 def dropout(
     x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -98,8 +104,7 @@ def dropout(
     untouched and build no mask (None).
     """
     check_dropout_rate(rate)
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    check_mode(mode)
     if mode == "eval" or rate == 0.0:
         return x, None
     if rng is None:

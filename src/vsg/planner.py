@@ -13,12 +13,12 @@ the highest predicted change probability (score = max of the three), and
 falls back to a Coverage tour over the unvisited remainder, from wherever it
 stopped, if that was not enough. Motion is point-to-point Euclidean.
 
-A walk's length is its legs summed left to right, read off the coordinates
-(`route_length`) or, the same float, off a distance matrix with the start as
-its last index (`_path_length`). Each episode is walked by a `_MapContext`
-of its map and start, which builds that matrix, the Coverage tour and the
-phase-1 routes when first needed. The runners build one per call unless
-given one; the benchmark and `vsg plan` give one per map and start.
+A walk's length is `route_length`: its legs, each the `distance` of two
+coordinates, summed left to right. Distance matrices live inside the two
+solvers only. Each episode is walked by a `_MapContext` of its map and
+start, which builds the Coverage tour and the phase-1 routes when first
+needed. The runners build one per call unless given one; the benchmark and
+`vsg plan` give one per map and start.
 """
 
 from __future__ import annotations
@@ -44,21 +44,19 @@ EXACT_TSP_LIMIT = 15
 def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> float:
     """Total length of the open path start -> points[order[0]] -> ...
 
-    The legs are summed left to right in Python, so the total is the same
-    float as `_path_length` reads from `_extended_distances(points, start)`.
-    No matrix is built: a call takes memory linear in the route.
+    The package's one length rule: the `_legs` summed left to right in
+    Python, the same float as the running sum of the legs read off
+    `_extended_distances(points, start)`. No matrix is built: a call takes
+    memory linear in the route.
     """
+    return float(sum(_legs(points, start, order)))
+
+
+def _legs(points: np.ndarray, start: np.ndarray, order: list[int]) -> list[float]:
+    """The legs of the open path start -> points[order[0]] -> ..., in order."""
     pts = np.asarray(points, dtype=np.float64)
     path = np.vstack([np.asarray(start, dtype=np.float64), pts[list(order)]])
-    legs = distance(path[1:], path[:-1])
-    return float(sum(legs.tolist()))
-
-
-def _path_length(dist: np.ndarray, first: int, order: list[int]) -> float:
-    """Length of the open path first -> order[0] -> ..., as legs of the
-    `_extended_distances` matrix `dist` summed as `route_length` sums them."""
-    path = [first, *order]
-    return float(sum(dist[path[:-1], path[1:]].tolist()))
+    return distance(path[1:], path[:-1]).tolist()
 
 
 def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
@@ -81,12 +79,11 @@ def held_karp(points: np.ndarray, start: np.ndarray) -> list[int]:
     return _held_karp_route(_held_karp_fill(points, start), range(n))
 
 
-def _held_karp_fill(points: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Held-Karp's table over n >= 1 points: `(dist, step, cost)`.
+def _held_karp_fill(points: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Held-Karp's table over n >= 1 points: `(step, cost)`.
 
-    `dist` is `_extended_distances(points, start)`, as built, and `step`
-    its (n, n) point block with inf on the diagonal (a point is never its
-    own predecessor). `cost[j, mask]` is the shortest path from the start
+    `step` is the (n, n) point block of `_extended_distances(points, start)`
+    with inf on the diagonal (a point is never its own predecessor). `cost[j, mask]` is the shortest path from the start
     through the points in `mask` that ends at `j` (inf if `j` is not in
     `mask`). Row j of `prev`, built once per call, holds the masks without
     bit j by size and then ascending, so the predecessors of the size-k
@@ -126,10 +123,10 @@ def _held_karp_fill(points: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, 
         block += legs
         flat[before + into] = block.min(axis=0)
         del block  # free this layer's block before the next is gathered
-    return dist, step, cost
+    return step, cost
 
 
-def _held_karp_route(table: tuple[np.ndarray, np.ndarray, np.ndarray], members: Sequence[int]) -> list[int]:
+def _held_karp_route(table: tuple[np.ndarray, np.ndarray], members: Sequence[int]) -> list[int]:
     """The exact route over the point indices `members` (ascending, no
     repeats) of a `_held_karp_fill` table, in those indices.
 
@@ -145,7 +142,7 @@ def _held_karp_route(table: tuple[np.ndarray, np.ndarray, np.ndarray], members: 
     indices to point indices is increasing, so each argmin tie resolves the
     same way.
     """
-    _, step, cost = table
+    step, cost = table
     mask = sum(1 << i for i in members)
     if not mask:
         return []
@@ -373,7 +370,7 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
     matrix all searches share. Which entries they compare depends on n
     alone, so 2-opt's `bar` and Or-opt's index tables are built once per
     call for all its searches; the floats compared are the same. Each
-    search result is measured on that matrix too, by `_path_length`.
+    search result is measured by `route_length`.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
@@ -392,7 +389,7 @@ def heuristic_tsp(points: np.ndarray, start) -> list[int]:
         if (key := tuple(order)) in measured:
             return
         measured.add(key)
-        length = _path_length(dist, n, order)
+        length = route_length(pts, start, order)
         if length < best_len - 1e-12:
             best, best_len = order, length
 
@@ -495,19 +492,14 @@ def _walk(route: list[int], changed: set[int], need: int) -> tuple[list[int], in
 
 
 class _MapContext:
-    """One map's episode state from one start, each part built when first
-    needed: `dist`, the `_extended_distances` matrix, and `tour`, Coverage's
-    `solve_tsp(positions, start)`, read back on a map of at most
-    EXACT_TSP_LIMIT objects from a `_held_karp_fill` table kept as `table`
-    (else None), whose matrix is then `dist`."""
+    """One map's episode state from one start: `tour`, Coverage's
+    `solve_tsp(positions, start)` built when first needed, read back on a
+    map of at most EXACT_TSP_LIMIT objects from a `_held_karp_fill` table
+    kept as `table` (else None)."""
 
     def __init__(self, graph: SceneGraph, positions: np.ndarray, start_position=None):
         self.graph, self.positions, self.table = graph, positions, None
         self.start = route_start(positions, start_position)
-
-    @cached_property
-    def dist(self) -> np.ndarray:
-        return _extended_distances(self.positions, self.start) if self.table is None else self.table[0]
 
     @cached_property
     def tour(self) -> list[int]:
@@ -545,8 +537,9 @@ class _MapContext:
         `tour` if nothing was. Coverage is this with an empty `first`. A
         route that repeats an object, or a `tour` (set by the caller, say)
         that is not a permutation of the map's indices, is a ConfigError;
-        `changed` is `changed_object_ids(ep, tax)` or None. Both walks'
-        lengths are `_path_length` on `dist`, summed apart and then added."""
+        `changed` is `changed_object_ids(ep, tax)` or None. The distance is
+        one `_legs` call over both walks from the start, each walk's legs
+        summed apart and the two sums added."""
         graph, ids = self.graph, self.graph.node_ids
         route = [graph.node_index(oid) for oid in first]
         if len(set(route)) < len(route):
@@ -555,14 +548,15 @@ class _MapContext:
         changed = {graph.node_index(oid) for oid in changed}
         visited, found = _walk(route, changed, ep.n)
         remaining = sorted(set(range(graph.num_nodes)).difference(visited)) if found < ep.n else []
-        stop, more = visited[-1] if visited else len(self.positions), []  # the start is dist's last index
+        more = []
         if remaining:
-            tour = solve_tsp(self.positions[remaining], self.positions[stop]) if visited else self.tour
+            tour = solve_tsp(self.positions[remaining], self.positions[visited[-1]]) if visited else self.tour
             if not visited and sorted(tour) != remaining:  # here `remaining` is every index
                 raise ConfigError(f"a {planner} tour visits each object once: got tour {tour}")
             more, found_more = _walk([remaining[k] for k in tour], changed, ep.n - found)
             found += found_more
-        walked = _path_length(self.dist, len(self.positions), visited) + _path_length(self.dist, stop, more)
+        legs = _legs(self.positions, self.start, visited + more)
+        walked = float(sum(legs[: len(visited)]) + sum(legs[len(visited) :]))
         visit_order = tuple(ids[i] for i in visited + more)
         return EpisodeResult(planner, visit_order, walked, found, bool(first and remaining), found < ep.n)
 
@@ -588,7 +582,7 @@ def run_coverage(
 
     `changed`, if given, is `changed_object_ids(ep, tax)`; `context`, if
     given, is a `_MapContext` of the episode's previous map and start,
-    whose tour and matrix serve the next episode too."""
+    whose tour serves the next episode too."""
     context = context or _MapContext(ep.previous_map, ep.previous_map.positions(), ep.start_position)
     return context.walk(ep, tax, COVERAGE, [], changed)
 

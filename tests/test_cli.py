@@ -762,8 +762,8 @@ class TestPlan:
         # The map as its own realized scene at n = 2: the guided planner falls
         # back over the objects its 5-object phase-1 route left, and solves
         # that tour on its own. With --realized the whole map gets one matrix,
-        # on a Held-Karp map from its one table fill, and one Coverage tour;
-        # a plan without --realized solves only its phase-1 route.
+        # inside its one Coverage tour's solver (on a Held-Karp map its one
+        # table fill); a plan without --realized solves only its phase-1 route.
         calls = []
 
         def spy(name):  # each call's size: its point count, or for a read-back its member count
@@ -788,8 +788,8 @@ class TestPlan:
             expected = []
         elif objects <= planner.EXACT_TSP_LIMIT:
             expected = [(name, objects) for name in ("_extended_distances", "_held_karp_fill", "_held_karp_route")]
-        else:  # heuristic_tsp builds the tour's own matrix
-            expected = [("_extended_distances", objects)] * 2 + [("solve_tsp", objects)]
+        else:  # heuristic_tsp builds the tour's matrix
+            expected = [("_extended_distances", objects), ("solve_tsp", objects)]
         assert whole == sorted(expected)
 
     def test_realized_scene_predicts_once_and_labels_once(self, pipeline, capsys, monkeypatch):

@@ -695,7 +695,7 @@ class TestGeometry:
             for scan in generate_environment(cfg, e, tax)[0]:
                 want = semantic_edges_loop(scan.nodes, tax, specs, cfg)
                 assert scan.semantic_edges == want, (e, scan.scan_id)
-                assert _semantic_edges(list(scan.nodes), tax, specs, cfg) == want
+                assert _semantic_edges(list(scan.nodes), tax, cfg) == want
                 assert all(type(x) is str for ed in want for x in (ed.source_id, ed.target_id))
 
     def test_semantic_edges_use_id_order_not_node_order(self):
@@ -718,7 +718,7 @@ class TestGeometry:
         scan = make_graph(nodes, tax_name=tax.name)
         cfg = GeneratorConfig(support_radius=1.5, next_to_radius=2.5)
         want = semantic_edges_loop(scan.nodes, tax, specs, cfg)
-        assert _semantic_edges(list(scan.nodes), tax, specs, cfg) == want
+        assert _semantic_edges(list(scan.nodes), tax, cfg) == want
         attached_to, standing_on, next_to = (
             tax.relationship_index(r) for r in ("attached_to", "standing_on", "next_to")
         )

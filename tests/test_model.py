@@ -24,7 +24,7 @@ from vsg import (
 )
 from vsg.cli import dispatch
 from vsg.embedding import EmbeddedGraph
-from vsg.model import MlpBaseline, MpConv, _scatter_add, graph_union
+from vsg.model import MODEL_KINDS, MlpBaseline, MpConv, _scatter_add, graph_union
 from vsg.nn_core import Mlp, ParamStore
 
 from conftest import identity_pca, random_embedded_graph
@@ -412,6 +412,16 @@ class TestDeltaVsgModel:
                 npt.assert_array_equal(model.store[name].grad, 0.0)
             elif name.startswith("head.W"):
                 assert np.any(model.store[name].grad != 0.0)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("mode", ["Train", "test", ""])
+def test_forward_refuses_an_unknown_mode(kind, mode):
+    model = make_model(kind="graph" if kind == DeltaVsgModel.kind else kind)
+    assert model.kind == kind
+    eg = random_embedded_graph(np.random.default_rng(0), 4, 5, 2)
+    with pytest.raises(ConfigError, match=f"mode must be 'train' or 'eval', got {mode!r}"):
+        model.forward(eg, mode=mode)
 
 
 class TestMlpBaseline:

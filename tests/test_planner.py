@@ -284,10 +284,9 @@ class TestTsp:
         assert route_length(points, np.zeros(3), order) == pytest.approx(3.0)
 
     def test_route_length_is_running_sum_of_matrix_legs(self):
-        # The runners and heuristic_tsp measure walks on the distance matrix
-        # (`_path_length`), so it must equal route_length, float for float,
-        # and both the left-to-right sum of distance-matrix legs: from the
-        # start (index n) and from a node, where the fallback starts.
+        # route_length, the one length rule, is float for float the
+        # left-to-right sum of distance-matrix legs: from the start (index n)
+        # and from a node, where the fallback starts.
         rng = np.random.default_rng(7)
         for v, n in itertools.product([10.0] + [v for v in MAGNITUDES if v <= MAX_COORDINATE], range(31)):
             points = rng.uniform(-v, v, size=(n, 3))
@@ -302,7 +301,6 @@ class TestTsp:
                 for k in rest:
                     expected, prev = expected + dist[prev, k], k
                 assert route_length(points, begin, rest) == expected, (v, n, first)
-                assert planner._path_length(dist, first, rest) == expected, (v, n, first)
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -1064,10 +1062,10 @@ class TestBenchmark:
     def test_geometry_built_once_per_map_and_matrix_once_per_start(self, tiny_tax, monkeypatch):
         # The maps of test_coverage_tour_solved_once_per_map_and_start: the
         # planner builds each map's positions once and its centroid once, and
-        # one full-map distance matrix per (map, start), which the runners
-        # and ranked_route use instead of building their own: the small
-        # map's comes with its Held-Karp table, the large map's from
-        # _MapContext itself. No matrix is built per episode.
+        # one full-map distance matrix per (map, start), inside the solver of
+        # its Coverage tour: the small map's with its Held-Karp table, the
+        # large map's inside heuristic_tsp. Only the two solvers build
+        # matrices, and none is built per episode.
         rng = np.random.default_rng(21)
         episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
         episodes += [
@@ -1107,11 +1105,10 @@ class TestBenchmark:
             for ep in episodes
         }
         assert len(full_map) == 3
-        for (pts, start), size in full_map.items():  # heuristic_tsp builds its own for the tour
-            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "dist"
-            assert [c for c, *key in matrices if key == [pts, start] and c != "heuristic_tsp"] == [caller]
-        assert sum(c == "dist" for c, *_ in matrices) == 2
-        assert {c for c, *_ in matrices} <= {"dist", "_held_karp_fill", "heuristic_tsp"}
+        for (pts, start), size in full_map.items():
+            caller = "_held_karp_fill" if size <= EXACT_TSP_LIMIT else "heuristic_tsp"
+            assert [c for c, *key in matrices if key == [pts, start]] == [caller]
+        assert {c for c, *_ in matrices} <= {"_held_karp_fill", "heuristic_tsp"}
 
     def test_phase1_routes_read_from_the_table_are_ranked_routes(self, tiny_tax, monkeypatch):
         # Maps of 5 to EXACT_TSP_LIMIT + 2 objects, n = 1..3 in by-n order,
