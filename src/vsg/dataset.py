@@ -494,7 +494,9 @@ def _semantic_edges(nodes: list[ObjectNode], tax: Taxonomy, cfg: GeneratorConfig
     )
 
 
-def _initial_scene(tax: Taxonomy, cfg: GeneratorConfig, rng: np.random.Generator) -> tuple[list[ObjectNode], int]:
+def _initial_scene(
+    tax: Taxonomy, cfg: GeneratorConfig, rng: np.random.Generator
+) -> tuple[list[ObjectNode], int]:
     rx, ry, rz = cfg.room_size
     taken: list[tuple[float, float, float]] = []
     nodes: list[ObjectNode] = []

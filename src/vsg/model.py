@@ -279,9 +279,8 @@ class _VariabilityModel:
             )
 
     def _forward_input(self, eg: EmbeddedGraph | GraphUnion, mode: str) -> tuple[GraphUnion, bool]:
-        """Both `forward`s' preamble: a lone graph wrapped in a union and
-        checked against the model, a `check_mode` mode, and whether it is
-        "train"."""
+        """Both `forward`s' preamble: the input as a union checked against the
+        model, and whether `mode`, checked by `check_mode`, is "train"."""
         g = eg if isinstance(eg, GraphUnion) else graph_union([eg])
         self._check_graph(g)
         check_mode(mode)

@@ -83,12 +83,13 @@ def _held_karp_fill(points: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, 
     """Held-Karp's table over n >= 1 points: `(step, cost)`.
 
     `step` is the (n, n) point block of `_extended_distances(points, start)`
-    with inf on the diagonal (a point is never its own predecessor). `cost[j, mask]` is the shortest path from the start
-    through the points in `mask` that ends at `j` (inf if `j` is not in
-    `mask`). Row j of `prev`, built once per call, holds the masks without
-    bit j by size and then ascending, so the predecessors of the size-k
-    masks ending at j are one (n, C(n - 1, k - 1)) column slice. Each size
-    k is filled from size k - 1 in one step: an `np.take` of `cost` at that
+    with inf on the diagonal (a point is never its own predecessor); the
+    matrix itself is not kept. `cost[j, mask]` is the shortest path from the
+    start through the points in `mask` that ends at `j` (inf if `j` is not
+    in `mask`). Row j of `prev`, built once per call, holds the masks
+    without bit j by size and then ascending, so the predecessors of the
+    size-k masks ending at j are one (n, C(n - 1, k - 1)) column slice. Each
+    size k is filled from size k - 1 in one step: an `np.take` of `cost` at that
     slice gathers the (i, j, m) block of predecessor costs, the leg
     `step[i, j]` is added, and the min over i is written to
     `cost[j, mask | 1 << j]` through flat indices, the slice plus
