@@ -55,7 +55,7 @@ def route_length(points: np.ndarray, start: np.ndarray, order: list[int]) -> flo
 def _legs(points: np.ndarray, start: np.ndarray, order: list[int]) -> list[float]:
     """The legs of the open path start -> points[order[0]] -> ..., in order."""
     pts = np.asarray(points, dtype=np.float64)
-    path = np.vstack([np.asarray(start, dtype=np.float64), pts[list(order)]])
+    path = np.concatenate((np.asarray(start, dtype=np.float64)[None], pts[list(order)]))
     return distance(path[1:], path[:-1]).tolist()
 
 
