@@ -1065,7 +1065,7 @@ class TestBenchmark:
         # one full-map distance matrix per (map, start), inside the solver of
         # its Coverage tour: the small map's with its Held-Karp table, the
         # large map's inside heuristic_tsp. Only the two solvers build
-        # matrices, and none is built per episode.
+        # matrices, and no full-map one is built per episode.
         rng = np.random.default_rng(21)
         episodes = scan_pair_episodes(rng, 9, 4) + scan_pair_episodes(rng, EXACT_TSP_LIMIT + 3, 4)
         episodes += [
