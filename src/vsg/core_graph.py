@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -131,21 +132,49 @@ def check_position(raw, error=ValueError, what: str = "position") -> tuple[float
         ):
             return raw
     pos = tuple(raw)
-    real = [isinstance(c, (float, int, np.floating, np.integer)) and not isinstance(c, bool) for c in pos]
-    if len(pos) != 3 or not all(real) or not all(abs(c) <= MAX_COORDINATE for c in pos):
+    if len(pos) != 3 or not all(_fits(c, "float") and abs(c) <= MAX_COORDINATE for c in pos):
         raise error(f"{what} must be 3 finite numbers of magnitude <= {MAX_COORDINATE:g} m, got {raw!r}")
     return tuple(map(float, pos))
 
 
 def check_count(value, low: int, what: str) -> int:
-    """The one count rule, the integer test `_fits` applies to JSON: a Python or
-    numpy integer (no bool, float or NaN) >= `low`, returned as a Python int
-    (what the JSON writer takes); else a ConfigError naming `what`."""
-    if not _fits(value, "int", None):
+    """The one count rule (reals have check_real, flags check_flag): a Python or numpy integer
+    (no bool, float or NaN) >= `low`, returned as a Python int (what the JSON writer takes);
+    else a ConfigError naming `what`."""
+    if not _fits(value, "int"):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{what} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(value, low: float, high: float, what: str, ends: str = "[]") -> float:
+    """The one real-number rule: a finite int, float or numpy number (no bool, text or NaN)
+    in the interval `ends` of low and high ("(]" leaves low out), returned as a Python float;
+    else a ConfigError naming `what` and the bound. A `high` of inf asks only for a finite value."""
+    if _fits(value, "float"):
+        x = float(value)
+        if (low < x if ends[0] == "(" else low <= x) and (x < high if ends[1] == ")" else x <= high):
+            return x
+    if high == math.inf:
+        bound = f"finite and {'>' if ends[0] == '(' else '>='} {low:g}"
+    else:
+        bound = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    raise ConfigError(f"{what} must be {bound}, got {value!r}")
+
+
+def check_flag(value, what: str) -> bool:
+    """The one flag rule: a Python or numpy bool (not 0, 1 or text), as a Python bool; else a ConfigError."""
+    if not _fits(value, "bool"):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def check_length(value, n: int, what: str) -> tuple:
+    """A list or tuple of `n` items (each left to its own rule), as a tuple; else a ConfigError."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ConfigError(f"{what} must be a list of {n} values, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -335,42 +364,30 @@ def _parse_rows(source, rows, what: str, build: Callable) -> list:
     return out
 
 
-def _fits(value, annotation: str, default) -> bool:
-    """Whether a parsed JSON value has a type its dataclass field names: an
-    integer for `int`, a finite number for `float`, a list as long as the
-    default (element by element) for `tuple[...]`, or a str, bool, null or dict."""
-    for kind in annotation.split(" | "):
-        if kind.startswith("tuple"):
-            ok = isinstance(value, (list, tuple)) and len(value) == len(default) and all(
-                _fits(v, "tuple" if isinstance(d, tuple) else "float", d) for v, d in zip(value, default)
-            )
-        elif kind in ("int", "float"):
-            ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) or (
-                kind == "float" and isinstance(value, float) and math.isfinite(value)
-            )
-        else:
-            ok = isinstance(value, {"str": str, "bool": bool, "None": type(None)}.get(kind, dict))
-        if ok:
-            return True
-    return False
+def _fits(value, kind: str, *_) -> bool:
+    """The type test of check_count ("int": an integer), check_real ("float": a real of magnitude
+    at most the largest float, so not NaN or inf) and check_flag ("bool": a Python or numpy bool)."""
+    if isinstance(value, float):  # float and np.float64, the common cases, ahead of the slower ABC tests
+        return kind == "float" and math.isfinite(value)
+    if kind == "bool" or isinstance(value, bool):  # a bool is a flag, never a number
+        return kind == "bool" and isinstance(value, (bool, np.bool_))
+    if isinstance(value, numbers.Integral):  # compared exactly, as it may not fit a float
+        return kind == "int" or -sys.float_info.max <= value <= sys.float_info.max
+    return kind == "float" and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _config_from_json(cls, data, where: str):
-    """Dataclass `cls` from a JSON object, once every key names a field and
-    every value fits that field's annotation; a ConfigError, also one raised
-    by the dataclass itself, names `where`."""
+    """Dataclass `cls` from a JSON object whose every key names a field; the
+    dataclass checks each value, and its ConfigError is raised naming `where`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    by_name = {f.name: f for f in fields(cls)}
-    for key, value in data.items():
-        f = by_name.get(key)
-        if f is None:
-            raise ConfigError(f"{where}: unknown field {key!r}")
-        if not _fits(value, f.type, f.default):
-            raise ConfigError(f"{where}: field {key!r} must be {f.type}, got {value!r}")
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in data if key not in names]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
     try:
-        return cls(**{k: tuple(v) if by_name[k].type.startswith("tuple") else v for k, v in data.items()})
-    except ConfigError as e:  # a range check in the dataclass's __post_init__
+        return cls(**data)
+    except ConfigError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 

@@ -27,7 +27,7 @@ import math
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -47,6 +47,8 @@ from .core_graph import (
     _read_json,
     _write_text,
     check_count,
+    check_length,
+    check_real,
     load_scene_graph,
     load_taxonomy,
     node_positions,
@@ -72,8 +74,7 @@ class LabelConfig:
     epsilon: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, 0, math.inf, "epsilon", "(]"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +262,7 @@ class ClassPropensity:
 
     def __post_init__(self):
         for name in ("move_near", "move_far", "toggle", "vanish"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"propensity {name} must be in [0, 1], got {v!r}")
+            object.__setattr__(self, name, check_real(getattr(self, name), 0, 1, f"propensity {name}"))
 
 
 @dataclass(frozen=True)
@@ -354,45 +353,41 @@ class GeneratorConfig:
                           ("objects_max", self.objects_min), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), low, name))
         # _place keeps 0.3 m from each wall; every object lies in the room, so within MAX_COORDINATE.
-        # Each side is tested on its own, so that NaN fails.
-        if len(self.room_size) != 3 or not (
-            0.6 <= self.room_size[0] <= MAX_COORDINATE and 0.6 <= self.room_size[1] <= MAX_COORDINATE
-            and 0 < self.room_size[2] <= MAX_COORDINATE
-        ):
-            raise ConfigError(f"room x and y must be in [0.6, {MAX_COORDINATE:g}] m and its height in (0, "
-                              f"{MAX_COORDINATE:g}], got {self.room_size}")
+        room = zip(check_length(self.room_size, 3, "room_size"), (0.6, 0.6, 0), ("[]", "[]", "(]"))
+        object.__setattr__(self, "room_size", tuple(check_real(v, low, MAX_COORDINATE, f"room_size[{i}]", ends)
+                                                    for i, (v, low, ends) in enumerate(room)))
         for name in ("support_radius", "next_to_radius", "min_spacing"):
-            if not 0 <= getattr(self, name) <= MAX_COORDINATE:  # NaN fails too
-                raise ConfigError(f"{name} must be in [0, {MAX_COORDINATE:g}] m, got {getattr(self, name)!r}")
-        LabelConfig(self.epsilon)  # finite and > 0
-        if not 0 < self.move_distance[0] <= self.move_distance[1] <= MAX_COORDINATE:
-            raise ConfigError(f"move_distance must be 0 < low <= high <= {MAX_COORDINATE:g} m, "
-                              f"got {self.move_distance}")
-        if self.move_distance[0] < 2 * self.epsilon:
-            raise ConfigError(
-                "minimum move distance must be at least 2 * epsilon so moves and "
-                "jitter are separable"
-            )
-        if not 0 <= self.appear_prob <= 1:
-            raise ConfigError(f"appear_prob must be in [0, 1], got {self.appear_prob!r}")
-        if not 0 <= self.jitter_fraction < 1:
-            raise ConfigError("jitter_fraction must be in [0, 1)")
-        fractions = self.split_fractions
-        if len(fractions) != 3 or not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
-            raise ConfigError(f"split fractions must be 3 non-negative numbers summing to 1, got {fractions}")
+            object.__setattr__(self, name, check_real(getattr(self, name), 0, MAX_COORDINATE, name))
+        object.__setattr__(self, "epsilon", LabelConfig(self.epsilon).epsilon)
+        low, high = check_length(self.move_distance, 2, "move_distance")
+        low = check_real(low, 2 * self.epsilon, MAX_COORDINATE, "move_distance[0]")  # moves clear the jitter
+        high = check_real(high, low, MAX_COORDINATE, "move_distance[1]")
+        object.__setattr__(self, "move_distance", (low, high))
+        for name, ends in (("appear_prob", "[]"), ("jitter_fraction", "[)")):
+            object.__setattr__(self, name, check_real(getattr(self, name), 0, 1, name, ends))
+        fractions = enumerate(check_length(self.split_fractions, 3, "split_fractions"))
+        object.__setattr__(self, "split_fractions", tuple(check_real(f, 0, 1, f"split_fractions[{i}]")
+                                                          for i, f in fractions))
+        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
+            raise ConfigError(f"split_fractions must sum to 1, got {self.split_fractions}")
+        overrides = self.propensity_overrides
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"propensity_overrides must be a dict of ClassPropensity, got {overrides!r}")
         classes = sorted(_CLASS_SPECS)
-        unknown = [c for c in self.propensity_overrides if c not in classes]
-        if unknown:
-            raise ConfigError(f"propensity_overrides names unknown class {unknown[0]!r}; "
-                              f"expected one of {classes}")
+        for c, p in overrides.items():
+            if c not in classes:
+                raise ConfigError(f"propensity_overrides names unknown class {c!r}; "
+                                  f"expected one of {classes}")
+            if not isinstance(p, ClassPropensity):
+                raise ConfigError(f"propensity_overrides[{c!r}] must be a ClassPropensity, got {p!r}")
 
 
 def generator_config_from_dict(data: dict, source: str = "generator config") -> GeneratorConfig:
-    cfg = _config_from_json(GeneratorConfig, data, source)
-    return replace(cfg, propensity_overrides={
-        c: _config_from_json(ClassPropensity, p, f"{source}: propensity_overrides[{c!r}]")
-        for c, p in cfg.propensity_overrides.items()
-    })
+    if isinstance(data, dict) and isinstance(data.get("propensity_overrides"), dict):
+        data = data | {"propensity_overrides": {
+            c: _config_from_json(ClassPropensity, p, f"{source}: propensity_overrides[{c!r}]")
+            for c, p in data["propensity_overrides"].items()}}
+    return _config_from_json(GeneratorConfig, data, source)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_graph import SceneGraph, Taxonomy, _attribute_indicators, distance
+from .core_graph import SceneGraph, Taxonomy, _attribute_indicators, check_flag, check_real, distance
 from .errors import ConfigError, DimensionError
 
 # Singular values below this fraction of the largest are treated as zero rank.
@@ -112,8 +112,9 @@ class EdgeConfig:
     include_semantic_edges: bool = True
 
     def __post_init__(self):
-        if isinstance(self.tau, bool) or not 0.0 <= self.tau < np.inf:
-            raise ConfigError(f"tau must be finite meters >= 0, got {self.tau!r}")
+        object.__setattr__(self, "tau", check_real(self.tau, 0, np.inf, "tau"))  # meters
+        object.__setattr__(self, "include_semantic_edges",
+                           check_flag(self.include_semantic_edges, "include_semantic_edges"))
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,14 @@ from .core_graph import (
     _read_json,
     _write_text,
     check_count,
+    check_flag,
+    check_real,
     taxonomy_from_dict,
     taxonomy_to_dict,
 )
 from .embedding import TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, embed
 from .errors import CheckpointError, ConfigError, DimensionError, GraphError, ParseError, UsageError
-from .nn_core import Mlp, ParamStore, check_dropout_rate, check_mode, dropout, dropout_backward, relu, sigmoid
+from .nn_core import Mlp, ParamStore, check_mode, dropout, dropout_backward, relu, sigmoid
 
 CHECKPOINT_VERSION = 1
 
@@ -214,17 +216,19 @@ class ModelConfig:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         for name in ("d_v", "hidden_dim"):
             object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
+        for name in ("scalar_gate", "include_semantic_edges"):
+            object.__setattr__(self, name, check_flag(getattr(self, name), name))
         if self.scalar_gate and "scalar_gate" not in MODEL_CLASSES[self.kind]._HYPERPARAMETERS:
             raise ConfigError(f"scalar_gate does not apply to model kind {self.kind!r}")
         if isinstance(self.tau, str) and self.tau in TAU_PERCENTILES:
             return
         try:  # meters, by EdgeConfig's rule
             tau = EdgeConfig(float(self.tau) if isinstance(self.tau, str) else self.tau).tau
-        except (TypeError, ValueError, ConfigError):
+        except (ValueError, ConfigError):
             raise ConfigError(
                 f"tau must be finite meters >= 0 or a preset {list(TAU_PERCENTILES)}, got {self.tau!r}"
             ) from None
-        object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "tau", tau)
 
 
 class _VariabilityModel:
@@ -252,15 +256,14 @@ class _VariabilityModel:
         seed: int,
         scalar_gate: bool = False,
     ):
-        check_dropout_rate(dropout_rate)
         self.taxonomy_name = taxonomy_name
         self.num_relationships = num_relationships
         self.pca = pca
         self.edge_config = edge_config
         self.d_v = pca.d_v
         self.hidden_dim = hidden_dim
-        self.dropout_rate = float(dropout_rate)
-        self.scalar_gate = scalar_gate
+        self.dropout_rate = check_real(dropout_rate, 0, 1, "dropout rate", "[)")
+        self.scalar_gate = check_flag(scalar_gate, "scalar_gate")
         self.store = ParamStore(rng_seed=seed)
         self._add_layers(np.random.default_rng(seed))
 
@@ -377,11 +380,8 @@ MODEL_KINDS = tuple(MODEL_CLASSES)
 # ---------------------------------------------------------------------------
 
 
-# The JSON type a checkpoint must give each hyperparameter.
-_HYPERPARAMETER_TYPES = {
-    "d_v": "int", "hidden_dim": "int", "dropout_rate": "float", "scalar_gate": "bool",
-    "num_relationships": "int", "rng_seed": "int",
-}
+# The JSON type a checkpoint must give each hyperparameter that is not an "int".
+_HYPERPARAMETER_TYPES = {"dropout_rate": "float", "scalar_gate": "bool"}
 
 
 def _pca_to_dict(pca: PcaModel) -> dict:
@@ -447,8 +447,8 @@ def load_checkpoint(path) -> tuple[_VariabilityModel, Taxonomy]:
             missing = sorted(set(keys) - set(data[section]))
             if missing:
                 raise CheckpointError(f"{path}: checkpoint is missing {section} {missing}")
-        bad = [f"hyperparameter {k}" for k in names if not _fits(hp[k], _HYPERPARAMETER_TYPES[k], None)]
-        bad += [f"pca {k}" for k in ("d_v", "rank") if not _fits(data["pca"][k], "int", None)]
+        bad = [f"hyperparameter {k}" for k in names if not _fits(hp[k], _HYPERPARAMETER_TYPES.get(k, "int"))]
+        bad += [f"pca {k}" for k in ("d_v", "rank") if not _fits(data["pca"][k], "int")]
         if bad:
             raise CheckpointError(f"{path}: wrong JSON type for {', '.join(bad)}")
         taxonomy = taxonomy_from_dict(data["taxonomy"], source=str(path))

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core_graph import check_real
 from .errors import ConfigError, DimensionError, TrainingError
 
 
@@ -83,12 +84,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_dropout_rate(rate: float) -> None:
-    """The one dropout-rate rule: a rate of 1 or more would drop every unit."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-
-
 def check_mode(mode: str) -> None:
     """The one mode rule: a forward pass runs in "train" or "eval" mode."""
     if mode not in ("train", "eval"):
@@ -103,7 +98,7 @@ def dropout(
     Returns (output, mask). Eval mode and a zero rate pass the input through
     untouched and build no mask (None).
     """
-    check_dropout_rate(rate)
+    check_real(rate, 0, 1, "dropout rate", "[)")  # a rate of 1 would drop every unit
     check_mode(mode)
     if mode == "eval" or rate == 0.0:
         return x, None

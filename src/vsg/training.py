@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core_graph import Taxonomy, _encode_json, _write_csv, check_count
+from .core_graph import Taxonomy, _encode_json, _write_csv, check_count, check_length, check_real
 from .dataset import (
     DatasetBundle,
     LabelConfig,
@@ -63,7 +63,7 @@ from .embedding import (TAU_PERCENTILES, EdgeConfig, EmbeddedGraph, PcaModel, em
                         fit_pca, pairwise_distance_percentile)
 from .errors import ConfigError, EvaluationError, TrainingError
 from .model import MODEL_CLASSES, ModelConfig, finite_probabilities, graph_union
-from .nn_core import Adam, check_dropout_rate
+from .nn_core import Adam
 
 logger = logging.getLogger(__name__)
 
@@ -81,14 +81,11 @@ class LossConfig:
     class_weights: tuple[tuple[float, float], ...] = ((1.0, 1.0),) * 3
 
     def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        w = np.asarray(self.class_weights, dtype=np.float64)
-        if w.shape != (3, 2) or not ((w > 0) & (w < math.inf)).all():
-            raise ConfigError("class_weights must be a (3, 2) table of finite positive weights")
-        object.__setattr__(
-            self, "class_weights", tuple(tuple(float(x) for x in row) for row in w)
-        )
+        object.__setattr__(self, "gamma", check_real(self.gamma, 0, math.inf, "gamma"))
+        object.__setattr__(self, "class_weights", tuple(
+            tuple(check_real(w, 0, math.inf, f"class_weights[{i}][{j}]", "(]")
+                  for j, w in enumerate(check_length(row, 2, f"class_weights[{i}]")))
+            for i, row in enumerate(check_length(self.class_weights, 3, "class_weights"))))
 
 
 def class_weights_from_samples(samples: list[Sample]) -> tuple:
@@ -164,9 +161,9 @@ class TrainConfig:
             object.__setattr__(self, name, check_count(getattr(self, name), low, name))
         if self.patience is not None:
             object.__setattr__(self, "patience", check_count(self.patience, 1, "patience"))
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        check_dropout_rate(self.dropout_rate)
+        object.__setattr__(self, "learning_rate",
+                           check_real(self.learning_rate, 0, math.inf, "learning_rate", "(]"))
+        object.__setattr__(self, "dropout_rate", check_real(self.dropout_rate, 0, 1, "dropout_rate", "[)"))
 
 
 @dataclass
@@ -421,12 +418,6 @@ def _metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tp + fn)
 
 
-def check_threshold(threshold: float) -> None:
-    """A decision threshold is a probability: NaN or a value outside [0, 1] is refused."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1]; got {threshold}")
-
-
 def evaluate_probabilities(
     prob_list: list[np.ndarray],
     label_list: list[np.ndarray],
@@ -436,7 +427,7 @@ def evaluate_probabilities(
     """One EvalReport per threshold, in order; masked elements are excluded
     everywhere. All thresholds are counted in one (T, N, 3) step."""
     for threshold in thresholds:
-        check_threshold(threshold)
+        check_real(threshold, 0, 1, "threshold")  # a probability
     if not prob_list:
         raise EvaluationError("nothing to evaluate: empty sample set")
     pred = np.concatenate(prob_list) >= np.asarray(thresholds, dtype=np.float64)[:, None, None]

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 from vsg import (
+    ClassPropensity,
     ConfigError,
+    EdgeConfig,
     GeneratorConfig,
+    LabelConfig,
+    LossConfig,
     ModelConfig,
     ObjectLookupError,
     ObjectNode,
@@ -31,9 +36,12 @@ from vsg import (
 )
 from vsg.core_graph import (
     MAX_COORDINATE,
+    _config_from_json,
     _fits,
     check_count,
+    check_flag,
     check_position,
+    check_real,
     distance,
     load_taxonomy,
     node_positions,
@@ -307,6 +315,116 @@ class TestCheckCount:
                     cls(**{f.name: bad})
             kept = getattr(cls(**{f.name: np.int64(f.default)}), f.name)
             assert kept == f.default and type(kept) is int, (f.name, kept)
+
+
+# One mixed list for every rule: Python and numpy numbers, bools, NaN, +-inf,
+# an int too large for a float, text, None and containers.
+RULE_VALUES = [0, 7, -3, 10**30, 10**400, np.int64(5), np.int32(-2), np.uint8(3), True, False, np.True_,
+               np.False_, 2.5, -0.0, 3.0, np.float16(2), np.float32(1.5), np.float64(4.0), math.nan,
+               np.float64("nan"), math.inf, -math.inf, np.float32("inf"), "3", "0.5", None, [1], (0.5,), {}, 1 + 2j]
+
+
+class TestCheckReal:
+    def test_refuses_what_the_float_test_refuses(self):
+        for value in RULE_VALUES:
+            if _fits(value, "float"):
+                got = check_real(value, -math.inf, math.inf, "x")
+                assert type(got) is float and got == float(value), value
+            else:
+                with pytest.raises(ConfigError, match=r"^x must be finite and >= -inf, got "):
+                    check_real(value, -math.inf, math.inf, "x")
+
+    def test_float_test_is_a_finite_real_that_is_no_bool(self):
+        accepted = [v for v in RULE_VALUES if _fits(v, "float")]
+        assert accepted == [0, 7, -3, 10**30, np.int64(5), np.int32(-2), np.uint8(3), 2.5, -0.0, 3.0,
+                            np.float16(2), np.float32(1.5), np.float64(4.0)]
+
+    @pytest.mark.parametrize("value, low, high, ends, bound", [
+        (0.0, 0, math.inf, "(]", "finite and > 0"),
+        (-1, 0, math.inf, "[]", "finite and >= 0"),
+        (1.0, 0, 1, "[)", "in [0, 1)"),
+        (2, 0, 1, "[]", "in [0, 1]"),
+        (0.0, 0, 5, "(]", "in (0, 5]"),
+        (np.float32(2e9), 0.6, 1e9, "[]", "in [0.6, 1e+09]"),
+    ])
+    def test_out_of_range_names_the_setting_and_the_bound(self, value, low, high, ends, bound):
+        with pytest.raises(ConfigError, match=rf"^size must be {re.escape(bound)}, got {re.escape(repr(value))}$"):
+            check_real(value, low, high, "size", ends)
+
+    def test_closed_ends_are_kept(self):
+        assert check_real(0, 0, 1, "p") == 0.0 and check_real(1, 0, 1, "p") == 1.0
+        assert check_real(np.float64(0.5), 0, 1, "p", "()") == 0.5
+
+
+class TestCheckFlag:
+    def test_refuses_what_the_bool_test_refuses(self):
+        for value in RULE_VALUES:
+            if _fits(value, "bool"):
+                got = check_flag(value, "x")
+                assert type(got) is bool and got == value, value
+            else:
+                with pytest.raises(ConfigError, match=r"^x must be true or false, got "):
+                    check_flag(value, "x")
+
+    def test_message_names_the_setting_and_the_value(self):
+        with pytest.raises(ConfigError, match=r"^switch must be true or false, got 0$"):
+            check_flag(0, "switch")
+
+
+# Every config class whose fields come from JSON or a library call.
+CONFIG_CLASSES = [LabelConfig, LossConfig, TrainConfig, ClassPropensity, GeneratorConfig, EdgeConfig, ModelConfig]
+# Field types with a rule elsewhere: counts (TestCheckCount), the model kind, tau (a preset or meters;
+# TestModelConfig in test_model.py) and the overrides (test_dataset.py). Any other type is new.
+OTHER_FIELD_TYPES = {"int", "int | None", "str", "float | str", "dict[str, ClassPropensity]"}
+
+
+def _bad_values(default):
+    """Values the field of `default` must refuse: NaN, text and None; True for a
+    number and 1 for a flag; and, in a tuple, a wrong length or a bad item."""
+    yield from (math.nan, "0.5", None)
+    if isinstance(default, tuple):
+        yield from (default[:-1], default + default[:1])
+        for i, item in enumerate(default):
+            yield from (default[:i] + (bad,) + default[i + 1:] for bad in _bad_values(item))
+    else:
+        yield 1 if isinstance(default, bool) else True
+
+
+def _as_json(value):
+    return [_as_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _leaves(value) -> list:
+    return [leaf for v in value for leaf in _leaves(v)] if isinstance(value, tuple) else [value]
+
+
+def _as_numpy(value, real):
+    if isinstance(value, tuple):
+        return tuple(_as_numpy(v, real) for v in value)
+    return np.bool_(value) if isinstance(value, bool) else real(value)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES)
+def test_every_real_flag_and_tuple_config_field_keeps_its_rule(cls):
+    # A new float, bool or tuple field that skips check_real, check_flag or
+    # check_length fails here, and so does a field of a type not listed above.
+    fields = dataclasses.fields(cls)
+    assert {f.type for f in fields} <= OTHER_FIELD_TYPES | {"float", "bool"} | {
+        f.type for f in fields if f.type.startswith("tuple[")}, cls
+    ruled = [f for f in fields if f.type in ("float", "bool") or f.type.startswith("tuple[")]
+    assert ruled, cls
+    for f in ruled:
+        for bad in _bad_values(f.default):
+            with pytest.raises(ConfigError, match=f.name):
+                cls(**{f.name: bad})
+            with pytest.raises(ConfigError, match=rf"^spec: .*{f.name}"):
+                _config_from_json(cls, {f.name: _as_json(bad)}, "spec")
+        # float32 items of split_fractions need not sum to 1 within its tolerance.
+        for real in (np.float64,) if f.type.startswith("tuple[") else (np.float32, np.float64):
+            value = _as_numpy(f.default, real)
+            kept = getattr(cls(**{f.name: value}), f.name)
+            assert type(kept) is type(f.default) and kept == value, (f.name, kept)
+            assert [type(v) for v in _leaves(kept)] == [type(v) for v in _leaves(f.default)], (f.name, kept)
 
 
 def _position_array_sites(path: Path) -> list[tuple[str, int]]:

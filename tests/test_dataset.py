@@ -464,6 +464,8 @@ class TestGenerator:
             dict(split_fractions=(float("nan"), 0.5, 0.5)),
             dict(split_fractions=(0.5, float("nan"), 0.5)),
             dict(split_fractions=(1.0,)),
+            dict(move_distance=(0.3,)),  # not an IndexError
+            dict(move_distance=(0.25, 0.5, 0.9)),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -476,6 +478,16 @@ class TestGenerator:
             GeneratorConfig(propensity_overrides=overrides)
         for cls in default_taxonomy().classes:
             GeneratorConfig(propensity_overrides={cls: ClassPropensity()})
+
+    @pytest.mark.parametrize("value", [{"vanish": 0.5}, None, 0.5])
+    def test_override_that_is_not_a_class_propensity_is_refused_by_name(self, value):
+        # Else generation fails midway on `value.vanish`.
+        with pytest.raises(ConfigError, match=r"^propensity_overrides\['cup'\] must be a ClassPropensity"):
+            GeneratorConfig(propensity_overrides={"cup": value})
+
+    def test_overrides_that_are_not_a_dict_are_refused(self):
+        with pytest.raises(ConfigError, match="^propensity_overrides must be a dict of ClassPropensity"):
+            GeneratorConfig(propensity_overrides=[("cup", ClassPropensity())])
 
     def test_config_dict_round_trip(self):
         overrides = {"cup": ClassPropensity(move_near=0.9, vanish=0.2)}

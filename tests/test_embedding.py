@@ -323,7 +323,7 @@ class TestEdges:
 
     @pytest.mark.parametrize("tau", [float("inf"), float("nan"), True])
     def test_tau_must_be_finite_meters(self, tau):
-        with pytest.raises(ConfigError, match="tau must be finite meters >= 0"):
+        with pytest.raises(ConfigError, match=f"tau must be finite and >= 0, got {tau!r}"):
             EdgeConfig(tau=tau)
 
 

@@ -689,8 +689,25 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(path)
         assert loaded.scalar_gate is True
 
+    def test_numpy_float_tau_saves_the_same_bytes(self, tiny_tax, tmp_path):
+        # EdgeConfig stores tau as a Python float, which the JSON writer takes.
+        model = self._fitted_model(tiny_tax)
+        plain, numpy_tau = tmp_path / "float.ckpt", tmp_path / "float32.ckpt"
+        for tau, path in ((1.0, plain), (np.float32(1.0), numpy_tau)):
+            model.edge_config = EdgeConfig(tau=tau)
+            save_checkpoint(model, tiny_tax, path)
+        assert numpy_tau.read_bytes() == plain.read_bytes()
+        loaded, _ = load_checkpoint(numpy_tau)
+        assert loaded.edge_config == EdgeConfig(tau=1.0) and type(loaded.edge_config.tau) is float
+
 
 class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [("scalar_gate", "no"), ("include_semantic_edges", 0)])
+    def test_non_bool_switch_refused_before_any_training(self, field, value):
+        # Else a model trains whose checkpoint load_checkpoint refuses.
+        with pytest.raises(ConfigError, match=f"{field} must be true or false, got {value!r}"):
+            ModelConfig(**{field: value})
+
     @pytest.mark.parametrize("tau, expected", [("p50", "p50"), ("1.5", 1.5), (2, 2.0), (0.0, 0.0)])
     def test_tau_is_a_preset_or_meters(self, tau, expected):
         got = ModelConfig(tau=tau).tau

@@ -242,7 +242,7 @@ class TestEvaluateProbabilities:
         with pytest.raises(EvaluationError):
             evaluate_probabilities([], [], [], [0.5])
 
-    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 2.0, math.inf, "0.5", None, True])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ConfigError, match="threshold"):
             single_report([[0.9, 0, 0]], [[1, 0, 0]], threshold=threshold)
